@@ -59,6 +59,9 @@ measure(const workloads::WorkloadSpec &spec)
     row.id = spec.id;
     core::Program program = compileWorkload(spec);
     const compiler::CompiledProgram &prog = program.compiled();
+    // The field-insensitive oracle compile supplies the *-flat counts.
+    core::Program flat_program = compileWorkload(spec, false);
+    const compiler::CompiledProgram &flat = flat_program.compiled();
 
     // Re-run the analysis stack over the unified module, timed alone
     // (the pipeline interleaves it with profiling and partitioning).
@@ -91,14 +94,14 @@ measure(const workloads::WorkloadSpec &spec)
     row.analysisMsFlat = summarizeLatencies(flat_samples).p50;
 
     row.uvaGlobals = prog.unifyStats.uvaGlobals;
-    row.uvaGlobalsInsensitive = prog.unifyStats.uvaGlobalsInsensitive;
+    row.uvaGlobalsInsensitive = flat.unifyStats.uvaGlobals;
     row.uvaGlobalsConservative = prog.unifyStats.uvaGlobalsConservative;
     row.uvaPages = prog.unifyStats.uvaPages;
-    row.uvaPagesInsensitive = prog.unifyStats.uvaPagesInsensitive;
+    row.uvaPagesInsensitive = flat.unifyStats.uvaPages;
     row.uvaFieldLimited = prog.unifyStats.uvaFieldLimitedGlobals;
     row.totalGlobals = prog.unifyStats.totalGlobals;
     row.fptrMap = prog.partition.fptrMap.size();
-    row.fptrMapInsensitive = prog.partition.fptrMapInsensitive;
+    row.fptrMapInsensitive = flat.partition.fptrMap.size();
     row.fptrMapConservative = prog.partition.fptrMapConservative;
 
     support::DiagnosticEngine engine = program.verify();

@@ -34,12 +34,13 @@ WorkloadRuns::primaryTrafficMb(const runtime::RunReport &report) const
 }
 
 core::Program
-compileWorkload(const workloads::WorkloadSpec &spec)
+compileWorkload(const workloads::WorkloadSpec &spec, bool fieldSensitive)
 {
     core::CompileRequest req;
     req.name = spec.id;
     req.source = spec.source;
     req.profilingInput = spec.profilingInput;
+    req.fieldSensitiveAnalysis = fieldSensitive;
     // The compiler's static estimator is deliberately generous: it
     // assumes the best network the deployment might see (802.11ac),
     // scaled consistently with the workload's byte counts. Generating

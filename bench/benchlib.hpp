@@ -33,8 +33,10 @@ struct WorkloadRuns {
     double primaryTrafficMb(const runtime::RunReport &report) const;
 };
 
-/** Compile one workload through the full pipeline. */
-core::Program compileWorkload(const workloads::WorkloadSpec &spec);
+/** Compile one workload through the full pipeline; @p fieldSensitive
+ *  false selects the field-insensitive oracle compile. */
+core::Program compileWorkload(const workloads::WorkloadSpec &spec,
+                              bool fieldSensitive = true);
 
 /** Run @p spec under one runtime configuration. */
 runtime::RunReport runConfig(const core::Program &program,

@@ -129,7 +129,7 @@ NativeExec::chargeThunk(NolCtx *ctx, const NolChargeItem *items, uint32_t n,
         // Nothing else runs inside one charge replay, so the spec
         // (which runIdeal swaps only between guest callbacks) and the
         // scaled cost are loop-invariant across the occurrences.
-        if (item.count > self->step_limit_ - self->steps_)
+        if (item.count > kStepLimit - self->steps_)
             panic("step limit exceeded in %s", self->fnName(fn_id));
         self->steps_ += item.count;
         uint64_t cost = item.cost;
@@ -150,7 +150,7 @@ NativeExec::chargeThunk(NolCtx *ctx, const NolChargeItem *items, uint32_t n,
 inline void
 NativeExec::chargeOne(uint32_t cost_kind, uint32_t fn_id)
 {
-    if (++steps_ > step_limit_)
+    if (++steps_ > kStepLimit)
         panic("step limit exceeded in %s", fnName(fn_id));
     uint64_t cost = cost_kind >> 2;
     uint32_t kind = cost_kind & 3;

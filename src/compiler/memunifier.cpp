@@ -295,46 +295,20 @@ unifyMemory(ir::Module &module, const std::vector<ir::Function *> &targets,
     closeOverInitializers(conservative);
     stats.uvaGlobalsConservative = conservative.size();
 
-    std::vector<const ir::Function *> roots(targets.begin(),
-                                            targets.end());
-    auto refine = [&](const analysis::PointsToResult &p,
-                      const analysis::PointsToResult::Reachable &reach) {
-        std::set<const ir::GlobalVariable *> out;
-        if (reach.precise) {
-            for (const ir::Function *fn : reach.fns)
-                collectGlobalsPointsTo(*fn, p, out);
-            closeOverInitializers(out);
-        } else {
-            out = conservative;
-        }
-        return out;
-    };
-
     analysis::PointsToResult pts = analysis::analyzePointsTo(
         module, {.fieldSensitive = options.fieldSensitive});
+    std::vector<const ir::Function *> roots(targets.begin(),
+                                            targets.end());
     analysis::PointsToResult::Reachable reach = pts.reachableFrom(roots);
-    stats.pointsToPrecise = reach.precise;
-    std::set<const ir::GlobalVariable *> referenced = refine(pts, reach);
-
-    // Differential oracle: what the field-insensitive solver would have
-    // marked. The sensitive set must be a subset of it (CI asserts this
-    // on all workloads via nol-verify --stats); equal when field
-    // sensitivity is off.
-    ir::DataLayout stats_dl{mobile};
-    if (options.fieldSensitive) {
-        analysis::PointsToResult insens =
-            analysis::analyzePointsTo(module, {.fieldSensitive = false});
-        std::set<const ir::GlobalVariable *> insens_referenced =
-            refine(insens, insens.reachableFrom(roots));
-        stats.uvaGlobalsInsensitive = insens_referenced.size();
-        stats.uvaPagesInsensitive =
-            uvaPageFootprint(module, stats_dl, insens_referenced);
+    std::set<const ir::GlobalVariable *> referenced;
+    if (reach.precise) {
+        for (const ir::Function *fn : reach.fns)
+            collectGlobalsPointsTo(*fn, pts, referenced);
+        closeOverInitializers(referenced);
     } else {
-        stats.uvaGlobalsInsensitive = referenced.size();
-        stats.uvaPagesInsensitive =
-            uvaPageFootprint(module, stats_dl, referenced);
+        referenced = conservative;
     }
-    stats.uvaPages = uvaPageFootprint(module, stats_dl, referenced);
+    stats.uvaPages = uvaPageFootprint(module, mobile_dl, referenced);
 
     stats.totalGlobals = module.globals().size();
     for (const auto &gv : module.globals()) {

@@ -48,23 +48,17 @@ struct UnifyStats {
      *  paper's conservative Sec. 3.2 algorithm) — the baseline the
      *  points-to refinement is measured against in bench_analysis. */
     size_t uvaGlobalsConservative = 0;
-    /** UVA globals the field-insensitive solver would have marked —
-     *  the differential-oracle baseline; the field-sensitive set must
-     *  be a subset of it (equal when fieldSensitive is off). */
-    size_t uvaGlobalsInsensitive = 0;
     /** Static UVA page footprint (loader packing replayed over the
-     *  marked globals), sensitive vs the insensitive baseline. Every
-     *  page shaved here is a page the fleet never prefetches. */
+     *  marked globals). Every page shaved here is a page the fleet
+     *  never prefetches; the field-insensitive baseline comes from an
+     *  oracle compile with fieldSensitive off (nol-verify --stats,
+     *  bench_analysis). */
     size_t uvaPages = 0;
-    size_t uvaPagesInsensitive = 0;
     /** Struct globals whose UVA mark was limited to a field subset. */
     size_t uvaFieldLimitedGlobals = 0;
     /** Alloca slots marked for unified-space reallocation (their
      *  address escapes an offload-reachable frame). */
     size_t stackSlotsUnified = 0;
-    /** Points-to reachability was precise (no address-taken fallback);
-     *  when false the conservative global set was used instead. */
-    bool pointsToPrecise = false;
     /** Mode the refinement ran in (UnifyOptions::fieldSensitive). */
     bool fieldSensitive = false;
     bool addressSizeConversion = false; ///< mobile/server widths differ

@@ -213,20 +213,11 @@ partitionModule(ir::Module &module, const OutlinedTargets &outlined,
         // from the conservative "every address-taken function"; a site
         // whose pointer escaped tracking falls back to the baseline.
         // Field-sensitive resolution narrows struct-held tables to the
-        // slots actually dispatched through; the insensitive map is
-        // recorded alongside as the differential-oracle baseline.
+        // slots actually dispatched through.
         analysis::PointsToResult pts = analysis::analyzePointsTo(
             srv, {.fieldSensitive = options.fieldSensitive});
         result.fptrMapConservative = pts.addressTaken().size();
         result.fptrMap = buildFptrMap(srv, pts);
-        if (options.fieldSensitive) {
-            result.fptrMapInsensitive =
-                buildFptrMap(srv, analysis::analyzePointsTo(
-                                      srv, {.fieldSensitive = false}))
-                    .size();
-        } else {
-            result.fptrMapInsensitive = result.fptrMap.size();
-        }
         ir::verifyModuleOrDie(srv);
     }
 

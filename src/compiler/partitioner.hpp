@@ -67,10 +67,6 @@ struct PartitionResult {
     std::set<std::string> fptrMap;
     /** Size of the conservative baseline map (all address-taken). */
     size_t fptrMapConservative = 0;
-    /** Size of the map the field-insensitive solver would build — the
-     *  differential-oracle baseline (== fptrMap.size() when field
-     *  sensitivity is off). */
-    size_t fptrMapInsensitive = 0;
 };
 
 /** Partitioning knobs. */

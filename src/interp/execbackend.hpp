@@ -78,9 +78,6 @@ class ExecBackend
         indirect_extra_cost_ = cost;
     }
 
-    /** Abort execution after this many instructions (runaway guard). */
-    void setStepLimit(uint64_t limit) { step_limit_ = limit; }
-
     // --- Accessors (used by ExecEnv implementations) ---------------------
     sim::SimMachine &machine() { return machine_; }
     const ir::Module &module() const { return module_; }
@@ -177,13 +174,15 @@ class ExecBackend
     }
 
   protected:
+    /** Abort execution after this many instructions (runaway guard). */
+    static constexpr uint64_t kStepLimit = 4'000'000'000ull;
+
     sim::SimMachine &machine_;
     const ir::Module &module_;
     const ProgramImage &image_;
     ExecEnv &env_;
     ir::DataLayout dl_;
     uint64_t steps_ = 0;
-    uint64_t step_limit_ = 4'000'000'000ull;
     uint64_t indirect_extra_cost_ = 0;
     uint64_t indirect_calls_ = 0;
     int depth_ = 0;

@@ -150,7 +150,7 @@ Interp::execFunction(ir::Function *fn, const std::vector<RtVal> &args)
         const ir::BasicBlock *next = nullptr;
         for (size_t idx = 0; idx < bb->size(); ++idx) {
             const ir::Instruction *inst = bb->inst(idx);
-            if (++steps_ > step_limit_)
+            if (++steps_ > kStepLimit)
                 panic("step limit exceeded in %s", fn->name().c_str());
             uint64_t cost = sim::opcodeCost(inst->op());
             double scale = 1.0;

@@ -14,9 +14,8 @@
  * Four built-in answers:
  *
  *  - Fifo: index 0, always. The default, bit-identical to the
- *    pre-refactor hardwired queue (the equivalence sweep in
- *    tests/test_fleet.cpp pins this against the preserved legacy
- *    path).
+ *    pre-refactor hardwired queue (golden digests in
+ *    tests/test_fleet.cpp, captured from that queue, pin it).
  *  - Priority: highest FleetClient::priority first, FIFO among equals.
  *  - ShortestPredictedFirst: smallest predicted slot-hold time first,
  *    fed by the Eq. 1 terms of the decision that triggered the offload
@@ -73,13 +72,6 @@ struct AdmissionConfig {
     double maxQueueWaitSeconds = 5.0; ///< then denied → run locally
     AdmissionPolicyKind kind = AdmissionPolicyKind::Fifo;
     AdmissionAutoscale autoscale;
-    /**
-     * Test-only oracle: run the pre-refactor inline FIFO admission
-     * path verbatim — no policy object, no autoscaling. The
-     * equivalence sweep compares this against kind == Fifo through the
-     * interface; it is not a supported production mode.
-     */
-    bool legacyFifoPath = false;
 };
 
 /** What the requesting session declared at acquire() time. */

@@ -66,8 +66,6 @@ struct SystemConfig {
      * queueing toward an admission denial. Inert solo and when off.
      */
     bool admissionAwareDecision = false;
-    uint64_t fnPtrTranslateCost = 60; ///< units per server indirect call
-    uint64_t stepLimit = 4'000'000'000ull;
     /** Deterministic network fault schedule (disabled by default: the
      *  fault layer is strictly opt-in and zero-cost when off). */
     net::FaultPlan faultPlan;

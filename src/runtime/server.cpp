@@ -101,8 +101,7 @@ ServerRuntime::acquire(sim::Strand &strand, uint64_t session_id,
     loop_->schedule(now_ns, [this, &strand, &res, session_id, now_ns,
                              request] {
         bool free_slot = active_ < slots_;
-        if (!free_slot && !admission_.legacyFifoPath &&
-            admission_.autoscale.enabled &&
+        if (!free_slot && admission_.autoscale.enabled &&
             slots_ < admission_.autoscale.maxSessions &&
             static_cast<double>(queue_.size() + 1) >
                 admission_.autoscale.queueDepthPerSlot *
@@ -116,8 +115,7 @@ ServerRuntime::acquire(sim::Strand &strand, uint64_t session_id,
             ++active_;
             peak_active_ = std::max(peak_active_, active_);
             hold_start_ns_[session_id] = now_ns;
-            if (!admission_.legacyFifoPath)
-                policy_->onGrant(session_id);
+            policy_->onGrant(session_id);
             publishLoad(now_ns);
             res.granted = true;
             loop_->wake(strand, now_ns);
@@ -221,18 +219,15 @@ ServerRuntime::disconnect(uint64_t session_id, double now_ns)
 void
 ServerRuntime::grantSelected(double now_ns)
 {
-    size_t index = 0;
-    if (!admission_.legacyFifoPath) {
-        std::deque<AdmissionTicket> tickets;
-        for (const Waiter &waiter : queue_) {
-            AdmissionTicket ticket;
-            ticket.sessionId = waiter.sessionId;
-            ticket.enqueueNs = waiter.enqueueNs;
-            ticket.request = waiter.request;
-            tickets.push_back(ticket);
-        }
-        index = policy_->selectNext(tickets);
+    std::deque<AdmissionTicket> tickets;
+    for (const Waiter &waiter : queue_) {
+        AdmissionTicket ticket;
+        ticket.sessionId = waiter.sessionId;
+        ticket.enqueueNs = waiter.enqueueNs;
+        ticket.request = waiter.request;
+        tickets.push_back(ticket);
     }
+    size_t index = policy_->selectNext(tickets);
     NOL_ASSERT(index < queue_.size(), "admission policy picked index %zu "
                "of a %zu-deep queue", index, queue_.size());
     Waiter waiter = queue_[index];
@@ -245,8 +240,7 @@ ServerRuntime::grant(Waiter waiter, double now_ns)
 {
     loop_->cancel(waiter.timeoutEvent);
     hold_start_ns_[waiter.sessionId] = now_ns;
-    if (!admission_.legacyFifoPath)
-        policy_->onGrant(waiter.sessionId);
+    policy_->onGrant(waiter.sessionId);
     waiter.result->granted = true;
     loop_->wake(*waiter.strand, now_ns);
 }
@@ -255,7 +249,7 @@ ServerRuntime::grant(Waiter waiter, double now_ns)
 void
 ServerRuntime::maybeShrinkPool()
 {
-    if (admission_.legacyFifoPath || !admission_.autoscale.enabled)
+    if (!admission_.autoscale.enabled)
         return;
     if (!queue_.empty())
         return;

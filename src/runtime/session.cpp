@@ -20,6 +20,10 @@ using interp::RtVal;
 
 namespace {
 
+/** Cost units charged per server indirect call: the function-pointer
+ *  translation of paper Sec. 3.4. */
+constexpr uint64_t kFnPtrTranslateCost = 60;
+
 /** One offload-enabled target, resolved in both modules. */
 struct TargetEntry {
     std::string name;
@@ -755,8 +759,7 @@ class MobileEnv : public interp::DefaultEnv
                              ctx_.serverImage, server_env,
                              ctx_.serverPrepared);
         interp::ExecBackend &server_interp = *server_backend;
-        server_interp.setStepLimit(ctx_.cfg.stepLimit);
-        server_interp.setIndirectCallExtraCost(ctx_.cfg.fnPtrTranslateCost);
+        server_interp.setIndirectCallExtraCost(kFnPtrTranslateCost);
 
         ctx_.comm.syncClocks();
         uint64_t units_before = ctx_.server.computeUnits();
@@ -940,7 +943,6 @@ Session::Impl::run(const RunInput &input)
         makeBackend(mobile, mobile_module, mobileImage, env,
                     mobilePrepared);
     interp::ExecBackend &interp = *backend;
-    interp.setStepLimit(cfg.stepLimit);
 
     ir::Function *entry_fn = mobile_module.functionByName("main");
     NOL_ASSERT(entry_fn != nullptr, "mobile module lacks main()");

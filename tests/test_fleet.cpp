@@ -8,9 +8,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "codegen/cemitter.hpp"
 #include "compiler/driver.hpp"
 #include "frontend/codegen.hpp"
 #include "net/medium.hpp"
@@ -321,54 +325,6 @@ caseInput(const EquivCase &c)
     return input;
 }
 
-void
-expectReportsIdentical(const RunReport &solo, const RunReport &fleet)
-{
-    EXPECT_EQ(solo.exitValue, fleet.exitValue);
-    EXPECT_EQ(solo.console, fleet.console);
-    EXPECT_DOUBLE_EQ(solo.mobileSeconds, fleet.mobileSeconds);
-    EXPECT_DOUBLE_EQ(solo.energyMillijoules, fleet.energyMillijoules);
-
-    EXPECT_DOUBLE_EQ(solo.breakdown.mobileCompute,
-                     fleet.breakdown.mobileCompute);
-    EXPECT_DOUBLE_EQ(solo.breakdown.serverCompute,
-                     fleet.breakdown.serverCompute);
-    EXPECT_DOUBLE_EQ(solo.breakdown.fnPtrTranslation,
-                     fleet.breakdown.fnPtrTranslation);
-    EXPECT_DOUBLE_EQ(solo.breakdown.remoteIo, fleet.breakdown.remoteIo);
-    EXPECT_DOUBLE_EQ(solo.breakdown.communication,
-                     fleet.breakdown.communication);
-
-    EXPECT_EQ(solo.wireBytes, fleet.wireBytes);
-    EXPECT_EQ(solo.rawBytes, fleet.rawBytes);
-    EXPECT_EQ(solo.bytesByCategory, fleet.bytesByCategory);
-    EXPECT_EQ(solo.offloads, fleet.offloads);
-    EXPECT_EQ(solo.localRuns, fleet.localRuns);
-    EXPECT_EQ(solo.demandFaults, fleet.demandFaults);
-    EXPECT_EQ(solo.retries, fleet.retries);
-    EXPECT_EQ(solo.failovers, fleet.failovers);
-    EXPECT_EQ(fleet.admissionWaits, 0u);
-    EXPECT_EQ(fleet.admissionDenials, 0u);
-    EXPECT_EQ(solo.digestHandshakes, fleet.digestHandshakes);
-    EXPECT_EQ(solo.prefetchPagesSent, fleet.prefetchPagesSent);
-    EXPECT_EQ(solo.prefetchPagesCached, fleet.prefetchPagesCached);
-
-    ASSERT_EQ(solo.events.size(), fleet.events.size());
-    for (size_t i = 0; i < solo.events.size(); ++i) {
-        const OffloadEvent &a = solo.events[i];
-        const OffloadEvent &b = fleet.events[i];
-        EXPECT_EQ(a.target, b.target);
-        EXPECT_EQ(a.offloaded, b.offloaded);
-        EXPECT_EQ(a.failedOver, b.failedOver);
-        EXPECT_EQ(a.suppressed, b.suppressed);
-        EXPECT_EQ(a.overflow, b.overflow);
-        EXPECT_DOUBLE_EQ(a.trafficBytes, b.trafficBytes);
-        EXPECT_DOUBLE_EQ(a.rawTrafficBytes, b.rawTrafficBytes);
-        EXPECT_DOUBLE_EQ(a.serverSeconds, b.serverSeconds);
-    }
-    EXPECT_EQ(solo.powerTimeline.size(), fleet.powerTimeline.size());
-}
-
 RunReport
 fleetSingle(const compiler::CompiledProgram &prog, const SystemConfig &cfg,
             const RunInput &input)
@@ -398,7 +354,9 @@ TEST(FleetEquivalence, SingleClientMatchesSoloOnBothNetworks)
             OffloadSystem solo(prog, cfg);
             RunReport solo_report = solo.run(caseInput(c));
             RunReport fleet_report = fleetSingle(prog, cfg, caseInput(c));
-            expectReportsIdentical(solo_report, fleet_report);
+            std::string why;
+            EXPECT_TRUE(reportsBitIdentical(solo_report, fleet_report, &why))
+                << "first difference: " << why;
         }
     }
 }
@@ -417,7 +375,9 @@ TEST(FleetEquivalence, SingleClientMatchesSoloUnderFaults)
     OffloadSystem solo(prog, cfg);
     RunReport solo_report = solo.run(caseInput(c));
     RunReport fleet_report = fleetSingle(prog, cfg, caseInput(c));
-    expectReportsIdentical(solo_report, fleet_report);
+    std::string why;
+    EXPECT_TRUE(reportsBitIdentical(solo_report, fleet_report, &why))
+        << "first difference: " << why;
 }
 
 // ---------------------------------------------------------------------------
@@ -643,7 +603,10 @@ TEST(FleetPageCache, SingleClientCacheOnIsBitIdenticalToSolo)
         client.config = cfg;
         client.input = caseInput(c);
         FleetReport fleet = server.run({client});
-        expectReportsIdentical(solo_report, fleet.clients.at(0).report);
+        std::string why;
+        EXPECT_TRUE(reportsBitIdentical(solo_report,
+                                        fleet.clients.at(0).report, &why))
+            << "first difference: " << why;
         EXPECT_EQ(fleet.cache.lookups, 0u);
     }
 }
@@ -725,111 +688,161 @@ TEST(FleetAdmission, QueueTimeoutOverflowsToLocalExecution)
 
 namespace {
 
-/** Bit-identical RunReport comparison (no solo-vs-fleet assumptions). */
-void
-expectRunReportsBitIdentical(const RunReport &a, const RunReport &b)
+/** One value per line; floats in %a, so the text keeps every bit. */
+class GoldenText
 {
-    EXPECT_EQ(a.exitValue, b.exitValue);
-    EXPECT_EQ(a.console, b.console);
-    EXPECT_DOUBLE_EQ(a.mobileSeconds, b.mobileSeconds);
-    EXPECT_DOUBLE_EQ(a.energyMillijoules, b.energyMillijoules);
-    EXPECT_EQ(a.wireBytes, b.wireBytes);
-    EXPECT_EQ(a.rawBytes, b.rawBytes);
-    EXPECT_EQ(a.bytesByCategory, b.bytesByCategory);
-    EXPECT_EQ(a.offloads, b.offloads);
-    EXPECT_EQ(a.localRuns, b.localRuns);
-    EXPECT_EQ(a.demandFaults, b.demandFaults);
-    EXPECT_EQ(a.retries, b.retries);
-    EXPECT_EQ(a.failovers, b.failovers);
-    EXPECT_EQ(a.admissionWaits, b.admissionWaits);
-    EXPECT_EQ(a.admissionDenials, b.admissionDenials);
-    EXPECT_DOUBLE_EQ(a.admissionWaitSeconds, b.admissionWaitSeconds);
-    EXPECT_EQ(a.digestHandshakes, b.digestHandshakes);
-    EXPECT_EQ(a.prefetchPagesSent, b.prefetchPagesSent);
-    EXPECT_EQ(a.prefetchPagesCached, b.prefetchPagesCached);
-    ASSERT_EQ(a.events.size(), b.events.size());
-    for (size_t i = 0; i < a.events.size(); ++i) {
-        EXPECT_EQ(a.events[i].target, b.events[i].target);
-        EXPECT_EQ(a.events[i].offloaded, b.events[i].offloaded);
-        EXPECT_EQ(a.events[i].failedOver, b.events[i].failedOver);
-        EXPECT_EQ(a.events[i].suppressed, b.events[i].suppressed);
-        EXPECT_EQ(a.events[i].overflow, b.events[i].overflow);
-        EXPECT_DOUBLE_EQ(a.events[i].trafficBytes,
-                         b.events[i].trafficBytes);
-        EXPECT_DOUBLE_EQ(a.events[i].serverSeconds,
-                         b.events[i].serverSeconds);
+  public:
+    template <typename... Ts>
+    void
+    add(const Ts &...values)
+    {
+        (addOne(values), ...);
     }
+
+    const std::string &str() const { return text_; }
+
+  private:
+    template <typename T>
+    void
+    addOne(const T &value)
+    {
+        if constexpr (std::is_same_v<T, std::string>) {
+            text_ += std::to_string(value.size()) + ':' + value;
+        } else if constexpr (std::is_floating_point_v<T>) {
+            char buf[32];
+            std::snprintf(buf, sizeof buf, "%a", value);
+            text_ += buf;
+        } else if constexpr (std::is_signed_v<T>) {
+            text_ += std::to_string(static_cast<int64_t>(value));
+        } else {
+            text_ += std::to_string(static_cast<uint64_t>(value));
+        }
+        text_ += '\n';
+    }
+
+    std::string text_;
+};
+
+/** Every field runtime::reportsBitIdentical compares, in its order. */
+void
+addRunReport(GoldenText &t, const RunReport &r)
+{
+    const TimeBreakdown &b = r.breakdown;
+    t.add(r.exitValue, r.console, r.mobileSeconds, r.energyMillijoules);
+    t.add(b.mobileCompute, b.serverCompute, b.fnPtrTranslation, b.remoteIo,
+          b.communication);
+    t.add(r.wireBytes, r.rawBytes, r.bytesByCategory.size());
+    for (const auto &[category, bytes] : r.bytesByCategory)
+        t.add(category, bytes);
+    t.add(r.offloads, r.localRuns, r.demandFaults, r.retries, r.failovers);
+    t.add(r.admissionWaits, r.admissionDenials, r.admissionWaitSeconds);
+    t.add(r.digestHandshakes, r.prefetchPagesSent, r.prefetchPagesCached);
+    t.add(r.coldStartOffloads, r.queueAvoidedLocals, r.priorsSeededTargets);
+    t.add(r.decisions.size());
+    for (const decision::DecisionRecord &d : r.decisions) {
+        t.add(d.target, d.sequence, d.nowSeconds, d.verdict, d.offload,
+              d.suppressed, d.probe);
+    }
+    t.add(r.events.size());
+    for (const OffloadEvent &e : r.events) {
+        t.add(e.target, e.offloaded, e.ideal, e.failedOver, e.suppressed,
+              e.overflow, e.queueAvoided, e.estimatedGain, e.trafficBytes,
+              e.rawTrafficBytes, e.serverSeconds);
+    }
+    t.add(r.powerTimeline.size());
+    for (const sim::PowerSegment &s : r.powerTimeline)
+        t.add(s.startNs, s.endNs, s.state, s.milliwatts);
 }
 
-/** Every aggregate and every per-client report must match exactly. */
-void
-expectFleetReportsBitIdentical(const FleetReport &a, const FleetReport &b)
+/** Digest of a whole fleet run: the aggregates, each client's timing
+ *  and every RunReport field reportsBitIdentical compares. */
+std::string
+fleetDigest(const FleetReport &f)
 {
-    EXPECT_DOUBLE_EQ(a.makespanSeconds, b.makespanSeconds);
-    EXPECT_EQ(a.totalOffloads, b.totalOffloads);
-    EXPECT_EQ(a.totalLocalRuns, b.totalLocalRuns);
-    EXPECT_EQ(a.totalFailovers, b.totalFailovers);
-    EXPECT_EQ(a.admissionWaits, b.admissionWaits);
-    EXPECT_EQ(a.admissionDenials, b.admissionDenials);
-    EXPECT_DOUBLE_EQ(a.admissionWaitSeconds, b.admissionWaitSeconds);
-    EXPECT_DOUBLE_EQ(a.serverBusySeconds, b.serverBusySeconds);
-    EXPECT_DOUBLE_EQ(a.mediumBusySeconds, b.mediumBusySeconds);
-    EXPECT_EQ(a.mediumBytes, b.mediumBytes);
-    EXPECT_DOUBLE_EQ(a.offloadsPerSecond, b.offloadsPerSecond);
-    EXPECT_DOUBLE_EQ(a.latencyP50Seconds, b.latencyP50Seconds);
-    EXPECT_DOUBLE_EQ(a.latencyP95Seconds, b.latencyP95Seconds);
-    EXPECT_DOUBLE_EQ(a.latencyP99Seconds, b.latencyP99Seconds);
-    EXPECT_DOUBLE_EQ(a.latencyP999Seconds, b.latencyP999Seconds);
-    EXPECT_EQ(a.peakConcurrentSessions, b.peakConcurrentSessions);
-    EXPECT_EQ(a.peakConcurrentFlows, b.peakConcurrentFlows);
-    ASSERT_EQ(a.clients.size(), b.clients.size());
-    for (size_t i = 0; i < a.clients.size(); ++i) {
-        SCOPED_TRACE(a.clients[i].name);
-        EXPECT_EQ(a.clients[i].name, b.clients[i].name);
-        EXPECT_DOUBLE_EQ(a.clients[i].startSeconds,
-                         b.clients[i].startSeconds);
-        EXPECT_DOUBLE_EQ(a.clients[i].finishSeconds,
-                         b.clients[i].finishSeconds);
-        EXPECT_DOUBLE_EQ(a.clients[i].latencySeconds,
-                         b.clients[i].latencySeconds);
-        expectRunReportsBitIdentical(a.clients[i].report,
-                                     b.clients[i].report);
+    const PageCacheStats &c = f.cache;
+    GoldenText t;
+    t.add(f.makespanSeconds, f.totalOffloads, f.totalLocalRuns,
+          f.totalFailovers);
+    t.add(f.admissionWaits, f.admissionDenials, f.admissionWaitSeconds);
+    t.add(f.serverBusySeconds, f.mediumBusySeconds, f.mediumBytes,
+          f.offloadsPerSecond);
+    t.add(f.latencyP50Seconds, f.latencyP95Seconds, f.latencyP99Seconds,
+          f.latencyP999Seconds);
+    t.add(f.peakConcurrentSessions, f.peakConcurrentFlows);
+    t.add(c.lookups, c.hitPages, c.coalescedPages, c.missPages,
+          c.insertedPages, c.evictedPages, c.prefetchWaves,
+          c.batchedSessions);
+    t.add(f.priorsSeededSessions, f.priorsSeededTargets,
+          f.totalColdStartOffloads, f.totalQueueAvoidedLocals);
+    t.add(f.clients.size());
+    for (const FleetClientResult &client : f.clients) {
+        t.add(client.name, client.startSeconds, client.finishSeconds,
+              client.latencySeconds);
+        addRunReport(t, client.report);
     }
+    return codegen::contentDigest(t.str());
 }
+
+/**
+ * Digests of the FIFO sweep below, captured while the pre-refactor
+ * inline FIFO queue still existed and was asserted bit-identical to
+ * the policy-interface FIFO in every cell. They pin admission (and
+ * everything it feeds) now that the inline queue is gone. A change
+ * meant to alter these runs updates them from the digests the failing
+ * test prints, and says why.
+ */
+const std::map<std::string, std::string> kFifoSweepGolden = {
+    {"compute @802.11ac", "771a2029fa335868"},
+    {"compute @802.11ac +faults", "eb055aa45a5e30aa"},
+    {"compute @802.11n", "e5e3c67d16d7ff15"},
+    {"compute @802.11n +faults", "b5820a653dd583e9"},
+    {"remote-io @802.11ac", "c2d6ca57268429ed"},
+    {"remote-io @802.11ac +faults", "9f87e7190fcd267d"},
+    {"remote-io @802.11n", "9fd1c4908531ede9"},
+    {"remote-io @802.11n +faults", "a8d559553a1d3434"},
+    {"globals @802.11ac", "bc986b383f5f7d81"},
+    {"globals @802.11ac +faults", "1f9b9d4a12e3f899"},
+    {"globals @802.11n", "eea5fcc15e4d8283"},
+    {"globals @802.11n +faults", "769ed626c6c22dee"},
+};
 
 } // namespace
 
 /**
- * The admission refactor's differential oracle: the pre-refactor
- * inline FIFO path is frozen behind AdmissionConfig::legacyFifoPath,
- * and the policy-interface FIFO must reproduce it bit-for-bit across
- * workloads, networks and fault injection — a contended slot pool so
- * the queue (and its selection logic) is genuinely exercised.
+ * FIFO admission across workloads, networks and fault injection, on a
+ * contended slot pool: 6 clients, 2 slots and an effectively infinite
+ * queue timeout, so 4 clients wait and each inherits a freed slot
+ * through the policy's selectNext() (the handoff path). Each cell's
+ * full FleetReport must hash to its golden digest.
  */
-TEST(FleetEquivalence, InterfaceFifoMatchesLegacyPathAcrossSweep)
+TEST(FleetEquivalence, FifoSweepMatchesGoldenDigests)
 {
     for (const EquivCase &c : equivCases()) {
         compiler::CompiledProgram prog = compileCase(c);
         for (bool slow : {false, true}) {
             for (bool faults : {false, true}) {
-                SCOPED_TRACE(std::string(c.name) +
-                             (slow ? " @802.11n" : " @802.11ac") +
-                             (faults ? " +faults" : ""));
+                std::string cell = std::string(c.name) +
+                                   (slow ? " @802.11n" : " @802.11ac") +
+                                   (faults ? " +faults" : "");
+                SCOPED_TRACE(cell);
                 SystemConfig cfg;
                 cfg.network = slow ? net::makeWifi80211n()
                                    : net::makeWifi80211ac();
                 if (faults) {
                     cfg.faultPlan.enabled = true;
                     cfg.faultPlan.seed = 77;
-                    cfg.faultPlan.dropRate = 0.10;
+                    // High enough that every program retries, even
+                    // globals with its handful of messages.
+                    cfg.faultPlan.dropRate = 0.45;
                     cfg.faultPlan.latencySpikeRate = 0.05;
                 }
 
-                AdmissionConfig legacy;
-                legacy.maxConcurrentSessions = 2; // force queueing at N=6
-                legacy.legacyFifoPath = true;
-                AdmissionConfig via_interface = legacy;
-                via_interface.legacyFifoPath = false;
+                AdmissionConfig admission;
+                admission.maxConcurrentSessions = 2; // queue 4 of 6
+                // Slot holders keep their slot for ~100 virtual
+                // seconds; the default 5 s timeout would deny every
+                // waiter before any handoff.
+                admission.maxQueueWaitSeconds = 1e9;
 
                 // The profiling input is a lighter run than the eval
                 // input but drives the exact same offload decisions —
@@ -838,15 +851,17 @@ TEST(FleetEquivalence, InterfaceFifoMatchesLegacyPathAcrossSweep)
                 input.stdinText = c.profileStdin;
                 input.files = c.files;
 
-                ServerRuntime legacy_server(prog, legacy);
-                FleetReport legacy_fleet =
-                    legacy_server.run(makeClients(6, cfg, input));
-                ServerRuntime policy_server(prog, via_interface);
-                FleetReport policy_fleet =
-                    policy_server.run(makeClients(6, cfg, input));
+                ServerRuntime server(prog, admission);
+                FleetReport fleet = server.run(makeClients(6, cfg, input));
 
-                EXPECT_GT(legacy_fleet.admissionWaits, 0u);
-                expectFleetReportsBitIdentical(legacy_fleet, policy_fleet);
+                EXPECT_EQ(fleet.admissionWaits, 4u);
+                EXPECT_EQ(fleet.admissionDenials, 0u);
+                EXPECT_EQ(fleet.totalOffloads, 6u);
+                uint64_t retries = 0;
+                for (const FleetClientResult &result : fleet.clients)
+                    retries += result.report.retries;
+                EXPECT_EQ(retries > 0, faults);
+                EXPECT_EQ(fleetDigest(fleet), kFifoSweepGolden.at(cell));
             }
         }
     }

@@ -182,9 +182,10 @@ TEST_P(FieldSensitivePrecision, StrictlyShrinksUvaWithIdenticalOutputs)
 
     // Strict shrink of both the UVA global set and its page footprint.
     const auto &stats = sens.compiled().unifyStats;
+    const auto &flat_stats = flat.compiled().unifyStats;
     EXPECT_TRUE(stats.fieldSensitive);
-    EXPECT_LT(stats.uvaGlobals, stats.uvaGlobalsInsensitive) << spec->id;
-    EXPECT_LT(stats.uvaPages, stats.uvaPagesInsensitive) << spec->id;
+    EXPECT_LT(stats.uvaGlobals, flat_stats.uvaGlobals) << spec->id;
+    EXPECT_LT(stats.uvaPages, flat_stats.uvaPages) << spec->id;
     EXPECT_GE(stats.uvaFieldLimitedGlobals, 1u) << spec->id;
 
     // The device-side trace buffer is the page saved: only reachable

@@ -148,10 +148,11 @@ printPointsToStatsJson(const nol::analysis::PointsToStats &s)
 }
 
 /**
- * Compile @p spec twice (field-sensitive and the insensitive oracle),
- * emit one JSON object of precision stats, and check the subset
- * property the differential oracle guarantees: every UVA global the
- * sensitive analysis marks must also be marked by the insensitive one.
+ * Compile @p spec twice (field-sensitive and the insensitive oracle,
+ * which supplies every *Insensitive count), emit one JSON object of
+ * precision stats, and check the subset property the differential
+ * oracle guarantees: every UVA global the sensitive analysis marks
+ * must also be marked by the insensitive one.
  * Returns 0 on success, 1 on a subset violation.
  */
 int
@@ -168,10 +169,12 @@ statsWorkload(const nol::workloads::WorkloadSpec &spec, bool last)
 
     const auto &unify = sensitive.compiled().unifyStats;
     const auto &partition = sensitive.compiled().partition;
+    const auto &flat_unify = insensitive.compiled().unifyStats;
+    const auto &flat_partition = insensitive.compiled().partition;
     std::set<std::string> uva_sensitive =
         uvaGlobalNames(*partition.mobileModule);
     std::set<std::string> uva_insensitive =
-        uvaGlobalNames(*insensitive.compiled().partition.mobileModule);
+        uvaGlobalNames(*flat_partition.mobileModule);
     bool subset = true;
     for (const std::string &name : uva_sensitive)
         if (uva_insensitive.count(name) == 0)
@@ -196,11 +199,11 @@ statsWorkload(const nol::workloads::WorkloadSpec &spec, bool last)
                 "\"pagesInsensitive\": %zu, "
                 "\"fieldLimitedGlobals\": %zu, "
                 "\"subsetOfInsensitive\": %s},\n",
-                unify.uvaGlobals, unify.uvaGlobalsInsensitive,
-                unify.uvaPages, unify.uvaPagesInsensitive,
-                unify.uvaFieldLimitedGlobals, subset ? "true" : "false");
+                unify.uvaGlobals, flat_unify.uvaGlobals, unify.uvaPages,
+                flat_unify.uvaPages, unify.uvaFieldLimitedGlobals,
+                subset ? "true" : "false");
     std::printf("   \"fptrMap\": %zu, \"fptrMapInsensitive\": %zu}%s\n",
-                partition.fptrMap.size(), partition.fptrMapInsensitive,
+                partition.fptrMap.size(), flat_partition.fptrMap.size(),
                 last ? "" : ",");
     if (!subset)
         std::fprintf(stderr,
