@@ -79,7 +79,7 @@ admissionFor(runtime::AdmissionPolicyKind kind, bool autoscale)
     // Patient clients: queueing shows up as latency, not denials, so
     // the policies are compared on the metric they actually shape.
     admission.maxQueueWaitSeconds = 1e9;
-    admission.autoscale.enabled = autoscale;
+    admission.autoscale = autoscale;
     return admission;
 }
 
@@ -123,7 +123,7 @@ main(int argc, char **argv)
     const bool native = codegen::toolchainAvailable();
     const interp::BackendKind backend = native
                                             ? interp::BackendKind::NativeC
-                                            : interp::BackendKind::Default;
+                                            : interp::BackendKind::Interpreter;
     net::NetworkSpec network = net::makeWifi80211ac();
     std::fprintf(stderr, "[traffic] compiling %s mix ...\n",
                  suite ? "17-program suite" : "builtin");

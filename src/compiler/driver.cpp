@@ -30,17 +30,16 @@ compileForOffload(std::unique_ptr<ir::Module> module,
     out.mobileSpec = options.mobileSpec;
     out.serverSpec = options.serverSpec;
     out.estimatorParams = options.estimator;
-    out.backend = options.backend;
     if (out.estimatorParams.speedRatio <= 0) {
         out.estimatorParams.speedRatio =
             options.mobileSpec.nsPerCostUnit /
             options.serverSpec.nsPerCostUnit;
     }
 
-    // 1. Hot function/loop profiling with the profiling input.
+    // 1. Hot function/loop profiling with the profiling input, from
+    //    main() like every run.
     out.profile = profile::profileModule(*module, options.mobileSpec,
-                                         options.profilingInput,
-                                         options.entry);
+                                         options.profilingInput, "main");
 
     // 2-3. Filter machine-specific tasks, estimate, select targets.
     {

@@ -13,7 +13,6 @@
 
 #include "analysis/repair.hpp"
 #include "compiler/memunifier.hpp"
-#include "interp/backendkind.hpp"
 #include "compiler/partitioner.hpp"
 #include "compiler/targetselector.hpp"
 #include "profile/profiler.hpp"
@@ -29,15 +28,10 @@ struct CompileOptions {
     EstimatorParams estimator{/*speedRatio=*/0.0, /*bandwidthMbps=*/80.0};
     FilterConfig filter;
     profile::ProfileInput profilingInput;
-    std::string entry = "main";
     /** Run memory unification and partitioning with the field-
      *  sensitive points-to solver (default); false selects the legacy
      *  field-insensitive pipeline, kept as the differential oracle. */
     bool fieldSensitiveAnalysis = true;
-    /** Preferred execution backend for sessions of this program.
-     *  Default resolves to the interpreter; a SystemConfig can
-     *  override per run. */
-    interp::BackendKind backend = interp::BackendKind::Default;
 
     CompileOptions();
 };
@@ -53,8 +47,6 @@ struct CompiledProgram {
     EstimatorParams estimatorParams;
     arch::ArchSpec mobileSpec;
     arch::ArchSpec serverSpec;
-    /** Backend preference carried from CompileOptions. */
-    interp::BackendKind backend = interp::BackendKind::Default;
 
     /** Convenience: names of the selected targets. */
     std::vector<std::string> targetNames() const;

@@ -27,15 +27,15 @@ namespace nol::compiler {
 struct EstimatorParams {
     double speedRatio = 5.0;       ///< R: server is R times faster
     double bandwidthMbps = 80.0;   ///< BW in megabits per second
-
-    /**
-     * Hotness threshold: a candidate must account for at least this
-     * fraction of the profiled program time to be a "heavy task"
-     * (paper Sec. 3.1: the profiler *finds heavy tasks*; cold init
-     * loops are never worth the offloading machinery).
-     */
-    double minCoverage = 0.10;
 };
+
+/**
+ * Hotness threshold: a candidate must account for at least this
+ * fraction of the profiled program time to be a "heavy task" (paper
+ * Sec. 3.1: the profiler *finds heavy tasks*; cold init loops are never
+ * worth the offloading machinery).
+ */
+constexpr double kMinCoverage = 0.10;
 
 /** Per-candidate estimate (the Table 3 columns). */
 struct Estimate {

@@ -83,7 +83,7 @@ selectTargets(ir::Module &module, const profile::ProfileResult &prof,
             continue;
         }
         if (prof.totalNs > 0 &&
-            prof.coverage(cand.name) < params.minCoverage) {
+            prof.coverage(cand.name) < kMinCoverage) {
             cand.rejectReason = "not a heavy task";
             continue;
         }

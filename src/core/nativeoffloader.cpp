@@ -22,7 +22,6 @@ Program::compile(const CompileRequest &request)
     options.estimator.speedRatio = 0.0; // derive from the specs
     options.estimator.bandwidthMbps = request.staticBandwidthMbps;
     options.fieldSensitiveAnalysis = request.fieldSensitiveAnalysis;
-    options.backend = request.backend;
 
     auto compiled = std::make_shared<compiler::CompiledProgram>(
         compiler::compileForOffload(std::move(module), options));
@@ -55,10 +54,9 @@ Program::runIdeal(const runtime::RunInput &input) const
 
 runtime::FleetReport
 Program::runFleet(const std::vector<runtime::FleetClient> &clients,
-                  runtime::AdmissionConfig admission,
-                  runtime::PageCachePolicy cache) const
+                  runtime::AdmissionConfig admission) const
 {
-    runtime::ServerRuntime server(*compiled_, admission, cache);
+    runtime::ServerRuntime server(*compiled_, admission);
     return server.run(clients);
 }
 

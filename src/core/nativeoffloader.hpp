@@ -49,12 +49,6 @@ struct CompileRequest {
      *  false selects the legacy field-insensitive pipeline — kept as
      *  the differential oracle for A/B precision studies. */
     bool fieldSensitiveAnalysis = true;
-    /** Preferred execution backend for sessions of this program
-     *  (interp::BackendKind::NativeC compiles compute phases to native
-     *  code at session setup; Default resolves to the interpreter).
-     *  Any SystemConfig::backend other than Default overrides this at
-     *  run time. */
-    interp::BackendKind backend = interp::BackendKind::Default;
 
     CompileRequest();
 };
@@ -96,8 +90,7 @@ class Program
      */
     runtime::FleetReport
     runFleet(const std::vector<runtime::FleetClient> &clients,
-             runtime::AdmissionConfig admission = {},
-             runtime::PageCachePolicy cache = {}) const;
+             runtime::AdmissionConfig admission = {}) const;
 
     /** The full compile pipeline output. */
     const compiler::CompiledProgram &compiled() const { return *compiled_; }

@@ -1,8 +1,8 @@
 /**
  * @file
- * Execution-backend selector. Kept dependency-free so compile-time
- * layers (compiler driver, core facade) can carry a backend preference
- * without linking the execution engines themselves.
+ * Execution-backend selector. Kept dependency-free so configuration
+ * layers (SystemConfig, traffic mixes, CLIs) can name a backend without
+ * linking the execution engines themselves.
  */
 #ifndef NOL_INTERP_BACKENDKIND_HPP
 #define NOL_INTERP_BACKENDKIND_HPP
@@ -11,10 +11,7 @@ namespace nol::interp {
 
 /** Which execution engine runs compute phases. */
 enum class BackendKind {
-    /** No explicit choice: inherit the program's preference, which
-     *  itself defaults to the interpreter. */
-    Default,
-    /** The reference IR interpreter (differential oracle). */
+    /** The reference IR interpreter (default; differential oracle). */
     Interpreter,
     /** IR lowered to C, compiled with the host toolchain and executed
      *  natively; simulated time is charged from the same per-
@@ -22,7 +19,7 @@ enum class BackendKind {
     NativeC,
 };
 
-/** Human-readable backend name ("default" / "interp" / "native-c"). */
+/** Human-readable backend name ("interp" / "native-c"). */
 const char *backendKindName(BackendKind kind);
 
 /** Parse a backend name; returns false on an unknown name. */

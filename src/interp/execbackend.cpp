@@ -17,7 +17,6 @@ const char *
 backendKindName(BackendKind kind)
 {
     switch (kind) {
-      case BackendKind::Default: return "default";
       case BackendKind::Interpreter: return "interp";
       case BackendKind::NativeC: return "native-c";
     }
@@ -28,9 +27,7 @@ bool
 parseBackendKind(const char *name, BackendKind *out)
 {
     std::string s = name == nullptr ? "" : name;
-    if (s == "default") {
-        *out = BackendKind::Default;
-    } else if (s == "interp" || s == "interpreter") {
+    if (s == "interp" || s == "interpreter") {
         *out = BackendKind::Interpreter;
     } else if (s == "native" || s == "native-c" || s == "nativec") {
         *out = BackendKind::NativeC;

@@ -93,9 +93,6 @@ class ExecBackend
     /** Instructions executed so far. */
     uint64_t steps() const { return steps_; }
 
-    /** Indirect calls executed (function-pointer dispatch count). */
-    uint64_t indirectCalls() const { return indirect_calls_; }
-
     /** Cost units charged for function-pointer translation so far. */
     uint64_t indirectExtraUnits() const
     {

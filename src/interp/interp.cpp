@@ -260,10 +260,14 @@ Interp::execFunction(ir::Function *fn, const std::vector<RtVal> &args)
                 uint64_t ub = static_cast<uint64_t>(b) & maskOf(width);
                 uint64_t shift = ub & (width == 1 ? 0 : width - 1);
                 int64_t r = 0;
+                // Guest integers wrap: add/sub/mul run unsigned, since
+                // signed overflow is undefined on the host.
+                uint64_t wa = static_cast<uint64_t>(a);
+                uint64_t wb = static_cast<uint64_t>(b);
                 switch (inst->op()) {
-                  case Opcode::Add: r = a + b; break;
-                  case Opcode::Sub: r = a - b; break;
-                  case Opcode::Mul: r = a * b; break;
+                  case Opcode::Add: r = static_cast<int64_t>(wa + wb); break;
+                  case Opcode::Sub: r = static_cast<int64_t>(wa - wb); break;
+                  case Opcode::Mul: r = static_cast<int64_t>(wa * wb); break;
                   case Opcode::SDiv:
                     if (b == 0)
                         fatal("guest division by zero");

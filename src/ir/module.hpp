@@ -47,9 +47,6 @@ class Module
     TypeContext &types() { return *types_; }
     const TypeContext &types() const { return *types_; }
 
-    /** Shared type context handle (clones share it). */
-    std::shared_ptr<TypeContext> typesHandle() const { return types_; }
-
     // --- Functions ---------------------------------------------------------
     const std::vector<std::unique_ptr<Function>> &functions() const
     {

@@ -197,9 +197,6 @@ class StructType : public Type
         explicit_layout_ = std::make_unique<StructLayout>(std::move(layout));
     }
 
-    /** Remove the pinned layout (used by tests). */
-    void clearExplicitLayout() { explicit_layout_.reset(); }
-
     std::string str() const override { return "%" + name_; }
 
   private:

@@ -44,12 +44,6 @@ class Value
     const std::string &name() const { return name_; }
     void setName(std::string name) { name_ = std::move(name); }
 
-    bool isConstant() const
-    {
-        return kind_ == Kind::ConstInt || kind_ == Kind::ConstFloat ||
-               kind_ == Kind::ConstNull;
-    }
-
   protected:
     Value(Kind kind, const Type *type, std::string name = "")
         : kind_(kind), type_(type), name_(std::move(name))
@@ -88,17 +82,6 @@ class ConstInt : public Value
     {}
 
     int64_t value() const { return value_; }
-
-    /** Value zero-extended to the type's width. */
-    uint64_t
-    zextValue() const
-    {
-        const auto *it = static_cast<const IntType *>(type());
-        if (it->bits() >= 64)
-            return static_cast<uint64_t>(value_);
-        uint64_t mask = (1ull << it->bits()) - 1;
-        return static_cast<uint64_t>(value_) & mask;
-    }
 
   private:
     int64_t value_;

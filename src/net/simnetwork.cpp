@@ -76,22 +76,6 @@ SimNetwork::account(Direction direction, uint64_t bytes, double ns)
     stats.seconds += ns * 1e-9;
 }
 
-double
-SimNetwork::transferUnscaled(Direction direction, uint64_t bytes)
-{
-    double ns = transferTimeUnscaledNs(bytes);
-    account(direction, bytes, ns);
-    return ns;
-}
-
-double
-SimNetwork::transfer(Direction direction, uint64_t bytes)
-{
-    double ns = transferTimeNs(bytes);
-    account(direction, bytes, ns);
-    return ns;
-}
-
 // --- Fault injection -------------------------------------------------------
 
 const char *
@@ -216,13 +200,6 @@ SimNetwork::tryTransfer(Direction direction, uint64_t bytes, bool unscaled)
     // The radio transmitted either way: account the attempt.
     account(direction, bytes, plan.ns);
     return {plan.outcome, plan.ns};
-}
-
-void
-SimNetwork::resetStats()
-{
-    to_server_ = {};
-    to_mobile_ = {};
 }
 
 } // namespace nol::net

@@ -83,9 +83,9 @@ struct FaultEvent {
  * Deterministic fault schedule. Every random decision is drawn from a
  * private Rng seeded with `seed`, one draw pair per attempt in attempt
  * order, so the same plan over the same message sequence produces a
- * bit-identical event trace. A default-constructed plan is disabled
- * and the injection path is never entered: fault-free runs stay
- * byte-identical to builds without this layer.
+ * bit-identical event trace. A default-constructed plan is disabled:
+ * every attempt is delivered at the clean link parameters, with no
+ * random draw and no fault event.
  */
 struct FaultPlan {
     bool enabled = false;
@@ -164,13 +164,8 @@ class SimNetwork
         return spec_.bandwidthMbps * 1e6 / scale_;
     }
 
-    /**
-     * Account one message of @p bytes in @p direction; returns its
-     * duration in nanoseconds (latency + serialization).
-     */
-    double transfer(Direction direction, uint64_t bytes);
-
-    /** Duration a message WOULD take, without accounting it. */
+    /** Clean-link duration of one message of @p bytes in nanoseconds
+     *  (latency + serialization), without accounting it. */
     double transferTimeNs(uint64_t bytes) const;
 
     /**
@@ -182,22 +177,16 @@ class SimNetwork
      */
     double transferTimeUnscaledNs(uint64_t bytes) const;
 
-    /** As transfer(), but at the unscaled bandwidth. */
-    double transferUnscaled(Direction direction, uint64_t bytes);
-
     /**
      * Account one message whose duration @p ns was computed elsewhere
      * (by the SharedMedium under fair-share contention). The byte and
-     * message statistics are identical to transfer(); only the time
+     * message statistics are identical to tryTransfer(); only the time
      * source differs.
      */
     void accountTransfer(Direction direction, uint64_t bytes, double ns)
     {
         account(direction, bytes, ns);
     }
-
-    /** Per-message latency of this link in nanoseconds. */
-    double latencyNs() const { return spec_.latencyUs * 1e3; }
 
     /** Effective rate in bits/s, scaled or raw (see transferTime*). */
     double
@@ -221,7 +210,8 @@ class SimNetwork
      * Attempt one transfer under the fault plan. Delivered and Dropped
      * attempts are accounted in the traffic stats (both consumed the
      * radio); LinkDown attempts are not. With the plan disabled this
-     * is exactly transfer()/transferUnscaled().
+     * is one Delivered attempt at the closed-form transferTimeNs() (or
+     * transferTimeUnscaledNs()).
      */
     TransferResult tryTransfer(Direction direction, uint64_t bytes,
                                bool unscaled = false);
@@ -242,9 +232,6 @@ class SimNetwork
     /** Every fault injected so far, in attempt order. */
     const std::vector<FaultEvent> &faultEvents() const { return events_; }
 
-    /** Total attempts seen by the injector (tryTransfer calls). */
-    uint64_t attemptCount() const { return attempts_; }
-
     const TrafficStats &toServer() const { return to_server_; }
     const TrafficStats &toMobile() const { return to_mobile_; }
 
@@ -253,8 +240,6 @@ class SimNetwork
     {
         return to_server_.bytes + to_mobile_.bytes;
     }
-
-    void resetStats();
 
   private:
     void account(Direction direction, uint64_t bytes, double ns);

@@ -1,6 +1,5 @@
 #include "profile/profiler.hpp"
 
-#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -13,20 +12,6 @@ ProfileResult::byName(const std::string &name) const
 {
     auto it = regions.find(name);
     return it == regions.end() ? nullptr : &it->second;
-}
-
-std::vector<const RegionProfile *>
-ProfileResult::hottest() const
-{
-    std::vector<const RegionProfile *> out;
-    out.reserve(regions.size());
-    for (const auto &[name, region] : regions)
-        out.push_back(&region);
-    std::sort(out.begin(), out.end(),
-              [](const RegionProfile *a, const RegionProfile *b) {
-                  return a->execNs > b->execNs;
-              });
-    return out;
 }
 
 double

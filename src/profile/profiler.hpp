@@ -43,9 +43,6 @@ struct ProfileResult {
     /** Region named @p name, or nullptr. */
     const RegionProfile *byName(const std::string &name) const;
 
-    /** Regions sorted by inclusive time, hottest first. */
-    std::vector<const RegionProfile *> hottest() const;
-
     /** Fraction of total time spent in @p name (coverage, Table 4). */
     double coverage(const std::string &name) const;
 };

@@ -49,19 +49,11 @@ enum class AdmissionPolicyKind {
 /** Stable lowercase name ("fifo", "spjf", ...) for tables and JSON. */
 const char *admissionPolicyKindName(AdmissionPolicyKind kind);
 
-/**
- * Optional elastic slot pool. When enabled the server grows its pool
- * by one slot whenever a request would queue behind more than
- * queueDepthPerSlot waiters per current slot, up to maxSessions, and
- * shrinks back toward the configured base as slots free with an empty
- * queue. Disabled (the default) the pool is constant and runs are
- * bit-identical to the fixed-pool server.
- */
-struct AdmissionAutoscale {
-    bool enabled = false;
-    uint32_t maxSessions = 0;       ///< ceiling; 0 = 4x the base pool
-    double queueDepthPerSlot = 2.0; ///< grow past this backlog per slot
-};
+/** Autoscaled pool ceiling, as a multiple of the base pool. */
+constexpr uint32_t kAutoscalePoolFactor = 4;
+
+/** Autoscaling grows the pool past this many waiters per slot. */
+constexpr double kAutoscaleQueueDepthPerSlot = 2.0;
 
 /**
  * Admission configuration (the former `AdmissionPolicy` limits struct,
@@ -71,7 +63,14 @@ struct AdmissionConfig {
     uint32_t maxConcurrentSessions = 8;
     double maxQueueWaitSeconds = 5.0; ///< then denied → run locally
     AdmissionPolicyKind kind = AdmissionPolicyKind::Fifo;
-    AdmissionAutoscale autoscale;
+    /**
+     * Elastic slot pool: the server grows its pool by one slot whenever
+     * a request would queue behind more than kAutoscaleQueueDepthPerSlot
+     * waiters per current slot, up to kAutoscalePoolFactor times the
+     * base pool, and shrinks back toward the base as slots free with an
+     * empty queue. Off (the default) the pool is constant.
+     */
+    bool autoscale = false;
 };
 
 /** What the requesting session declared at acquire() time. */

@@ -27,6 +27,24 @@ decompressCost(uint64_t bytes)
 
 } // namespace
 
+double
+retryBackoffNs(uint32_t retry)
+{
+    double delay = kBaseBackoffNs;
+    for (uint32_t i = 0; i < retry; ++i) {
+        delay *= kBackoffMultiplier;
+        if (delay >= kMaxBackoffNs)
+            return kMaxBackoffNs;
+    }
+    return delay < kMaxBackoffNs ? delay : kMaxBackoffNs;
+}
+
+double
+retryTimeoutNs(double expected_ns)
+{
+    return expected_ns * kTimeoutMultiplier + kTimeoutGraceNs;
+}
+
 const char *
 commCategoryName(CommCategory category)
 {
@@ -42,10 +60,9 @@ commCategoryName(CommCategory category)
 }
 
 CommManager::CommManager(sim::SimMachine &mobile, sim::SimMachine &server,
-                         net::SimNetwork &network, bool compression_enabled,
-                         RetryPolicy retry_policy)
+                         net::SimNetwork &network, bool compression_enabled)
     : mobile_(mobile), server_(server), network_(network),
-      compression_(compression_enabled), retry_policy_(retry_policy)
+      compression_(compression_enabled)
 {
 }
 
@@ -57,52 +74,18 @@ CommManager::syncClocks()
     server_.syncTo(t, sim::PowerState::Idle);
 }
 
-double
-CommManager::transferMobileToServer(uint64_t bytes, bool unscaled,
-                                    CommCategory category)
-{
-    return transferWithRetry(net::Direction::MobileToServer, bytes,
-                             unscaled, category);
-}
-
-double
-CommManager::transferServerToMobile(uint64_t bytes, bool unscaled,
-                                    CommCategory category)
-{
-    return transferWithRetry(net::Direction::ServerToMobile, bytes,
-                             unscaled, category);
-}
-
-double
-CommManager::timedTransfer(net::Direction direction, uint64_t bytes,
-                           bool unscaled)
-{
-    if (medium_ == nullptr) {
-        return unscaled ? network_.transferUnscaled(direction, bytes)
-                        : network_.transfer(direction, bytes);
-    }
-    // Fleet mode: the SimNetwork supplies the link parameters and the
-    // closed-form duration; the SharedMedium serializes the bytes
-    // against every other session's flows. Callers synced the clocks,
-    // so mobile time is the flow's start on the shared timeline.
-    double closed = unscaled ? network_.transferTimeUnscaledNs(bytes)
-                             : network_.transferTimeNs(bytes);
-    double ns = medium_->transfer(*strand_, mobile_.nowNs(), bytes,
-                                  network_.bitsPerSecond(unscaled),
-                                  network_.latencyNs(), closed);
-    network_.accountTransfer(direction, bytes, ns);
-    return ns;
-}
-
 net::TransferResult
 CommManager::timedTryTransfer(net::Direction direction, uint64_t bytes,
                               bool unscaled)
 {
     if (medium_ == nullptr)
         return network_.tryTransfer(direction, bytes, unscaled);
-    // The fault decision stays in the per-session SimNetwork (its RNG
-    // stream must not depend on fleet interleaving); only delivered or
-    // dropped attempts occupy the medium.
+    // Fleet mode: the SimNetwork decides the attempt's fate and link
+    // parameters (its RNG stream must not depend on fleet
+    // interleaving); the SharedMedium serializes the bytes against
+    // every other session's flows. Callers synced the clocks, so
+    // mobile time is the flow's start on the shared timeline. Only
+    // delivered or dropped attempts occupy the medium.
     net::AttemptPlan plan = network_.planAttempt(direction, bytes, unscaled);
     if (plan.outcome == net::TransferOutcome::LinkDown)
         return {net::TransferOutcome::LinkDown, 0.0};
@@ -115,21 +98,12 @@ CommManager::timedTryTransfer(net::Direction direction, uint64_t bytes,
 
 double
 CommManager::transferWithRetry(net::Direction direction, uint64_t bytes,
-                               bool unscaled, CommCategory category)
+                               CommCategory category)
 {
     syncClocks();
-    // Fast path: a perfect link needs no timeouts or acknowledgements.
-    // This is the only path taken when the fault plan is disabled, so
-    // fault-free runs are bit-identical to the pre-fault runtime.
-    if (!network_.faultPlan().enabled) {
-        double ns = timedTransfer(direction, bytes, unscaled);
-        mobile_.advanceTime(ns, direction == net::Direction::MobileToServer
-                                    ? sim::PowerState::Transmit
-                                    : sim::PowerState::Receive);
-        server_.advanceTime(ns, sim::PowerState::Idle);
-        return ns;
-    }
-
+    // Remote-I/O control messages were never scaled down with the
+    // workload, so they see the true link rate.
+    bool unscaled = category == CommCategory::RemoteIo;
     sim::PowerState radio_state =
         direction == net::Direction::MobileToServer
             ? sim::PowerState::Transmit
@@ -139,10 +113,9 @@ CommManager::transferWithRetry(net::Direction direction, uint64_t bytes,
     CommTotals &totals = totals_[category];
     double total_ns = 0;
     bool link_down = false;
-    for (uint32_t attempt = 0; attempt < retry_policy_.maxAttempts;
-         ++attempt) {
+    for (uint32_t attempt = 0; attempt < kMaxAttempts; ++attempt) {
         if (attempt > 0) {
-            double backoff = retry_policy_.backoffNs(attempt - 1);
+            double backoff = retryBackoffNs(attempt - 1);
             mobile_.advanceTime(backoff, sim::PowerState::Waiting);
             server_.advanceTime(backoff, sim::PowerState::Idle);
             ++totals.retries;
@@ -166,7 +139,7 @@ CommManager::transferWithRetry(net::Direction direction, uint64_t bytes,
             total_ns += result.ns;
         }
         // Wait out the acknowledgement timeout before retrying.
-        double timeout = retry_policy_.timeoutNs(expected_ns);
+        double timeout = retryTimeoutNs(expected_ns);
         mobile_.advanceTime(timeout, sim::PowerState::Waiting);
         server_.advanceTime(timeout, sim::PowerState::Idle);
         totals.retrySeconds += timeout * 1e-9;
@@ -190,8 +163,8 @@ CommManager::account(CommCategory category, uint64_t wire, uint64_t raw,
 void
 CommManager::sendToServer(uint64_t bytes, CommCategory category)
 {
-    double ns = transferMobileToServer(
-        bytes, category == CommCategory::RemoteIo, category);
+    double ns =
+        transferWithRetry(net::Direction::MobileToServer, bytes, category);
     account(category, bytes, bytes, ns);
 }
 
@@ -210,8 +183,8 @@ CommManager::sendToMobile(uint64_t raw_bytes, CommCategory category,
         compress_units_server_ += compressCost(raw_bytes);
         server_.advanceCompute(compressCost(raw_bytes));
     }
-    double ns = transferServerToMobile(
-        wire, category == CommCategory::RemoteIo, category);
+    double ns =
+        transferWithRetry(net::Direction::ServerToMobile, wire, category);
     if (compression_ && compressible && raw_bytes > 0) {
         decompress_units_mobile_ += decompressCost(raw_bytes);
         mobile_.advanceCompute(decompressCost(raw_bytes));
@@ -228,7 +201,8 @@ CommManager::pushPagesToServer(const std::vector<uint64_t> &pages,
     // Batched: one message carries every page (the paper's batching
     // amortizes per-message overheads).
     uint64_t bytes = pages.size() * (sim::kPageSize + kPageHeader);
-    double ns = transferMobileToServer(bytes, false, category);
+    double ns =
+        transferWithRetry(net::Direction::MobileToServer, bytes, category);
     account(category, bytes, bytes, ns);
     for (uint64_t page_num : pages) {
         server_.mem().installPage(page_num,
@@ -257,10 +231,12 @@ CommManager::fetchPageToServer(uint64_t page_num)
 {
     ++demand_faults_;
     // Request (server→mobile, small) then the page (mobile→server).
-    double ns1 = transferServerToMobile(64, false, CommCategory::Demand);
+    double ns1 = transferWithRetry(net::Direction::ServerToMobile, 64,
+                                   CommCategory::Demand);
     account(CommCategory::Demand, 64, 64, ns1);
-    double ns2 = transferMobileToServer(sim::kPageSize + kPageHeader, false,
-                                        CommCategory::Demand);
+    double ns2 = transferWithRetry(net::Direction::MobileToServer,
+                                   sim::kPageSize + kPageHeader,
+                                   CommCategory::Demand);
     account(CommCategory::Demand, sim::kPageSize + kPageHeader,
             sim::kPageSize + kPageHeader, ns2);
     server_.mem().installPage(page_num, mobile_.mem().pageData(page_num));
@@ -343,14 +319,6 @@ CommManager::totalFailures() const
     for (const auto &[category, totals] : totals_)
         total += totals.failures;
     return total;
-}
-
-void
-CommManager::resetStats()
-{
-    totals_.clear();
-    demand_faults_ = 0;
-    network_.resetStats();
 }
 
 } // namespace nol::runtime

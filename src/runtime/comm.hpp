@@ -53,39 +53,22 @@ struct CommTotals {
     double retrySeconds = 0;     ///< timeouts + backoff + resends
 };
 
-/**
- * Timeout and bounded-exponential-backoff policy for transfers over a
- * faulty link. All arithmetic is deterministic and unit-testable.
- */
-struct RetryPolicy {
-    uint32_t maxAttempts = 5;        ///< total attempts per message
-    double timeoutMultiplier = 2.0;  ///< timeout = mult*expected + grace
-    double timeoutGraceNs = 1e6;     ///< fixed ack-wait slack
-    double baseBackoffNs = 1e6;      ///< first retry delay
-    double backoffMultiplier = 2.0;  ///< growth per retry
-    double maxBackoffNs = 64e6;      ///< backoff ceiling
+// Timeout and bounded-exponential-backoff constants for transfers over
+// a faulty link. A clean link delivers every message on its first
+// attempt, so they only matter under an enabled net::FaultPlan.
+constexpr uint32_t kMaxAttempts = 5;        ///< total attempts per message
+constexpr double kTimeoutMultiplier = 2.0;  ///< timeout = mult*expected + grace
+constexpr double kTimeoutGraceNs = 1e6;     ///< fixed ack-wait slack
+constexpr double kBaseBackoffNs = 1e6;      ///< first retry delay
+constexpr double kBackoffMultiplier = 2.0;  ///< growth per retry
+constexpr double kMaxBackoffNs = 64e6;      ///< backoff ceiling
 
-    /** Delay before retry number @p retry (0-based), bounded above. */
-    double
-    backoffNs(uint32_t retry) const
-    {
-        double delay = baseBackoffNs;
-        for (uint32_t i = 0; i < retry; ++i) {
-            delay *= backoffMultiplier;
-            if (delay >= maxBackoffNs)
-                return maxBackoffNs;
-        }
-        return delay < maxBackoffNs ? delay : maxBackoffNs;
-    }
+/** Delay before retry number @p retry (0-based), bounded above. */
+double retryBackoffNs(uint32_t retry);
 
-    /** Sender-side ack timeout for a transfer expected to take
-     *  @p expected_ns. */
-    double
-    timeoutNs(double expected_ns) const
-    {
-        return expected_ns * timeoutMultiplier + timeoutGraceNs;
-    }
-};
+/** Sender-side ack timeout for a transfer expected to take
+ *  @p expected_ns. */
+double retryTimeoutNs(double expected_ns);
 
 /**
  * Thrown when a transfer exhausts its retry budget (lost messages or a
@@ -102,8 +85,7 @@ class CommManager
 {
   public:
     CommManager(sim::SimMachine &mobile, sim::SimMachine &server,
-                net::SimNetwork &network, bool compression_enabled,
-                RetryPolicy retry_policy = {});
+                net::SimNetwork &network, bool compression_enabled);
 
     /** Advance the earlier machine's clock to the later one's. */
     void syncClocks();
@@ -174,8 +156,6 @@ class CommManager
 
     uint64_t demandFaults() const { return demand_faults_; }
 
-    const RetryPolicy &retryPolicy() const { return retry_policy_; }
-
     /** Retry attempts over all categories. */
     uint64_t totalRetries() const;
 
@@ -198,8 +178,6 @@ class CommManager
                mobile_.spec().nsPerCostUnit * 1e-9;
     }
 
-    net::SimNetwork &network() { return network_; }
-
     /**
      * Fleet mode: time transfers on the shared @p medium (cooperatively
      * blocking @p strand) instead of this session's closed-form private
@@ -214,21 +192,16 @@ class CommManager
         strand_ = strand;
     }
 
-    void resetStats();
-
   private:
-    double transferMobileToServer(uint64_t bytes, bool unscaled = false,
-                                  CommCategory category =
-                                      CommCategory::Control);
-    double transferServerToMobile(uint64_t bytes, bool unscaled = false,
-                                  CommCategory category =
-                                      CommCategory::Control);
+    /**
+     * Move one message: attempts with ack timeouts and bounded backoff
+     * until one is delivered (a clean link delivers the first), or
+     * throw CommFailure once kMaxAttempts are spent. Remote-I/O
+     * messages run at the unscaled link rate. Returns the elapsed ns.
+     */
     double transferWithRetry(net::Direction direction, uint64_t bytes,
-                             bool unscaled, CommCategory category);
-    /** Clean-link duration: private pipe, or the shared medium. */
-    double timedTransfer(net::Direction direction, uint64_t bytes,
-                         bool unscaled);
-    /** One faulty-link attempt, timed like timedTransfer(). */
+                             CommCategory category);
+    /** One attempt, timed on the private pipe or the shared medium. */
     net::TransferResult timedTryTransfer(net::Direction direction,
                                          uint64_t bytes, bool unscaled);
     void account(CommCategory category, uint64_t wire, uint64_t raw,
@@ -238,7 +211,6 @@ class CommManager
     sim::SimMachine &server_;
     net::SimNetwork &network_;
     bool compression_;
-    RetryPolicy retry_policy_;
     net::SharedMedium *medium_ = nullptr; ///< fleet mode only
     sim::Strand *strand_ = nullptr;       ///< fleet mode only
     std::map<CommCategory, CommTotals> totals_;

@@ -1,136 +1,158 @@
 #include "runtime/offload.hpp"
 
+#include <algorithm>
+#include <cstdio>
+#include <type_traits>
+
 #include "runtime/session.hpp"
 
 namespace nol::runtime {
 
 SystemConfig::SystemConfig() : network(net::makeWifi80211ac()) {}
 
-double
-RunReport::trafficPerOffloadMb(double mem_scale) const
-{
-    if (offloads == 0)
-        return 0.0;
-    return static_cast<double>(rawBytes) * mem_scale /
-           (1e6 * static_cast<double>(offloads));
-}
-
 namespace {
 
-/** Record the first differing field; returns false for flow brevity. */
-bool
-differs(std::string *why, const std::string &field)
+/** Builds reportText(): one `name=value` line per field. */
+class FieldWriter
 {
-    if (why != nullptr)
-        *why = field;
-    return false;
-}
+  public:
+    void
+    add(const std::string &name, const std::string &value)
+    {
+        text_ += name;
+        text_ += '=';
+        for (char c : value) {
+            // Escape so every field stays on its own line.
+            if (c == '\\')
+                text_ += "\\\\";
+            else if (c == '\n')
+                text_ += "\\n";
+            else
+                text_ += c;
+        }
+        text_ += '\n';
+    }
+
+    /** Numbers: floats as %a (every bit), integers and bools decimal. */
+    template <typename T>
+    void
+    add(const std::string &name, T value)
+    {
+        if constexpr (std::is_floating_point_v<T>) {
+            char buf[32];
+            std::snprintf(buf, sizeof buf, "%a", value);
+            add(name, std::string(buf));
+        } else {
+            add(name, std::to_string(value));
+        }
+    }
+
+    std::string take() { return std::move(text_); }
+
+  private:
+    std::string text_;
+};
 
 } // namespace
+
+std::string
+reportText(const RunReport &r)
+{
+    FieldWriter w;
+    w.add("exitValue", r.exitValue);
+    w.add("console", r.console);
+    w.add("mobileSeconds", r.mobileSeconds);
+    w.add("energyMillijoules", r.energyMillijoules);
+    w.add("breakdown.mobileCompute", r.breakdown.mobileCompute);
+    w.add("breakdown.serverCompute", r.breakdown.serverCompute);
+    w.add("breakdown.fnPtrTranslation", r.breakdown.fnPtrTranslation);
+    w.add("breakdown.remoteIo", r.breakdown.remoteIo);
+    w.add("breakdown.communication", r.breakdown.communication);
+    w.add("wireBytes", r.wireBytes);
+    w.add("rawBytes", r.rawBytes);
+    std::string categories;
+    for (const auto &[category, bytes] : r.bytesByCategory) {
+        if (!categories.empty())
+            categories += ',';
+        categories += category + ':' + std::to_string(bytes);
+    }
+    w.add("bytesByCategory", categories);
+    w.add("offloads", r.offloads);
+    w.add("localRuns", r.localRuns);
+    w.add("demandFaults", r.demandFaults);
+    w.add("retries", r.retries);
+    w.add("failovers", r.failovers);
+    w.add("admissionWaits", r.admissionWaits);
+    w.add("admissionDenials", r.admissionDenials);
+    w.add("admissionWaitSeconds", r.admissionWaitSeconds);
+    w.add("digestHandshakes", r.digestHandshakes);
+    w.add("prefetchPagesSent", r.prefetchPagesSent);
+    w.add("prefetchPagesCached", r.prefetchPagesCached);
+    w.add("coldStartOffloads", r.coldStartOffloads);
+    w.add("queueAvoidedLocals", r.queueAvoidedLocals);
+    w.add("priorsSeededTargets", r.priorsSeededTargets);
+
+    w.add("decisions.size", r.decisions.size());
+    for (size_t i = 0; i < r.decisions.size(); ++i) {
+        const decision::DecisionRecord &d = r.decisions[i];
+        std::string tag = "decisions[" + std::to_string(i) + "].";
+        w.add(tag + "target", d.target);
+        w.add(tag + "sequence", d.sequence);
+        w.add(tag + "nowSeconds", d.nowSeconds);
+        w.add(tag + "verdict", std::string(decision::verdictName(d.verdict)));
+        w.add(tag + "offload", d.offload);
+        w.add(tag + "suppressed", d.suppressed);
+        w.add(tag + "probe", d.probe);
+    }
+
+    w.add("events.size", r.events.size());
+    for (size_t i = 0; i < r.events.size(); ++i) {
+        const OffloadEvent &e = r.events[i];
+        std::string tag = "events[" + std::to_string(i) + "].";
+        w.add(tag + "target", e.target);
+        w.add(tag + "offloaded", e.offloaded);
+        w.add(tag + "ideal", e.ideal);
+        w.add(tag + "failedOver", e.failedOver);
+        w.add(tag + "suppressed", e.suppressed);
+        w.add(tag + "overflow", e.overflow);
+        w.add(tag + "queueAvoided", e.queueAvoided);
+        w.add(tag + "estimatedGain", e.estimatedGain);
+        w.add(tag + "trafficBytes", e.trafficBytes);
+        w.add(tag + "rawTrafficBytes", e.rawTrafficBytes);
+        w.add(tag + "serverSeconds", e.serverSeconds);
+    }
+
+    w.add("powerTimeline.size", r.powerTimeline.size());
+    for (size_t i = 0; i < r.powerTimeline.size(); ++i) {
+        const sim::PowerSegment &s = r.powerTimeline[i];
+        std::string tag = "powerTimeline[" + std::to_string(i) + "].";
+        w.add(tag + "startNs", s.startNs);
+        w.add(tag + "endNs", s.endNs);
+        w.add(tag + "state", std::string(sim::powerStateName(s.state)));
+        w.add(tag + "milliwatts", s.milliwatts);
+    }
+    return w.take();
+}
 
 bool
 reportsBitIdentical(const RunReport &a, const RunReport &b, std::string *why)
 {
-#define NOL_CHECK_FIELD(expr, name)                                         \
-    do {                                                                    \
-        if (!(expr))                                                        \
-            return differs(why, name);                                      \
-    } while (0)
-
-    NOL_CHECK_FIELD(a.exitValue == b.exitValue, "exitValue");
-    NOL_CHECK_FIELD(a.console == b.console, "console");
-    NOL_CHECK_FIELD(a.mobileSeconds == b.mobileSeconds, "mobileSeconds");
-    NOL_CHECK_FIELD(a.energyMillijoules == b.energyMillijoules,
-                    "energyMillijoules");
-    NOL_CHECK_FIELD(a.breakdown.mobileCompute == b.breakdown.mobileCompute,
-                    "breakdown.mobileCompute");
-    NOL_CHECK_FIELD(a.breakdown.serverCompute == b.breakdown.serverCompute,
-                    "breakdown.serverCompute");
-    NOL_CHECK_FIELD(a.breakdown.fnPtrTranslation ==
-                        b.breakdown.fnPtrTranslation,
-                    "breakdown.fnPtrTranslation");
-    NOL_CHECK_FIELD(a.breakdown.remoteIo == b.breakdown.remoteIo,
-                    "breakdown.remoteIo");
-    NOL_CHECK_FIELD(a.breakdown.communication == b.breakdown.communication,
-                    "breakdown.communication");
-    NOL_CHECK_FIELD(a.wireBytes == b.wireBytes, "wireBytes");
-    NOL_CHECK_FIELD(a.rawBytes == b.rawBytes, "rawBytes");
-    NOL_CHECK_FIELD(a.bytesByCategory == b.bytesByCategory,
-                    "bytesByCategory");
-    NOL_CHECK_FIELD(a.offloads == b.offloads, "offloads");
-    NOL_CHECK_FIELD(a.localRuns == b.localRuns, "localRuns");
-    NOL_CHECK_FIELD(a.demandFaults == b.demandFaults, "demandFaults");
-    NOL_CHECK_FIELD(a.retries == b.retries, "retries");
-    NOL_CHECK_FIELD(a.failovers == b.failovers, "failovers");
-    NOL_CHECK_FIELD(a.admissionWaits == b.admissionWaits, "admissionWaits");
-    NOL_CHECK_FIELD(a.admissionDenials == b.admissionDenials,
-                    "admissionDenials");
-    NOL_CHECK_FIELD(a.admissionWaitSeconds == b.admissionWaitSeconds,
-                    "admissionWaitSeconds");
-    NOL_CHECK_FIELD(a.digestHandshakes == b.digestHandshakes,
-                    "digestHandshakes");
-    NOL_CHECK_FIELD(a.prefetchPagesSent == b.prefetchPagesSent,
-                    "prefetchPagesSent");
-    NOL_CHECK_FIELD(a.prefetchPagesCached == b.prefetchPagesCached,
-                    "prefetchPagesCached");
-    NOL_CHECK_FIELD(a.coldStartOffloads == b.coldStartOffloads,
-                    "coldStartOffloads");
-    NOL_CHECK_FIELD(a.queueAvoidedLocals == b.queueAvoidedLocals,
-                    "queueAvoidedLocals");
-    NOL_CHECK_FIELD(a.priorsSeededTargets == b.priorsSeededTargets,
-                    "priorsSeededTargets");
-
-    NOL_CHECK_FIELD(a.decisions.size() == b.decisions.size(),
-                    "decisions.size");
-    for (size_t i = 0; i < a.decisions.size(); ++i) {
-        const decision::DecisionRecord &da = a.decisions[i];
-        const decision::DecisionRecord &db = b.decisions[i];
-        std::string tag = "decisions[" + std::to_string(i) + "].";
-        NOL_CHECK_FIELD(da.target == db.target, tag + "target");
-        NOL_CHECK_FIELD(da.sequence == db.sequence, tag + "sequence");
-        NOL_CHECK_FIELD(da.nowSeconds == db.nowSeconds, tag + "nowSeconds");
-        NOL_CHECK_FIELD(da.verdict == db.verdict, tag + "verdict");
-        NOL_CHECK_FIELD(da.offload == db.offload, tag + "offload");
-        NOL_CHECK_FIELD(da.suppressed == db.suppressed, tag + "suppressed");
-        NOL_CHECK_FIELD(da.probe == db.probe, tag + "probe");
+    std::string text_a = reportText(a);
+    std::string text_b = reportText(b);
+    if (text_a == text_b)
+        return true;
+    if (why != nullptr) {
+        // The first line that differs names the field.
+        size_t line = 0;
+        size_t n = std::min(text_a.size(), text_b.size());
+        for (size_t i = 0; i < n && text_a[i] == text_b[i]; ++i) {
+            if (text_a[i] == '\n')
+                line = i + 1;
+        }
+        const std::string &text = line < text_a.size() ? text_a : text_b;
+        *why = text.substr(line, text.find('=', line) - line);
     }
-
-    NOL_CHECK_FIELD(a.events.size() == b.events.size(), "events.size");
-    for (size_t i = 0; i < a.events.size(); ++i) {
-        const OffloadEvent &ea = a.events[i];
-        const OffloadEvent &eb = b.events[i];
-        std::string tag = "events[" + std::to_string(i) + "].";
-        NOL_CHECK_FIELD(ea.target == eb.target, tag + "target");
-        NOL_CHECK_FIELD(ea.offloaded == eb.offloaded, tag + "offloaded");
-        NOL_CHECK_FIELD(ea.ideal == eb.ideal, tag + "ideal");
-        NOL_CHECK_FIELD(ea.failedOver == eb.failedOver, tag + "failedOver");
-        NOL_CHECK_FIELD(ea.suppressed == eb.suppressed, tag + "suppressed");
-        NOL_CHECK_FIELD(ea.overflow == eb.overflow, tag + "overflow");
-        NOL_CHECK_FIELD(ea.queueAvoided == eb.queueAvoided,
-                        tag + "queueAvoided");
-        NOL_CHECK_FIELD(ea.estimatedGain == eb.estimatedGain,
-                        tag + "estimatedGain");
-        NOL_CHECK_FIELD(ea.trafficBytes == eb.trafficBytes,
-                        tag + "trafficBytes");
-        NOL_CHECK_FIELD(ea.rawTrafficBytes == eb.rawTrafficBytes,
-                        tag + "rawTrafficBytes");
-        NOL_CHECK_FIELD(ea.serverSeconds == eb.serverSeconds,
-                        tag + "serverSeconds");
-    }
-
-    NOL_CHECK_FIELD(a.powerTimeline.size() == b.powerTimeline.size(),
-                    "powerTimeline.size");
-    for (size_t i = 0; i < a.powerTimeline.size(); ++i) {
-        const sim::PowerSegment &sa = a.powerTimeline[i];
-        const sim::PowerSegment &sb = b.powerTimeline[i];
-        std::string tag = "powerTimeline[" + std::to_string(i) + "].";
-        NOL_CHECK_FIELD(sa.startNs == sb.startNs, tag + "startNs");
-        NOL_CHECK_FIELD(sa.endNs == sb.endNs, tag + "endNs");
-        NOL_CHECK_FIELD(sa.state == sb.state, tag + "state");
-        NOL_CHECK_FIELD(sa.milliwatts == sb.milliwatts, tag + "milliwatts");
-    }
-#undef NOL_CHECK_FIELD
-    return true;
+    return false;
 }
 
 OffloadSystem::OffloadSystem(const compiler::CompiledProgram &program,

@@ -17,6 +17,7 @@
 
 #include "compiler/driver.hpp"
 #include "decision/record.hpp"
+#include "interp/backendkind.hpp"
 #include "net/simnetwork.hpp"
 #include "runtime/comm.hpp"
 #include "runtime/uva.hpp"
@@ -35,18 +36,15 @@ struct SystemConfig {
     bool forceLocal = false;         ///< baseline: never offload
     bool idealOffload = false;       ///< zero-overhead offloading
     /**
-     * Execution backend for this run. Default inherits the compiled
-     * program's preference (which itself defaults to the interpreter);
-     * Interpreter / NativeC force the engine regardless of how the
-     * program was compiled. Backends are bit-identical in outputs and
-     * charged simulated time — this only changes wall-clock speed.
+     * Execution backend for this run — the only backend selector.
+     * Backends are bit-identical in outputs and charged simulated time;
+     * this only changes wall-clock speed.
      */
-    interp::BackendKind backend = interp::BackendKind::Default;
+    interp::BackendKind backend = interp::BackendKind::Interpreter;
     /**
      * Fleet mode: prefetch through the server's content-addressed page
-     * cache (digest handshake, have/need, admission-wave batching).
-     * Strictly opt-in and inert outside a ≥2-client fleet, so solo and
-     * cache-off runs are bit-identical to the legacy paths.
+     * cache (digest handshake, have/need, admission-wave batching) —
+     * the cache's only switch. Inert outside a ≥2-client fleet.
      */
     bool pageCacheEnabled = false;
     /**
@@ -66,12 +64,9 @@ struct SystemConfig {
      * queueing toward an admission denial. Inert solo and when off.
      */
     bool admissionAwareDecision = false;
-    /** Deterministic network fault schedule (disabled by default: the
-     *  fault layer is strictly opt-in and zero-cost when off). */
+    /** Deterministic network fault schedule (disabled by default: a
+     *  clean link delivers every message on its first attempt). */
     net::FaultPlan faultPlan;
-    /** Per-message timeout + bounded-backoff retry policy, effective
-     *  only when the fault plan is enabled. */
-    RetryPolicy retry;
 
     SystemConfig();
 };
@@ -151,17 +146,22 @@ struct RunReport {
 
     std::vector<OffloadEvent> events;
     std::vector<sim::PowerSegment> powerTimeline;
-
-    /** Mean wire traffic per offload in *paper-equivalent* MB. */
-    double trafficPerOffloadMb(double mem_scale) const;
 };
 
 /**
+ * The report as text: one `name=value` line per compared field, in a
+ * fixed order (e.g. `mobileSeconds=0x1.8p+3`, `decisions[3].target=hot`).
+ * Floats are written as %a, so equal text means equal bits. Strings
+ * escape backslash and newline. Golden digests hash this text.
+ */
+std::string reportText(const RunReport &report);
+
+/**
  * Bit-exact report equality — the differential-oracle check between
- * execution backends. Every float is compared with ==: backends must
- * charge the *identical* sequence of simulated-time advances, not
- * merely agree within a tolerance. On mismatch, @p why (if non-null)
- * receives the first differing field.
+ * execution backends: reportText() of both reports must match, so
+ * backends must charge the *identical* sequence of simulated-time
+ * advances, not merely agree within a tolerance. On mismatch, @p why
+ * (if non-null) receives the name of the first differing field.
  */
 bool reportsBitIdentical(const RunReport &a, const RunReport &b,
                          std::string *why = nullptr);

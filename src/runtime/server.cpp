@@ -50,44 +50,38 @@ PageCache::insert(const sim::PageDigest &digest, const uint8_t *data)
     ++inserted_;
 }
 
-void
-PageCache::invalidate(const sim::PageDigest &digest)
-{
-    auto it = entries_.find(digest);
-    if (it == entries_.end())
-        return;
-    lru_.erase(it->second.tick);
-    entries_.erase(it);
-}
-
 // ---------------------------------------------------------------------------
 // ServerRuntime
 // ---------------------------------------------------------------------------
 
 ServerRuntime::ServerRuntime(const compiler::CompiledProgram &program,
-                             AdmissionConfig admission,
-                             PageCachePolicy cache_policy)
-    : program_(program), admission_(admission), cache_policy_(cache_policy),
+                             AdmissionConfig admission)
+    : program_(program), admission_(admission),
       policy_(makeAdmissionPolicy(admission.kind)),
       slots_(admission.maxConcurrentSessions)
 {
     NOL_ASSERT(admission_.maxConcurrentSessions > 0,
                "server must admit at least one session");
-    NOL_ASSERT(cache_policy_.capacityPages > 0,
-               "page cache needs a nonzero capacity");
-    if (admission_.autoscale.enabled && admission_.autoscale.maxSessions == 0)
-        admission_.autoscale.maxSessions = admission_.maxConcurrentSessions * 4;
 }
 
 ServerRuntime::~ServerRuntime() = default;
 
-UvaManager &
-ServerRuntime::namespaceFor(uint64_t session_id)
+/** Forget all run-scoped admission state and publish the empty load. */
+void
+ServerRuntime::resetAdmission()
 {
-    std::unique_ptr<UvaManager> &ns = namespaces_[session_id];
-    if (ns == nullptr)
-        ns.reset(new UvaManager());
-    return *ns;
+    active_ = 0;
+    slots_ = admission_.maxConcurrentSessions;
+    queue_.clear();
+    policy_->reset();
+    admission_waits_ = 0;
+    admission_denials_ = 0;
+    admission_wait_ns_ = 0;
+    peak_active_ = 0;
+    hold_start_ns_.clear();
+    hold_total_ns_ = 0;
+    hold_count_ = 0;
+    publishLoad(0.0);
 }
 
 AdmissionResult
@@ -101,11 +95,10 @@ ServerRuntime::acquire(sim::Strand &strand, uint64_t session_id,
     loop_->schedule(now_ns, [this, &strand, &res, session_id, now_ns,
                              request] {
         bool free_slot = active_ < slots_;
-        if (!free_slot && admission_.autoscale.enabled &&
-            slots_ < admission_.autoscale.maxSessions &&
+        if (!free_slot && admission_.autoscale &&
+            slots_ < admission_.maxConcurrentSessions * kAutoscalePoolFactor &&
             static_cast<double>(queue_.size() + 1) >
-                admission_.autoscale.queueDepthPerSlot *
-                    static_cast<double>(slots_)) {
+                kAutoscaleQueueDepthPerSlot * static_cast<double>(slots_)) {
             // Backlog crossed the growth threshold: provision one more
             // slot and hand it straight to this request.
             ++slots_;
@@ -157,23 +150,7 @@ ServerRuntime::release(uint64_t session_id, double now_ns)
 {
     NOL_ASSERT(loop_ != nullptr, "release outside a fleet run");
     loop_->schedule(now_ns, [this, session_id, now_ns] {
-        auto held = hold_start_ns_.find(session_id);
-        if (held != hold_start_ns_.end()) {
-            hold_total_ns_ += now_ns - held->second;
-            ++hold_count_;
-            hold_start_ns_.erase(held);
-        }
-        if (queue_.empty()) {
-            NOL_ASSERT(active_ > 0, "slot released but none held");
-            --active_;
-            maybeShrinkPool();
-            publishLoad(now_ns);
-            return;
-        }
-        // The freed slot passes directly to a waiter — the policy's
-        // pick — and active_ is unchanged (one out, one in).
-        grantSelected(now_ns);
-        publishLoad(now_ns);
+        freeSlot(session_id, now_ns);
     });
 }
 
@@ -197,22 +174,37 @@ ServerRuntime::disconnect(uint64_t session_id, double now_ns)
             return;
         }
         // Holding a slot? Free it; a queued waiter inherits it.
-        auto held = hold_start_ns_.find(session_id);
-        if (held == hold_start_ns_.end())
+        if (hold_start_ns_.count(session_id) == 0)
             return; // neither queued nor holding: nothing to clean
+        freeSlot(session_id, now_ns);
+    });
+}
+
+/**
+ * Close @p session_id's slot hold (if one is open) and free the slot:
+ * the policy's pick among the waiters inherits it, else the pool
+ * shrinks back toward its base. Runs inside a loop event.
+ */
+void
+ServerRuntime::freeSlot(uint64_t session_id, double now_ns)
+{
+    auto held = hold_start_ns_.find(session_id);
+    if (held != hold_start_ns_.end()) {
         hold_total_ns_ += now_ns - held->second;
         ++hold_count_;
         hold_start_ns_.erase(held);
-        if (queue_.empty()) {
-            NOL_ASSERT(active_ > 0, "slot released but none held");
-            --active_;
-            maybeShrinkPool();
-            publishLoad(now_ns);
-            return;
-        }
-        grantSelected(now_ns);
+    }
+    if (queue_.empty()) {
+        NOL_ASSERT(active_ > 0, "slot released but none held");
+        --active_;
+        maybeShrinkPool();
         publishLoad(now_ns);
-    });
+        return;
+    }
+    // The freed slot passes directly to a waiter — the policy's pick —
+    // and active_ is unchanged (one out, one in).
+    grantSelected(now_ns);
+    publishLoad(now_ns);
 }
 
 /** Grant the freed slot to the policy's pick (queue must be nonempty). */
@@ -249,7 +241,7 @@ ServerRuntime::grant(Waiter waiter, double now_ns)
 void
 ServerRuntime::maybeShrinkPool()
 {
-    if (!admission_.autoscale.enabled)
+    if (!admission_.autoscale)
         return;
     if (!queue_.empty())
         return;
@@ -290,8 +282,7 @@ ServerRuntime::planPrefetch(sim::Strand &strand, uint64_t session_id,
             uint64_t id = next_wave_++;
             open_wave_ = id;
             waves_[id].id = id;
-            double flush_at =
-                now_ns + cache_policy_.batchWindowSeconds * 1e9;
+            double flush_at = now_ns + kPrefetchBatchWindowSeconds * 1e9;
             loop_->schedule(flush_at, [this, id, flush_at] {
                 flushWave(id, flush_at);
             });
@@ -472,20 +463,8 @@ void
 ServerRuntime::attachLoopForTesting(sim::EventLoop *loop)
 {
     loop_ = loop;
-    if (loop == nullptr)
-        return;
-    active_ = 0;
-    slots_ = admission_.maxConcurrentSessions;
-    queue_.clear();
-    policy_->reset();
-    admission_waits_ = 0;
-    admission_denials_ = 0;
-    admission_wait_ns_ = 0;
-    peak_active_ = 0;
-    hold_start_ns_.clear();
-    hold_total_ns_ = 0;
-    hold_count_ = 0;
-    publishLoad(0.0);
+    if (loop != nullptr)
+        resetAdmission();
 }
 
 FleetReport
@@ -495,27 +474,14 @@ ServerRuntime::run(const std::vector<FleetClient> &clients)
     sim::EventLoop loop;
     net::SharedMedium medium(loop);
     loop_ = &loop;
-    active_ = 0;
-    slots_ = admission_.maxConcurrentSessions;
-    queue_.clear();
-    policy_->reset();
-    namespaces_.clear();
-    admission_waits_ = 0;
-    admission_denials_ = 0;
-    admission_wait_ns_ = 0;
-    peak_active_ = 0;
-
-    // Run-scoped decision-stack state: fresh load ledger and priors.
-    hold_start_ns_.clear();
-    hold_total_ns_ = 0;
-    hold_count_ = 0;
+    // Run-scoped state: fresh admission queue, load ledger and priors.
     priors_ = decision::FleetPriors{};
-    publishLoad(0.0);
+    resetAdmission();
 
     // Sharing pages across sessions only makes sense with peers; a
-    // 1-client fleet keeps the legacy prefetch path bit-identical.
-    cache_active_ = cache_policy_.enabled && clients.size() >= 2;
-    cache_.reset(new PageCache(cache_policy_.capacityPages));
+    // 1-client fleet pushes its prefetch pages directly, like a solo run.
+    cache_active_ = clients.size() >= 2;
+    cache_.reset(new PageCache(kPageCacheCapacityPages));
     waves_.clear();
     open_wave_ = 0;
     next_wave_ = 1;

@@ -2,8 +2,9 @@
  * @file
  * The multi-client offload server runtime: owns the fleet's shared
  * discrete-event timeline (sim::EventLoop), the contended wireless
- * medium (net::SharedMedium), per-session UVA namespaces, and admission
- * control bounding how many offloading processes run concurrently.
+ * medium (net::SharedMedium), the content-addressed page cache, and
+ * admission control bounding how many offloading processes run
+ * concurrently.
  *
  * Admission: an offload that arrives while all slots are busy queues;
  * a released slot passes to the waiter the configured AdmissionPolicy
@@ -29,22 +30,19 @@
 #include "decision/priors.hpp"
 #include "runtime/admission.hpp"
 #include "runtime/session.hpp"
-#include "runtime/uva.hpp"
 #include "sim/pagedmemory.hpp"
 
 namespace nol::runtime {
 
-/** Server-side content-addressed page cache + prefetch batching knobs. */
-struct PageCachePolicy {
-    bool enabled = true;       ///< master switch (sessions also opt in)
-    uint64_t capacityPages = 8192; ///< LRU eviction bound (32 MiB)
-    /**
-     * Admission-wave coalescing window: prefetches registering within
-     * this span of the wave's first registrant flush together, and the
-     * wave's union of unique pages crosses the medium once.
-     */
-    double batchWindowSeconds = 0.002;
-};
+/** Page-cache LRU eviction bound (32 MiB). */
+constexpr uint64_t kPageCacheCapacityPages = 8192;
+
+/**
+ * Admission-wave coalescing window: prefetches registering within this
+ * span of the wave's first registrant flush together, and the wave's
+ * union of unique pages crosses the medium once.
+ */
+constexpr double kPrefetchBatchWindowSeconds = 0.002;
 
 /** What the page cache and the prefetch batcher saw over one run. */
 struct PageCacheStats {
@@ -89,9 +87,6 @@ class PageCache
 
     /** Admit @p data under @p digest, evicting LRU entries if full. */
     void insert(const sim::PageDigest &digest, const uint8_t *data);
-
-    /** Drop one entry (explicit invalidation). */
-    void invalidate(const sim::PageDigest &digest);
 
     uint64_t pages() const { return entries_.size(); }
     uint64_t insertedPages() const { return inserted_; }
@@ -192,8 +187,7 @@ class ServerRuntime
 {
   public:
     explicit ServerRuntime(const compiler::CompiledProgram &program,
-                           AdmissionConfig admission = {},
-                           PageCachePolicy cache_policy = {});
+                           AdmissionConfig admission = {});
     ~ServerRuntime();
 
     /** Simulate @p clients against one server; blocks until done. */
@@ -253,12 +247,6 @@ class ServerRuntime
      */
     decision::FleetPriors &fleetPriors() { return priors_; }
 
-    /** The per-session UVA namespace (created on first use). */
-    UvaManager &namespaceFor(uint64_t session_id);
-
-    const AdmissionConfig &admissionConfig() const { return admission_; }
-    const PageCachePolicy &cachePolicy() const { return cache_policy_; }
-
     /**
      * Test-only: bind the admission machinery to an external event
      * loop and reset its run-scoped state, so unit tests can exercise
@@ -281,7 +269,8 @@ class ServerRuntime
     // pages it was carrying simply stay missing and are backfilled by
     // copy-on-demand.
 
-    /** True when this run shares pages (≥2 clients and cache enabled). */
+    /** True when this run can share pages (≥2 clients); each session
+     *  still opts in through SystemConfig::pageCacheEnabled. */
     bool cacheActive() const { return cache_active_; }
 
     /**
@@ -366,8 +355,10 @@ class ServerRuntime
         std::set<uint64_t> remaining;
     };
 
+    void resetAdmission();
     void grant(Waiter waiter, double now_ns);
     void grantSelected(double now_ns);
+    void freeSlot(uint64_t session_id, double now_ns);
     void publishLoad(double now_ns);
     void maybeShrinkPool();
     void flushWave(uint64_t wave_id, double now_ns);
@@ -375,7 +366,6 @@ class ServerRuntime
 
     const compiler::CompiledProgram &program_;
     AdmissionConfig admission_;
-    PageCachePolicy cache_policy_;
     std::unique_ptr<AdmissionPolicy> policy_; ///< slot-inheritance strategy
 
     // Valid only during run() (the fleet's shared infrastructure).
@@ -384,7 +374,6 @@ class ServerRuntime
     uint32_t active_ = 0;
     uint32_t slots_ = 0; ///< live pool size (== config unless autoscaled)
     std::deque<Waiter> queue_;
-    std::unordered_map<uint64_t, std::unique_ptr<UvaManager>> namespaces_;
 
     uint64_t admission_waits_ = 0;
     uint64_t admission_denials_ = 0;

@@ -43,35 +43,23 @@ struct Session::Impl {
     sim::SimMachine server;
     net::SimNetwork network;
     CommManager comm;
-    std::unique_ptr<UvaManager> ownedUva; ///< solo mode only
-    UvaManager &uva;
+    UvaManager uva; ///< this session's UVA namespace
     interp::ProgramImage mobileImage;
     interp::ProgramImage serverImage;
     decision::Engine dyn;
     decision::RecordLog decisionLog; ///< provenance of every decide()
     std::map<std::string, TargetEntry> targetsByStub;
 
-    uint64_t offloads = 0;
-    uint64_t localRuns = 0;
-    uint64_t failovers = 0;
+    /** The report run() returns; counters are recorded into it as the
+     *  run goes (a Session runs once). */
+    RunReport report;
+
+    // Accumulated in ns or cost units and converted once at the end.
     double serverComputeNs = 0;
     uint64_t fnPtrUnits = 0;
-    std::vector<OffloadEvent> events;
-
-    // Page-cache accounting (stays zero on the legacy prefetch path).
-    uint64_t digestHandshakes = 0;
-    uint64_t prefetchPagesSent = 0;
-    uint64_t prefetchPagesCached = 0;
-
-    // Fleet-mode admission accounting.
-    uint64_t admissionWaits = 0;
-    uint64_t admissionDenials = 0;
     double admissionWaitNs = 0;
-    bool slotHeld = false;
 
-    // Decision-stack accounting.
-    uint64_t queueAvoidedLocals = 0;
-    uint64_t priorsSeededTargets = 0;
+    bool slotHeld = false;
 
     // Native-C backend state: one prepared (lowered + compiled)
     // artifact per module, reused across the per-offload server
@@ -87,12 +75,7 @@ struct Session::Impl {
           mobile(sim::MachineRole::Mobile, program.mobileSpec),
           server(sim::MachineRole::Server, program.serverSpec),
           network(config.network, config.memScale),
-          comm(mobile, server, network, config.compressionEnabled,
-               config.retry),
-          ownedUva(hooks.server == nullptr ? new UvaManager() : nullptr),
-          uva(hooks.server != nullptr
-                  ? hooks.server->namespaceFor(hooks.sessionId)
-                  : *ownedUva),
+          comm(mobile, server, network, config.compressionEnabled),
           dyn(program.estimatorParams.speedRatio,
               net::SimNetwork(config.network, config.memScale)
                   .effectiveBitsPerSecond())
@@ -138,11 +121,11 @@ struct Session::Impl {
             // server process costs nothing.
             mobile.syncTo(res.wakeNs, sim::PowerState::Waiting);
             server.syncTo(res.wakeNs, sim::PowerState::Idle);
-            ++admissionWaits;
+            ++report.admissionWaits;
             admissionWaitNs += res.waitedNs;
         }
         if (!res.granted) {
-            ++admissionDenials;
+            ++report.admissionDenials;
             return false;
         }
         slotHeld = true;
@@ -161,27 +144,13 @@ struct Session::Impl {
     /**
      * Prefetch through the server's content-addressed page cache?
      * Requires the session to opt in *and* the fleet to actually share
-     * pages (≥2 clients) — otherwise the legacy push path runs and the
-     * run is bit-identical to a cache-free build.
+     * pages (≥2 clients); otherwise pages are pushed directly.
      */
     bool
     cacheActive() const
     {
         return fleet.server != nullptr && cfg.pageCacheEnabled &&
                fleet.server->cacheActive();
-    }
-
-    /** The backend this session runs: config override, else program
-     *  preference, else the interpreter. */
-    interp::BackendKind
-    effectiveBackend() const
-    {
-        interp::BackendKind kind = cfg.backend;
-        if (kind == interp::BackendKind::Default)
-            kind = prog.backend;
-        if (kind == interp::BackendKind::Default)
-            kind = interp::BackendKind::Interpreter;
-        return kind;
     }
 
     /**
@@ -196,7 +165,7 @@ struct Session::Impl {
                 const interp::ProgramImage &image, interp::ExecEnv &env,
                 std::shared_ptr<const codegen::PreparedModule> &prepared)
     {
-        if (effectiveBackend() == interp::BackendKind::NativeC &&
+        if (cfg.backend == interp::BackendKind::NativeC &&
             !nativeUnavailable) {
             if (prepared == nullptr) {
                 prepared = codegen::PreparedModule::prepare(
@@ -528,9 +497,9 @@ class MobileEnv : public interp::DefaultEnv
              bool suppressed = false, bool overflow = false,
              bool queue_avoided = false)
     {
-        ++ctx_.localRuns;
+        ++ctx_.report.localRuns;
         if (queue_avoided)
-            ++ctx_.queueAvoidedLocals;
+            ++ctx_.report.queueAvoidedLocals;
         double start = ctx_.mobile.nowNs();
         RtVal ret = interp.call(target.mobileFn, args);
         if (declined) {
@@ -544,7 +513,7 @@ class MobileEnv : public interp::DefaultEnv
         event.suppressed = suppressed;
         event.overflow = overflow;
         event.queueAvoided = queue_avoided;
-        ctx_.events.push_back(event);
+        ctx_.report.events.push_back(event);
         return ret;
     }
 
@@ -554,7 +523,7 @@ class MobileEnv : public interp::DefaultEnv
     {
         // Zero-overhead offloading: the target runs at server speed
         // while the device waits; no communication, no translation.
-        ++ctx_.offloads;
+        ++ctx_.report.offloads;
         double old_ns = ctx_.mobile.setNsPerCostUnit(
             ctx_.prog.serverSpec.nsPerCostUnit);
         double old_scale = ctx_.mobile.setArithCostScale(
@@ -573,7 +542,7 @@ class MobileEnv : public interp::DefaultEnv
         event.target = target.name;
         event.offloaded = true;
         event.ideal = true;
-        ctx_.events.push_back(event);
+        ctx_.report.events.push_back(event);
         return ret;
     }
 
@@ -628,7 +597,7 @@ class MobileEnv : public interp::DefaultEnv
         for (uint64_t page : pages)
             offers.push_back({page, ctx_.mobile.mem().pageDigest(page)});
         ctx_.mobile.advanceCompute(pages.size() * kDigestCostUnits);
-        ++ctx_.digestHandshakes;
+        ++ctx_.report.digestHandshakes;
 
         ctx_.comm.sendDigestsToServer(offers.size());
         PrefetchPlan plan =
@@ -665,12 +634,12 @@ class MobileEnv : public interp::DefaultEnv
             *ctx_.fleet.strand, ctx_.mobile.nowNs(), plan.cached,
             ctx_.server.mem());
         // Served pages are now on the server exactly as if pushed; the
-        // device's dirty bits clear like the legacy path's would (a
+        // device's dirty bits clear like a direct push's would (a
         // failover snapshot restores them, same as for pushed pages).
         for (uint64_t page : served)
             ctx_.mobile.mem().clearDirty(page);
-        ctx_.prefetchPagesSent += plan.carry.size();
-        ctx_.prefetchPagesCached += served.size();
+        ctx_.report.prefetchPagesSent += plan.carry.size();
+        ctx_.report.prefetchPagesCached += served.size();
     }
 
     /**
@@ -731,7 +700,7 @@ class MobileEnv : public interp::DefaultEnv
                 prefetchThroughCache(pages);
             } else {
                 ctx_.comm.pushPagesToServer(pages, CommCategory::Prefetch);
-                ctx_.prefetchPagesSent += pages.size();
+                ctx_.report.prefetchPagesSent += pages.size();
             }
         }
 
@@ -813,7 +782,7 @@ class MobileEnv : public interp::DefaultEnv
                              ctx_.prog.estimatorParams.speedRatio,
                          traffic);
         ctx_.dyn.recordSuccess(target.name);
-        ++ctx_.offloads;
+        ++ctx_.report.offloads;
 
         OffloadEvent event;
         event.target = target.name;
@@ -824,7 +793,7 @@ class MobileEnv : public interp::DefaultEnv
         event.rawTrafficBytes = static_cast<double>(
             ctx_.comm.totalRawBytes() - raw_before);
         event.serverSeconds = server_seconds;
-        ctx_.events.push_back(event);
+        ctx_.report.events.push_back(event);
         return ret;
     }
 
@@ -862,8 +831,8 @@ class MobileEnv : public interp::DefaultEnv
         // Feed the failure back: suppress this target's offloads for a
         // growing window so a flaky link converges to local execution.
         ctx_.dyn.recordFailure(target.name, ctx_.mobile.nowNs() * 1e-9);
-        ++ctx_.failovers;
-        ++ctx_.localRuns;
+        ++ctx_.report.failovers;
+        ++ctx_.report.localRuns;
 
         double start = ctx_.mobile.nowNs();
         RtVal ret = interp.call(target.mobileFn, args);
@@ -874,7 +843,7 @@ class MobileEnv : public interp::DefaultEnv
         event.target = target.name;
         event.offloaded = false;
         event.failedOver = true;
-        ctx_.events.push_back(event);
+        ctx_.report.events.push_back(event);
         return ret;
     }
 
@@ -936,7 +905,7 @@ Session::Impl::run(const RunInput &input)
     // peers already observed on top of the compile-time seeds, so a
     // late arrival never decides cold on a target the fleet knows.
     if (fleet.server != nullptr && cfg.fleetPriorsEnabled)
-        priorsSeededTargets = dyn.seedFromPriors();
+        report.priorsSeededTargets = dyn.seedFromPriors();
 
     MobileEnv env(*this);
     std::unique_ptr<interp::ExecBackend> backend =
@@ -947,7 +916,6 @@ Session::Impl::run(const RunInput &input)
     ir::Function *entry_fn = mobile_module.functionByName("main");
     NOL_ASSERT(entry_fn != nullptr, "mobile module lacks main()");
 
-    RunReport report;
     report.exitValue = interp.call(entry_fn, {}).i;
 
     // --- Assemble the report -------------------------------------------
@@ -979,27 +947,16 @@ Session::Impl::run(const RunInput &input)
         report.bytesByCategory[commCategoryName(category)] =
             totals.wireBytes;
 
-    report.offloads = offloads;
-    report.localRuns = localRuns;
     report.demandFaults = comm.demandFaults();
     report.retries = comm.totalRetries();
-    report.failovers = failovers;
-    report.admissionWaits = admissionWaits;
-    report.admissionDenials = admissionDenials;
     report.admissionWaitSeconds = admissionWaitNs * 1e-9;
-    report.digestHandshakes = digestHandshakes;
-    report.prefetchPagesSent = prefetchPagesSent;
-    report.prefetchPagesCached = prefetchPagesCached;
-    report.queueAvoidedLocals = queueAvoidedLocals;
-    report.priorsSeededTargets = priorsSeededTargets;
     report.decisions = decisionLog.take();
     for (const decision::DecisionRecord &record : report.decisions) {
         if (record.offload && record.inputs.observations == 0)
             ++report.coldStartOffloads;
     }
-    report.events = events;
     report.powerTimeline = mobile.power().timeline();
-    return report;
+    return std::move(report);
 }
 
 Session::Session(const compiler::CompiledProgram &program,

@@ -11,9 +11,9 @@
  *  - acquires a server slot per offload (admission control; on denial
  *    the target runs locally and the event is marked `overflow`),
  *  - times its transfers on the fleet's SharedMedium instead of the
- *    closed-form private pipe,
- *  - allocates unified addresses from the per-session UVA namespace
- *    handed out by the ServerRuntime.
+ *    closed-form private pipe.
+ *
+ * Either way the session owns its UVA namespace (a private UvaManager).
  */
 #ifndef NOL_RUNTIME_SESSION_HPP
 #define NOL_RUNTIME_SESSION_HPP
@@ -66,7 +66,7 @@ class Session
     /** Bind the cooperative strand this session runs on (fleet mode). */
     void setStrand(sim::Strand *strand);
 
-    /** Execute the program end to end. */
+    /** Execute the program end to end. Call once per Session. */
     RunReport run(const RunInput &input);
 
     struct Impl; ///< defined in session.cpp

@@ -7,9 +7,9 @@
  * execution. Page *contents* flow through prefetch, copy-on-demand and
  * write-back (CommManager); this class only manages addresses.
  *
- * In a multi-client fleet every session gets a private UvaManager from
- * the ServerRuntime — its UVA namespace — so concurrent offloading
- * processes can never alias each other's unified addresses.
+ * Every session owns a private UvaManager — its UVA namespace — so in
+ * a multi-client fleet concurrent offloading processes can never alias
+ * each other's unified addresses.
  */
 #ifndef NOL_RUNTIME_UVA_HPP
 #define NOL_RUNTIME_UVA_HPP
@@ -139,9 +139,6 @@ class UvaManager
                 addr < sim::kUvaHeapBase + sim::kUvaHeapSize) ||
                (addr >= kUvaGlobalsBase && addr < sim::kUvaHeapBase);
     }
-
-    /** Highest mobile-sub-heap address ever allocated. */
-    uint64_t mobileHighWater() const { return mobile_heap_.highWater(); }
 
   private:
     sim::HeapAllocator mobile_heap_;

@@ -86,7 +86,6 @@ SimFileSystem::read(uint64_t handle, uint8_t *out, uint64_t size)
     uint64_t chunk = std::min(size, avail);
     std::memcpy(out, data.data() + of->pos, chunk);
     of->pos += chunk;
-    bytes_read_ += chunk;
     return chunk;
 }
 
@@ -101,7 +100,6 @@ SimFileSystem::write(uint64_t handle, const uint8_t *src, uint64_t size)
         data.resize(of->pos + size);
     std::memcpy(data.data() + of->pos, src, size);
     of->pos += size;
-    bytes_written_ += size;
     return size;
 }
 

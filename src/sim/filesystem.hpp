@@ -68,12 +68,6 @@ class SimFileSystem
     /** Current position, or -1. */
     int64_t tell(uint64_t handle) const;
 
-    /** Total bytes read through any handle (remote-I/O accounting). */
-    uint64_t bytesRead() const { return bytes_read_; }
-
-    /** Total bytes written through any handle. */
-    uint64_t bytesWritten() const { return bytes_written_; }
-
   private:
     OpenFile *handleFor(uint64_t handle);
     const OpenFile *handleFor(uint64_t handle) const;
@@ -81,8 +75,6 @@ class SimFileSystem
     std::map<std::string, std::string> files_;
     std::map<uint64_t, OpenFile> handles_;
     uint64_t next_handle_ = 1;
-    uint64_t bytes_read_ = 0;
-    uint64_t bytes_written_ = 0;
     std::string empty_;
 };
 

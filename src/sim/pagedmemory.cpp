@@ -10,7 +10,6 @@ PagedMemory::lookupSlow(uint64_t page_num)
 {
     auto it = pages_.find(page_num);
     if (it == pages_.end()) {
-        ++faults_;
         if (fault_handler_ != nullptr) {
             if (!fault_handler_(page_num)) {
                 panic("unhandled page fault at page 0x%llx",

@@ -212,7 +212,6 @@ class PagedMemory
     void markDirty(uint64_t page_num);
 
     uint64_t pageCount() const { return pages_.size(); }
-    uint64_t faultCount() const { return faults_; }
 
   private:
     /**
@@ -250,7 +249,6 @@ class PagedMemory
     FaultHandler fault_handler_;
     TouchObserver touch_observer_;
     bool auto_zero_;
-    uint64_t faults_ = 0;
     uint64_t cached_num_[kCacheWays];
     Page *cached_page_[kCacheWays] = {};
 };

@@ -24,7 +24,6 @@ SimMachine::reset()
     power_.reset();
     console_.clear();
     input_pos_ = 0;
-    stats_.clear();
 }
 
 } // namespace nol::sim

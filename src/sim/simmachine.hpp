@@ -28,7 +28,6 @@
 #include "sim/heapalloc.hpp"
 #include "sim/pagedmemory.hpp"
 #include "sim/powermodel.hpp"
-#include "support/stats.hpp"
 
 namespace nol::sim {
 
@@ -126,10 +125,10 @@ class SimMachine
     }
 
     /**
-     * Power state charged for compute time (normally Compute; the
-     * ideal-offload mode bills target execution as Waiting).
+     * Set the power state charged for compute time (normally Compute;
+     * the ideal-offload mode bills target execution as Waiting) and
+     * return the previous one.
      */
-    PowerState computeState() const { return compute_state_; }
     PowerState
     setComputeState(PowerState state)
     {
@@ -218,8 +217,6 @@ class SimMachine
 
     SimFileSystem &fs() { return fs_; }
 
-    StatRegistry &stats() { return stats_; }
-
     /** Reset clock, power, console and memory (not the file system). */
     void reset();
 
@@ -237,7 +234,6 @@ class SimMachine
     std::string input_;
     size_t input_pos_ = 0;
     SimFileSystem fs_;
-    StatRegistry stats_;
 };
 
 } // namespace nol::sim

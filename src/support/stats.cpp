@@ -1,7 +1,6 @@
 #include "support/stats.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 namespace nol {
 
@@ -39,73 +38,6 @@ summarizeLatencies(std::vector<double> values)
     out.p999 = percentileNearestRank(values, 0.999);
     out.max = values.back();
     return out;
-}
-
-void
-StatRegistry::add(const std::string &name, double delta)
-{
-    auto &entry = stats_[name];
-    entry.name = name;
-    entry.value += delta;
-}
-
-void
-StatRegistry::set(const std::string &name, double value)
-{
-    auto &entry = stats_[name];
-    entry.name = name;
-    entry.value = value;
-}
-
-void
-StatRegistry::describe(const std::string &name, const std::string &desc)
-{
-    auto &entry = stats_[name];
-    entry.name = name;
-    entry.desc = desc;
-}
-
-double
-StatRegistry::get(const std::string &name) const
-{
-    auto it = stats_.find(name);
-    return it == stats_.end() ? 0.0 : it->second.value;
-}
-
-bool
-StatRegistry::has(const std::string &name) const
-{
-    return stats_.count(name) != 0;
-}
-
-std::vector<StatEntry>
-StatRegistry::entries() const
-{
-    std::vector<StatEntry> out;
-    out.reserve(stats_.size());
-    for (const auto &[name, entry] : stats_)
-        out.push_back(entry);
-    return out;
-}
-
-void
-StatRegistry::clear()
-{
-    for (auto &[name, entry] : stats_)
-        entry.value = 0.0;
-}
-
-std::string
-StatRegistry::dump() const
-{
-    std::ostringstream os;
-    for (const auto &[name, entry] : stats_) {
-        os << name << " = " << entry.value;
-        if (!entry.desc.empty())
-            os << "  # " << entry.desc;
-        os << "\n";
-    }
-    return os.str();
 }
 
 } // namespace nol

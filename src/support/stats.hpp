@@ -1,15 +1,12 @@
 /**
  * @file
- * Lightweight named-statistics registry. Components register scalar
- * counters/values under dotted names; benches and tests read them back
- * without coupling to component internals.
+ * Latency statistics shared by the fleet runtime, the traffic harness
+ * and the benches: one percentile definition, one quantile summary.
  */
 #ifndef NOL_SUPPORT_STATS_HPP
 #define NOL_SUPPORT_STATS_HPP
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace nol {
@@ -36,48 +33,6 @@ struct LatencySummary {
 
 /** Sort a copy of @p values and read off the standard quantiles. */
 LatencySummary summarizeLatencies(std::vector<double> values);
-
-/** A single scalar statistic: a name plus a double value. */
-struct StatEntry {
-    std::string name;
-    double value = 0.0;
-    std::string desc;
-};
-
-/**
- * Registry of named scalar statistics. Not a singleton: each simulation
- * owns its own registry so concurrent simulations never interfere.
- */
-class StatRegistry
-{
-  public:
-    /** Add @p delta to the statistic @p name, creating it at zero. */
-    void add(const std::string &name, double delta);
-
-    /** Overwrite the statistic @p name. */
-    void set(const std::string &name, double value);
-
-    /** Attach a human-readable description to @p name. */
-    void describe(const std::string &name, const std::string &desc);
-
-    /** Value of @p name, or 0 if never touched. */
-    double get(const std::string &name) const;
-
-    /** True if @p name has been touched. */
-    bool has(const std::string &name) const;
-
-    /** All statistics in name order. */
-    std::vector<StatEntry> entries() const;
-
-    /** Reset every statistic to zero (names are kept). */
-    void clear();
-
-    /** Render a "name = value" dump, one per line. */
-    std::string dump() const;
-
-  private:
-    std::map<std::string, StatEntry> stats_;
-};
 
 } // namespace nol
 

@@ -9,8 +9,7 @@ namespace nol::traffic {
 
 TrafficReport
 runOpenLoop(const Trace &trace, const std::vector<TrafficProgram> &programs,
-            const runtime::AdmissionConfig &admission,
-            const runtime::PageCachePolicy &cache)
+            const runtime::AdmissionConfig &admission)
 {
     NOL_ASSERT(!programs.empty(), "open-loop run without programs");
     NOL_ASSERT(!trace.entries.empty(), "open-loop run without arrivals");
@@ -53,7 +52,7 @@ runOpenLoop(const Trace &trace, const std::vector<TrafficProgram> &programs,
         clients.push_back(std::move(client));
     }
 
-    runtime::ServerRuntime server(*programs[0].program, admission, cache);
+    runtime::ServerRuntime server(*programs[0].program, admission);
     server.setLoadObserver(
         [&report](double now_ns, const decision::LoadSnapshot &load) {
             QueueDepthSample sample;

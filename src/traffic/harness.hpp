@@ -76,8 +76,7 @@ struct TrafficReport {
  */
 TrafficReport runOpenLoop(const Trace &trace,
                           const std::vector<TrafficProgram> &programs,
-                          const runtime::AdmissionConfig &admission,
-                          const runtime::PageCachePolicy &cache = {});
+                          const runtime::AdmissionConfig &admission);
 
 /**
  * Canonical text rendering of everything deterministic in the report

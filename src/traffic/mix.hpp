@@ -39,13 +39,13 @@ struct BuiltinMix {
 /**
  * Compile the three-class mix against @p network (every class shares
  * the link spec; arrival order and churn stay with the trace).
- * @p backend selects the execution engine each session runs on
- * (Default → interpreter); backends are bit-identical in simulated
- * metrics, so this only moves host wall-clock.
+ * @p backend selects the execution engine each session runs on;
+ * backends are bit-identical in simulated metrics, so this only moves
+ * host wall-clock.
  */
 BuiltinMix makeBuiltinMix(const net::NetworkSpec &network,
                           interp::BackendKind backend =
-                              interp::BackendKind::Default);
+                              interp::BackendKind::Interpreter);
 
 /**
  * The full 17-program SPEC-shaped evaluation suite (src/workloads) as
@@ -59,7 +59,7 @@ BuiltinMix makeBuiltinMix(const net::NetworkSpec &network,
  */
 BuiltinMix makeSuiteMix(const net::NetworkSpec &network,
                         interp::BackendKind backend =
-                            interp::BackendKind::Default);
+                            interp::BackendKind::Interpreter);
 
 } // namespace nol::traffic
 

@@ -125,65 +125,19 @@ TEST(CodegenLowering, PreparedModuleMatchesFunctionTable)
 
 TEST(CodegenLowering, BackendKindParsesAndNames)
 {
-    interp::BackendKind kind = interp::BackendKind::Default;
-    EXPECT_TRUE(interp::parseBackendKind("interp", &kind));
+    // Every run defaults to the interpreter.
+    interp::BackendKind kind = SystemConfig{}.backend;
     EXPECT_EQ(kind, interp::BackendKind::Interpreter);
     EXPECT_TRUE(interp::parseBackendKind("native", &kind));
     EXPECT_EQ(kind, interp::BackendKind::NativeC);
-    EXPECT_TRUE(interp::parseBackendKind("default", &kind));
-    EXPECT_EQ(kind, interp::BackendKind::Default);
+    EXPECT_TRUE(interp::parseBackendKind("interp", &kind));
+    EXPECT_EQ(kind, interp::BackendKind::Interpreter);
+    EXPECT_FALSE(interp::parseBackendKind("default", &kind));
     EXPECT_FALSE(interp::parseBackendKind("jit", &kind));
     EXPECT_STREQ(interp::backendKindName(interp::BackendKind::NativeC),
                  "native-c");
-}
-
-// ---------------------------------------------------------------------------
-// Backend selection plumbing
-// ---------------------------------------------------------------------------
-
-TEST(CodegenSelection, CompileRequestBackendReachesProgram)
-{
-    WorkloadSpec spec = makeChess(2);
-    core::CompileRequest req;
-    req.name = spec.id;
-    req.source = spec.source;
-    req.profilingInput = spec.profilingInput;
-    req.backend = interp::BackendKind::NativeC;
-    core::Program prog = core::Program::compile(req);
-    EXPECT_EQ(prog.compiled().backend, interp::BackendKind::NativeC);
-
-    // The program preference is live: a Default-config run of this
-    // program uses the native backend and still matches the interpreter.
-    ASSERT_TRUE(codegen::toolchainAvailable());
-    RunReport native_report =
-        prog.run(backendConfig(interp::BackendKind::Default, false),
-                 evalInput(spec));
-    RunReport interp_report =
-        prog.run(backendConfig(interp::BackendKind::Interpreter, false),
-                 evalInput(spec));
-    expectIdentical(interp_report, native_report);
-}
-
-TEST(CodegenSelection, SystemConfigOverridesProgramPreference)
-{
-    WorkloadSpec spec = makeChess(2);
-    core::CompileRequest req;
-    req.name = spec.id;
-    req.source = spec.source;
-    req.profilingInput = spec.profilingInput;
-    req.backend = interp::BackendKind::NativeC;
-    core::Program prog = core::Program::compile(req);
-
-    // Forcing the interpreter at run time must work even for a program
-    // compiled with a native preference — the interpreter stays
-    // selectable as the reference semantics.
-    RunReport a = prog.run(
-        backendConfig(interp::BackendKind::Interpreter, false),
-        evalInput(spec));
-    RunReport b = prog.run(
-        backendConfig(interp::BackendKind::Interpreter, false),
-        evalInput(spec));
-    expectIdentical(a, b);
+    EXPECT_STREQ(interp::backendKindName(interp::BackendKind::Interpreter),
+                 "interp");
 }
 
 // ---------------------------------------------------------------------------

@@ -89,18 +89,20 @@ TEST(faults, SameSeedSameEventTrace)
 
 TEST(faults, DisabledPlanMatchesPlainTransfer)
 {
-    net::SimNetwork plain(net::makeWifi80211n());
     net::SimNetwork injected(net::makeWifi80211n());
     injected.setFaultPlan({}); // disabled
+    uint64_t sent = 0;
     for (uint64_t bytes : {64ull, 4096ull, 1000000ull}) {
-        double a = plain.transfer(net::Direction::MobileToServer, bytes);
         net::TransferResult r = injected.tryTransfer(
             net::Direction::MobileToServer, bytes);
         EXPECT_EQ(static_cast<int>(r.outcome),
                   static_cast<int>(net::TransferOutcome::Delivered));
-        EXPECT_DOUBLE_EQ(a, r.ns);
+        // Exactly the closed-form clean-link duration, bit for bit.
+        EXPECT_EQ(r.ns, injected.transferTimeNs(bytes));
+        sent += bytes;
     }
-    EXPECT_EQ(plain.totalBytes(), injected.totalBytes());
+    EXPECT_EQ(injected.totalBytes(), sent);
+    EXPECT_TRUE(injected.faultEvents().empty());
 }
 
 TEST(faults, DisconnectAtMessageTakesLinkDown)
@@ -173,30 +175,26 @@ TEST(faults, DisconnectAtByteAndReconnect)
 
 TEST(faults, BackoffIsBoundedExponential)
 {
-    RetryPolicy policy;
-    policy.baseBackoffNs = 1e6;
-    policy.backoffMultiplier = 2.0;
-    policy.maxBackoffNs = 8e6;
-    EXPECT_DOUBLE_EQ(policy.backoffNs(0), 1e6);
-    EXPECT_DOUBLE_EQ(policy.backoffNs(1), 2e6);
-    EXPECT_DOUBLE_EQ(policy.backoffNs(2), 4e6);
-    EXPECT_DOUBLE_EQ(policy.backoffNs(3), 8e6);  // hits the cap
-    EXPECT_DOUBLE_EQ(policy.backoffNs(4), 8e6);  // stays capped
-    EXPECT_DOUBLE_EQ(policy.backoffNs(60), 8e6); // no overflow blowup
+    // 1 ms, doubling per retry, capped at 64 ms.
+    EXPECT_DOUBLE_EQ(retryBackoffNs(0), 1e6);
+    EXPECT_DOUBLE_EQ(retryBackoffNs(1), 2e6);
+    EXPECT_DOUBLE_EQ(retryBackoffNs(2), 4e6);
+    EXPECT_DOUBLE_EQ(retryBackoffNs(5), 32e6);
+    EXPECT_DOUBLE_EQ(retryBackoffNs(6), 64e6);  // hits the cap
+    EXPECT_DOUBLE_EQ(retryBackoffNs(7), 64e6);  // stays capped
+    EXPECT_DOUBLE_EQ(retryBackoffNs(60), 64e6); // no overflow blowup
     // Monotone nondecreasing.
     for (uint32_t i = 0; i + 1 < 20; ++i)
-        EXPECT_LE(policy.backoffNs(i), policy.backoffNs(i + 1));
+        EXPECT_LE(retryBackoffNs(i), retryBackoffNs(i + 1));
 }
 
 TEST(faults, TimeoutCoversExpectedTransfer)
 {
-    RetryPolicy policy;
-    policy.timeoutMultiplier = 2.0;
-    policy.timeoutGraceNs = 1e6;
-    EXPECT_DOUBLE_EQ(policy.timeoutNs(0.0), 1e6);
-    EXPECT_DOUBLE_EQ(policy.timeoutNs(5e6), 11e6);
+    // Twice the expected transfer plus 1 ms of ack-wait slack.
+    EXPECT_DOUBLE_EQ(retryTimeoutNs(0.0), 1e6);
+    EXPECT_DOUBLE_EQ(retryTimeoutNs(5e6), 11e6);
     for (double expected : {1e3, 1e6, 1e9})
-        EXPECT_GT(policy.timeoutNs(expected), expected);
+        EXPECT_GT(retryTimeoutNs(expected), expected);
 }
 
 // ---------------------------------------------------------------------------

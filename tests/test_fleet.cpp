@@ -511,7 +511,7 @@ runFleetCache(const compiler::CompiledProgram &prog, SystemConfig cfg,
               size_t n, bool cache_on, const RunInput &input)
 {
     cfg.pageCacheEnabled = cache_on;
-    ServerRuntime server(prog, AdmissionConfig{}, PageCachePolicy{});
+    ServerRuntime server(prog);
     return server.run(makeClients(n, cfg, input));
 }
 
@@ -597,7 +597,7 @@ TEST(FleetPageCache, SingleClientCacheOnIsBitIdenticalToSolo)
         RunReport solo_report = solo.run(caseInput(c));
 
         cfg.pageCacheEnabled = true;
-        ServerRuntime server(prog, AdmissionConfig{}, PageCachePolicy{});
+        ServerRuntime server(prog);
         FleetClient client;
         client.name = "c0";
         client.config = cfg;
@@ -723,39 +723,8 @@ class GoldenText
     std::string text_;
 };
 
-/** Every field runtime::reportsBitIdentical compares, in its order. */
-void
-addRunReport(GoldenText &t, const RunReport &r)
-{
-    const TimeBreakdown &b = r.breakdown;
-    t.add(r.exitValue, r.console, r.mobileSeconds, r.energyMillijoules);
-    t.add(b.mobileCompute, b.serverCompute, b.fnPtrTranslation, b.remoteIo,
-          b.communication);
-    t.add(r.wireBytes, r.rawBytes, r.bytesByCategory.size());
-    for (const auto &[category, bytes] : r.bytesByCategory)
-        t.add(category, bytes);
-    t.add(r.offloads, r.localRuns, r.demandFaults, r.retries, r.failovers);
-    t.add(r.admissionWaits, r.admissionDenials, r.admissionWaitSeconds);
-    t.add(r.digestHandshakes, r.prefetchPagesSent, r.prefetchPagesCached);
-    t.add(r.coldStartOffloads, r.queueAvoidedLocals, r.priorsSeededTargets);
-    t.add(r.decisions.size());
-    for (const decision::DecisionRecord &d : r.decisions) {
-        t.add(d.target, d.sequence, d.nowSeconds, d.verdict, d.offload,
-              d.suppressed, d.probe);
-    }
-    t.add(r.events.size());
-    for (const OffloadEvent &e : r.events) {
-        t.add(e.target, e.offloaded, e.ideal, e.failedOver, e.suppressed,
-              e.overflow, e.queueAvoided, e.estimatedGain, e.trafficBytes,
-              e.rawTrafficBytes, e.serverSeconds);
-    }
-    t.add(r.powerTimeline.size());
-    for (const sim::PowerSegment &s : r.powerTimeline)
-        t.add(s.startNs, s.endNs, s.state, s.milliwatts);
-}
-
 /** Digest of a whole fleet run: the aggregates, each client's timing
- *  and every RunReport field reportsBitIdentical compares. */
+ *  and each client's runtime::reportText. */
 std::string
 fleetDigest(const FleetReport &f)
 {
@@ -777,33 +746,34 @@ fleetDigest(const FleetReport &f)
     t.add(f.clients.size());
     for (const FleetClientResult &client : f.clients) {
         t.add(client.name, client.startSeconds, client.finishSeconds,
-              client.latencySeconds);
-        addRunReport(t, client.report);
+              client.latencySeconds, reportText(client.report));
     }
     return codegen::contentDigest(t.str());
 }
 
 /**
- * Digests of the FIFO sweep below, captured while the pre-refactor
- * inline FIFO queue still existed and was asserted bit-identical to
- * the policy-interface FIFO in every cell. They pin admission (and
- * everything it feeds) now that the inline queue is gone. A change
- * meant to alter these runs updates them from the digests the failing
- * test prints, and says why.
+ * Digests of the FIFO sweep below. The runs they hash were first
+ * pinned while the pre-refactor inline FIFO queue still existed and was
+ * asserted bit-identical to the policy-interface FIFO in every cell;
+ * these values re-hash the same runs through runtime::reportText, on
+ * the runtime that still matched those first digests. They pin
+ * admission (and everything it feeds). A change meant to alter these
+ * runs updates them from the digests the failing test prints, and says
+ * why.
  */
 const std::map<std::string, std::string> kFifoSweepGolden = {
-    {"compute @802.11ac", "771a2029fa335868"},
-    {"compute @802.11ac +faults", "eb055aa45a5e30aa"},
-    {"compute @802.11n", "e5e3c67d16d7ff15"},
-    {"compute @802.11n +faults", "b5820a653dd583e9"},
-    {"remote-io @802.11ac", "c2d6ca57268429ed"},
-    {"remote-io @802.11ac +faults", "9f87e7190fcd267d"},
-    {"remote-io @802.11n", "9fd1c4908531ede9"},
-    {"remote-io @802.11n +faults", "a8d559553a1d3434"},
-    {"globals @802.11ac", "bc986b383f5f7d81"},
-    {"globals @802.11ac +faults", "1f9b9d4a12e3f899"},
-    {"globals @802.11n", "eea5fcc15e4d8283"},
-    {"globals @802.11n +faults", "769ed626c6c22dee"},
+    {"compute @802.11ac", "ca99d61296303172"},
+    {"compute @802.11ac +faults", "179931f2a39ac2fb"},
+    {"compute @802.11n", "cc059d004d4c6d92"},
+    {"compute @802.11n +faults", "02d3128ff561fab1"},
+    {"remote-io @802.11ac", "586fa2a495f956e8"},
+    {"remote-io @802.11ac +faults", "990c25b3e903948d"},
+    {"remote-io @802.11n", "5ef5575a36a9ed9b"},
+    {"remote-io @802.11n +faults", "3b1dbfcccec256b9"},
+    {"globals @802.11ac", "beb5665d867ab6f0"},
+    {"globals @802.11ac +faults", "ddcfe4919ddd35ce"},
+    {"globals @802.11n", "54aeea32db813f9b"},
+    {"globals @802.11n +faults", "d7d0976883039b5a"},
 };
 
 } // namespace

@@ -195,22 +195,6 @@ TEST(PageCacheUnit, ReinsertRefreshesLruInsteadOfDuplicating)
     EXPECT_FALSE(cache.contains(db));
 }
 
-TEST(PageCacheUnit, InvalidateDropsOneEntry)
-{
-    PageCache cache(4);
-    std::vector<uint8_t> a = patternPage(1), b = patternPage(2);
-    sim::PageDigest da = sim::digestPage(a.data());
-    sim::PageDigest db = sim::digestPage(b.data());
-    cache.insert(da, a.data());
-    cache.insert(db, b.data());
-
-    cache.invalidate(da);
-    cache.invalidate(da); // idempotent
-    EXPECT_FALSE(cache.contains(da));
-    EXPECT_TRUE(cache.contains(db));
-    EXPECT_EQ(cache.pages(), 1u);
-}
-
 // A page one session dirties gets a *new* digest: the old entry keeps
 // serving sessions that still hold (and re-offer) the old content —
 // content addressing needs no cross-session invalidation protocol.
@@ -322,8 +306,7 @@ TEST(PageCacheFleet, HaveNeedHandshakeSharesIdenticalPages)
     ServerRuntime server_off(prog);
     FleetReport off = server_off.run(sameBinaryClients(2, false));
 
-    PageCachePolicy cache_policy;
-    ServerRuntime server_on(prog, AdmissionConfig{}, cache_policy);
+    ServerRuntime server_on(prog);
     FleetReport on = server_on.run(sameBinaryClients(2, true));
 
     // Identical results per client, cache on or off.
@@ -366,26 +349,13 @@ TEST(PageCacheFleet, HaveNeedHandshakeSharesIdenticalPages)
 TEST(PageCacheFleet, SoloClientNeverActivatesTheCache)
 {
     compiler::CompiledProgram prog = compileCompute();
-    PageCachePolicy cache_policy;
-    ServerRuntime server(prog, AdmissionConfig{}, cache_policy);
+    ServerRuntime server(prog);
     // The client opts in, but a 1-client fleet has nobody to share
-    // with: the legacy path must run (bit-identity with PR 2).
+    // with: its prefetch pages are pushed directly.
     FleetReport fleet = server.run(sameBinaryClients(1, true));
     EXPECT_FALSE(server.cacheActive());
     EXPECT_EQ(fleet.cache.lookups, 0u);
     EXPECT_EQ(fleet.clients.at(0).report.digestHandshakes, 0u);
     EXPECT_EQ(categoryBytes(fleet, "digest"), 0u);
     EXPECT_GT(fleet.clients.at(0).report.prefetchPagesSent, 0u);
-}
-
-TEST(PageCacheFleet, DisabledPolicyKeepsCacheInert)
-{
-    compiler::CompiledProgram prog = compileCompute();
-    PageCachePolicy cache_policy;
-    cache_policy.enabled = false;
-    ServerRuntime server(prog, AdmissionConfig{}, cache_policy);
-    FleetReport fleet = server.run(sameBinaryClients(2, true));
-    EXPECT_FALSE(server.cacheActive());
-    EXPECT_EQ(fleet.cache.lookups, 0u);
-    EXPECT_EQ(categoryBytes(fleet, "digest"), 0u);
 }

@@ -149,8 +149,8 @@ TEST(Network, ScaleDividesBandwidth)
 TEST(Network, StatsAccumulate)
 {
     net::SimNetwork net(net::makeWifi80211ac());
-    net.transfer(net::Direction::MobileToServer, 1000);
-    net.transfer(net::Direction::ServerToMobile, 500);
+    net.tryTransfer(net::Direction::MobileToServer, 1000);
+    net.tryTransfer(net::Direction::ServerToMobile, 500);
     EXPECT_EQ(net.toServer().bytes, 1000u);
     EXPECT_EQ(net.toMobile().bytes, 500u);
     EXPECT_EQ(net.totalBytes(), 1500u);

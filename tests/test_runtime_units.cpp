@@ -364,9 +364,7 @@ TEST(Comm, CertainDropExhaustsBudgetAndThrows)
     plan.enabled = true;
     plan.dropRate = 1.0;
     fix.network.setFaultPlan(plan);
-    RetryPolicy policy;
-    policy.maxAttempts = 3;
-    CommManager comm(fix.mobile, fix.server, fix.network, true, policy);
+    CommManager comm(fix.mobile, fix.server, fix.network, true);
 
     double before = fix.mobile.nowNs();
     bool threw = false;
@@ -380,9 +378,11 @@ TEST(Comm, CertainDropExhaustsBudgetAndThrows)
     }
     ASSERT_TRUE(threw);
     EXPECT_EQ(comm.totalFailures(), 1u);
-    EXPECT_EQ(comm.totalRetries(), 2u); // 3 attempts = 2 retries
-    // 3 dropped sends burned the radio.
-    EXPECT_EQ(comm.totals().at(CommCategory::Prefetch).retryWireBytes, 3000u);
+    // Every attempt after the first is a retry.
+    EXPECT_EQ(comm.totalRetries(), kMaxAttempts - 1);
+    // Every dropped send burned the radio.
+    EXPECT_EQ(comm.totals().at(CommCategory::Prefetch).retryWireBytes,
+              kMaxAttempts * 1000u);
     // Time moved forward: sends + timeouts + backoffs.
     EXPECT_GT(fix.mobile.nowNs(), before);
     // The logical message itself was never delivered.
@@ -396,9 +396,7 @@ TEST(Comm, LinkDownFailureIsFlagged)
     plan.enabled = true;
     plan.disconnectAtMessage = 1;
     fix.network.setFaultPlan(plan);
-    RetryPolicy policy;
-    policy.maxAttempts = 4;
-    CommManager comm(fix.mobile, fix.server, fix.network, true, policy);
+    CommManager comm(fix.mobile, fix.server, fix.network, true);
 
     try {
         comm.sendToServer(512, CommCategory::Control);
@@ -409,7 +407,7 @@ TEST(Comm, LinkDownFailureIsFlagged)
     EXPECT_FALSE(fix.network.linkUp());
     // A dead link burns no payload bytes (nothing was serialized).
     EXPECT_EQ(comm.totals().at(CommCategory::Control).retryWireBytes, 0u);
-    EXPECT_EQ(comm.totalRetries(), 3u);
+    EXPECT_EQ(comm.totalRetries(), kMaxAttempts - 1);
 }
 
 TEST(Comm, ReconnectWithinBudgetDelivers)

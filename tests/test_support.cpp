@@ -77,45 +77,6 @@ TEST(Rng, UniformInUnitInterval)
     EXPECT_NEAR(sum / 10000, 0.5, 0.02);
 }
 
-TEST(Stats, AddAndGet)
-{
-    StatRegistry stats;
-    stats.add("net.bytes", 100);
-    stats.add("net.bytes", 50);
-    EXPECT_DOUBLE_EQ(stats.get("net.bytes"), 150);
-    EXPECT_DOUBLE_EQ(stats.get("missing"), 0);
-    EXPECT_TRUE(stats.has("net.bytes"));
-    EXPECT_FALSE(stats.has("missing"));
-}
-
-TEST(Stats, SetOverwrites)
-{
-    StatRegistry stats;
-    stats.add("x", 5);
-    stats.set("x", 2);
-    EXPECT_DOUBLE_EQ(stats.get("x"), 2);
-}
-
-TEST(Stats, ClearKeepsNames)
-{
-    StatRegistry stats;
-    stats.add("a", 1);
-    stats.clear();
-    EXPECT_TRUE(stats.has("a"));
-    EXPECT_DOUBLE_EQ(stats.get("a"), 0);
-}
-
-TEST(Stats, EntriesSorted)
-{
-    StatRegistry stats;
-    stats.add("b", 1);
-    stats.add("a", 2);
-    auto entries = stats.entries();
-    ASSERT_EQ(entries.size(), 2u);
-    EXPECT_EQ(entries[0].name, "a");
-    EXPECT_EQ(entries[1].name, "b");
-}
-
 TEST(Percentile, NearestRankMatchesHandComputedRanks)
 {
     // 10 sorted values. The epsilon nudge keeps p*n landing exactly on

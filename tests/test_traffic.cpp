@@ -106,8 +106,9 @@ TEST(Trace, ZipfWeightsNormalizedAndDecreasing)
     double total = 0;
     for (size_t i = 0; i < weights.size(); ++i) {
         total += weights[i];
-        if (i > 0)
+        if (i > 0) {
             EXPECT_LT(weights[i], weights[i - 1]);
+        }
     }
     EXPECT_NEAR(total, 1.0, 1e-12);
 }

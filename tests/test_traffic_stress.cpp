@@ -62,7 +62,8 @@ TEST(TrafficStress, TwoThousandArrivalsSustain)
         const QueueDepthSample &sample = report.queueDepth[i];
         EXPECT_LE(sample.queueDepth, report.peakQueueDepth);
         EXPECT_LE(sample.activeSessions, report.peakConcurrentSessions);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(sample.seconds, report.queueDepth[i - 1].seconds);
+        }
     }
 }

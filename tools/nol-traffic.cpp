@@ -10,7 +10,7 @@
  *               spjf|fair] [--process poisson|diurnal] [--seed S]
  *               [--churn F] [--alpha A] [--slots K] [--autoscale]
  *               [--network 802.11n|802.11ac] [--mix builtin|suite]
- *               [--backend default|interp|native] [--dump-trace]
+ *               [--backend interp|native] [--dump-trace]
  *
  * --mix suite swaps the three-class built-in mix for the full
  * 17-program SPEC-shaped evaluation suite (one traffic class per
@@ -40,7 +40,8 @@ usage(const char *argv0)
         "usage: %s [--arrivals N] [--rate R] [--policy fifo|priority|"
         "spjf|fair]\n           [--process poisson|diurnal] [--seed S] "
         "[--churn F] [--alpha A]\n           [--slots K] [--autoscale] "
-        "[--network 802.11n|802.11ac]\n           [--dump-trace]\n",
+        "[--network 802.11n|802.11ac]\n           [--mix builtin|suite] "
+        "[--backend interp|native] [--dump-trace]\n",
         argv0);
     std::exit(2);
 }
@@ -58,7 +59,7 @@ main(int argc, char **argv)
     admission.maxQueueWaitSeconds = 1e9;
     std::string network_name = "802.11ac";
     std::string mix_name = "builtin";
-    interp::BackendKind backend = interp::BackendKind::Default;
+    interp::BackendKind backend = interp::BackendKind::Interpreter;
     bool dump_trace = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -84,7 +85,7 @@ main(int argc, char **argv)
             admission.maxConcurrentSessions =
                 static_cast<uint32_t>(std::atoi(value()));
         else if (arg == "--autoscale")
-            admission.autoscale.enabled = true;
+            admission.autoscale = true;
         else if (arg == "--network")
             network_name = value();
         else if (arg == "--mix")
