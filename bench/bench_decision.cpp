@@ -123,9 +123,7 @@ main()
     base_cfg.network = net::makeWifi80211ac();
     base_cfg.memScale = spec->memScale;
 
-    runtime::RunInput input;
-    input.stdinText = spec->evalInput.stdinText;
-    input.files = spec->evalInput.files;
+    const runtime::RunInput &input = spec->evalInput;
 
     std::fprintf(stderr, "  [decision] solo reference run ...\n");
     runtime::RunReport solo = prog.run(base_cfg, input);

@@ -77,8 +77,7 @@ runFleetCell(const core::Program &prog,
         runtime::FleetClient client;
         client.name = "client-" + std::to_string(i);
         client.config = cfg;
-        client.input.stdinText = spec.evalInput.stdinText;
-        client.input.files = spec.evalInput.files;
+        client.input = spec.evalInput;
         // Staggered arrivals (0.5 ms apart): devices are never
         // perfectly synchronized.
         client.startSeconds = static_cast<double>(i) * 0.0005;
@@ -142,9 +141,7 @@ timeSoloRun(const core::Program &prog, const workloads::WorkloadSpec &spec,
     // backend replaces. Offloaded configurations dilute the ratio
     // with network/paging simulation that both backends share.
     cfg.forceLocal = true;
-    runtime::RunInput input;
-    input.stdinText = spec.evalInput.stdinText;
-    input.files = spec.evalInput.files;
+    const runtime::RunInput &input = spec.evalInput;
 
     double best = 0;
     for (int r = 0; r < reps; ++r) {

@@ -48,9 +48,7 @@ main()
         desk_req.profilingInput = chess.profilingInput;
         desk_req.mobileSpec = arch::makeX86_64();
         core::Program desk_prog = core::Program::compile(desk_req);
-        runtime::RunInput input;
-        input.stdinText = chess.evalInput.stdinText;
-        runtime::RunReport desk = desk_prog.runLocal(input);
+        runtime::RunReport desk = desk_prog.runLocal(chess.evalInput);
 
         phone_s.push_back(phone.mobileSeconds);
         desktop_s.push_back(desk.mobileSeconds);

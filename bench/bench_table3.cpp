@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "bench/benchlib.hpp"
-#include "compiler/estimator.hpp"
+#include "decision/model.hpp"
 #include "support/strings.hpp"
 
 using namespace nol;
@@ -40,12 +40,12 @@ main()
         {"getPlayerTurn", 1.5, 3, 10, 1.2, 6.0, -4.8},
     };
 
-    EstimatorParams params{5.0, 80.0};
+    decision::ModelParams params{5.0, 80.0};
     TextTable golden;
     golden.header({"Candidate", "Exec(s)", "Invo", "Mem(MB)", "Tideal",
                    "Tc", "Tg", "paper Tg"});
     for (const PaperRow &row : kPaperRows) {
-        Estimate est = estimateGain(
+        decision::Terms est = decision::evaluate(
             row.exec_s, static_cast<uint64_t>(row.mem_mb * 1e6),
             static_cast<uint64_t>(row.invocations), params);
         golden.row({row.name, fixed(row.exec_s, 1),

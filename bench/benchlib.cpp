@@ -36,17 +36,8 @@ WorkloadRuns::primaryTrafficMb(const runtime::RunReport &report) const
 core::Program
 compileWorkload(const workloads::WorkloadSpec &spec, bool fieldSensitive)
 {
-    core::CompileRequest req;
-    req.name = spec.id;
-    req.source = spec.source;
-    req.profilingInput = spec.profilingInput;
+    core::CompileRequest req = workloads::evaluationRequest(spec);
     req.fieldSensitiveAnalysis = fieldSensitive;
-    // The compiler's static estimator is deliberately generous: it
-    // assumes the best network the deployment might see (802.11ac),
-    // scaled consistently with the workload's byte counts. Generating
-    // the offloading-enabled code is cheap — the runtime's dynamic
-    // estimator makes the real call per invocation (paper Sec. 4).
-    req.staticBandwidthMbps = 844.0 / spec.memScale;
     return core::Program::compile(req);
 }
 
@@ -54,10 +45,7 @@ runtime::RunReport
 runConfig(const core::Program &program, const workloads::WorkloadSpec &spec,
           const runtime::SystemConfig &config)
 {
-    runtime::RunInput input;
-    input.stdinText = spec.evalInput.stdinText;
-    input.files = spec.evalInput.files;
-    return program.run(config, input);
+    return program.run(config, spec.evalInput);
 }
 
 std::vector<WorkloadRuns>

@@ -30,16 +30,9 @@ main()
     const workloads::WorkloadSpec *spec =
         workloads::workloadById("164.gzip");
 
-    core::CompileRequest request;
-    request.name = spec->id;
-    request.source = spec->source;
-    request.profilingInput = spec->profilingInput;
-    request.staticBandwidthMbps = 844.0 / spec->memScale;
-    core::Program program = core::Program::compile(request);
-
-    runtime::RunInput input;
-    input.stdinText = spec->evalInput.stdinText;
-    input.files = spec->evalInput.files;
+    core::Program program =
+        core::Program::compile(workloads::evaluationRequest(*spec));
+    const runtime::RunInput &input = spec->evalInput;
 
     runtime::SystemConfig local_cfg;
     local_cfg.forceLocal = true;

@@ -37,8 +37,7 @@ main()
         request.profilingInput = chess.profilingInput;
         core::Program program = core::Program::compile(request);
 
-        runtime::RunInput input;
-        input.stdinText = chess.evalInput.stdinText;
+        const runtime::RunInput &input = chess.evalInput;
 
         runtime::RunReport local = program.runLocal(input);
         runtime::RunReport off =

@@ -347,14 +347,14 @@ runBrokenCorpus()
 }
 
 std::vector<CorpusRepairOutcome>
-runBrokenCorpusWithRepair(const RepairOptions &options)
+runBrokenCorpusWithRepair()
 {
     std::vector<CorpusRepairOutcome> outcomes;
     std::vector<CorpusCase> corpus = buildBrokenCorpus();
     for (CorpusCase &c : corpus) {
         CorpusRepairOutcome outcome;
         outcome.name = c.name;
-        outcome.report = repairPartition(c.repairInput(), options);
+        outcome.report = repairPartition(c.repairInput());
         outcomes.push_back(std::move(outcome));
     }
     return outcomes;

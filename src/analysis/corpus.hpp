@@ -89,9 +89,8 @@ struct CorpusRepairOutcome {
 };
 
 /** Run the verify→repair fixpoint over every corpus case; each case
- *  must converge to 0 diagnostics within options.maxIterations. */
-std::vector<CorpusRepairOutcome>
-runBrokenCorpusWithRepair(const RepairOptions &options = {});
+ *  must converge to 0 diagnostics within kMaxRepairIterations. */
+std::vector<CorpusRepairOutcome> runBrokenCorpusWithRepair();
 
 } // namespace nol::analysis
 

@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "analysis/taint.hpp"
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
 
@@ -59,7 +60,7 @@ checkMachineSpecific(const PartitionCheckInput &input,
                      DiagnosticEngine &engine)
 {
     AttributeResult taint =
-        machineSpecificTaint(*input.server, pts, input.policy);
+        machineSpecificTaint(*input.server, pts, TaintPolicy{});
     for (const ir::Function *root : roots) {
         const TaintWitness *witness = taint.witness(root);
         if (witness == nullptr)

@@ -28,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/taint.hpp"
 #include "ir/module.hpp"
 #include "support/diagnostic.hpp"
 
@@ -42,7 +41,6 @@ struct PartitionCheckInput {
     std::vector<std::string> targets;
     /** Declared function-pointer translation map (function names). */
     std::set<std::string> fptrMap;
-    TaintPolicy policy;
     /** Run the checks with the field-sensitive points-to solver and
      *  enforce per-field UVA marks on field-limited struct globals
      *  (default). Must match the mode the partition was compiled with

@@ -177,7 +177,7 @@ applyRepairs(const RepairInput &input, const DiagnosticEngine &engine,
 } // namespace
 
 RepairReport
-repairPartition(const RepairInput &input, const RepairOptions &options)
+repairPartition(const RepairInput &input)
 {
     NOL_ASSERT(input.mobile != nullptr && input.server != nullptr &&
                    input.targets != nullptr && input.fptrMap != nullptr,
@@ -191,10 +191,10 @@ repairPartition(const RepairInput &input, const RepairOptions &options)
             report.remaining = std::move(engine);
             return report;
         }
-        if (!options.enabled || report.iterations >= options.maxIterations ||
+        if (report.iterations >= kMaxRepairIterations ||
             !applyRepairs(input, engine, report)) {
-            // Disabled, out of budget, or nothing left we know how to
-            // fix — report the surviving diagnostics.
+            // Out of budget, or nothing left we know how to fix —
+            // report the surviving diagnostics.
             report.remaining = std::move(engine);
             return report;
         }

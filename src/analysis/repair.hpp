@@ -18,7 +18,7 @@
  *                            its body, which is the point: repair runs
  *                            verify → fix → re-verify to a fixpoint).
  *
- * The loop is bounded (RepairOptions::maxIterations); the report says
+ * The loop is bounded (kMaxRepairIterations); the report says
  * whether it converged to 0 diagnostics, what it changed, and hence
  * what the precision cost of shipping the repaired partition is.
  */
@@ -33,16 +33,10 @@
 
 namespace nol::analysis {
 
-/** Repair-loop configuration. */
-struct RepairOptions {
-    /** Master switch: off = verify once, repair nothing (the report
-     *  then just mirrors the verification verdict). */
-    bool enabled = true;
-    /** Fixpoint cap: maximum verify→repair rounds. Every action list
-     *  in the corpus converges within 3; the cap only guards against
-     *  an unrepairable diagnostic ping-ponging. */
-    size_t maxIterations = 8;
-};
+/** Fixpoint cap: maximum verify→repair rounds. Every action list in
+ *  the corpus converges within 3; the cap only guards against an
+ *  unrepairable diagnostic ping-ponging. */
+constexpr size_t kMaxRepairIterations = 8;
 
 /** The mutable half of a partition the repair loop may rewrite. */
 struct RepairInput {
@@ -52,7 +46,6 @@ struct RepairInput {
     std::vector<std::string> *targets = nullptr;
     /** Function-pointer translation map; repair may extend/shrink it. */
     std::set<std::string> *fptrMap = nullptr;
-    TaintPolicy policy;
     bool fieldSensitive = true;
 
     /** The verifier view of the current (possibly repaired) state. */
@@ -63,7 +56,6 @@ struct RepairInput {
         in.server = server;
         in.targets = *targets;
         in.fptrMap = *fptrMap;
-        in.policy = policy;
         in.fieldSensitive = fieldSensitive;
         return in;
     }
@@ -81,7 +73,7 @@ struct RepairAction {
 struct RepairReport {
     /** Reached 0 diagnostics (errors *and* warnings) within the cap. */
     bool converged = false;
-    /** Verify passes run (1 = already clean / repair disabled). */
+    /** Verify passes run (1 = already clean). */
     size_t iterations = 0;
     std::vector<RepairAction> actions;
 
@@ -101,12 +93,8 @@ struct RepairReport {
     size_t totalActions() const { return actions.size(); }
 };
 
-/**
- * Run the bounded verify → repair fixpoint over @p input. With
- * options.enabled == false this is a single verification pass.
- */
-RepairReport repairPartition(const RepairInput &input,
-                             const RepairOptions &options = {});
+/** Run the bounded verify → repair fixpoint over @p input. */
+RepairReport repairPartition(const RepairInput &input);
 
 } // namespace nol::analysis
 

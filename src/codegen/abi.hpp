@@ -22,9 +22,10 @@ struct NolVal {
 
 /**
  * One run-length-encoded charge: @p count consecutive executions of an
- * instruction costing @p cost units. @p kind selects the ArchSpec
- * scale applied at charge time (0 none, 1 arith, 2 mem) — scales are
- * read per-occurrence because runIdeal swaps them mid-run.
+ * instruction costing @p cost units. @p kind is the sim::CostKind
+ * selecting the ArchSpec scale applied at charge time (0 none,
+ * 1 arith, 2 mem) — scales are read per-occurrence because runIdeal
+ * swaps them mid-run.
  */
 struct NolChargeItem {
     uint32_t cost;

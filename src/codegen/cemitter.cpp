@@ -105,7 +105,7 @@ f64Lit(double d)
 /** One pending per-occurrence charge, before RLE compression. */
 struct Charge {
     uint32_t cost;
-    uint32_t kind; // 0 plain, 1 arith-scaled, 2 mem-scaled
+    uint32_t kind; ///< a sim::CostKind value
 };
 
 class Emitter
@@ -125,13 +125,9 @@ class Emitter
     /** Queue the cost-model charge for one execution of @p inst. */
     void pushCharge(const ir::Instruction *inst)
     {
-        uint32_t kind = 0;
-        if (sim::isArithHeavy(inst->op()))
-            kind = 1;
-        else if (sim::isMemHeavy(inst->op()))
-            kind = 2;
         pending_.push_back(
-            {static_cast<uint32_t>(sim::opcodeCost(inst->op())), kind});
+            {static_cast<uint32_t>(sim::opcodeCost(inst->op())),
+             static_cast<uint32_t>(sim::costKind(inst->op()))});
     }
 
     /**

@@ -132,18 +132,10 @@ NativeExec::chargeThunk(NolCtx *ctx, const NolChargeItem *items, uint32_t n,
         if (item.count > kStepLimit - self->steps_)
             panic("step limit exceeded in %s", self->fnName(fn_id));
         self->steps_ += item.count;
-        uint64_t cost = item.cost;
-        double scale = 1.0;
-        if (item.kind == 1)
-            scale = m.spec().arithCostScale;
-        else if (item.kind == 2)
-            scale = m.spec().memCostScale;
-        if (scale != 1.0) {
-            cost = std::max<uint64_t>(
-                1,
-                static_cast<uint64_t>(static_cast<double>(cost) * scale));
-        }
-        m.advanceComputeRepeat(cost, item.count);
+        m.advanceComputeRepeat(
+            sim::scaledCost(item.cost, static_cast<sim::CostKind>(item.kind),
+                            m.spec()),
+            item.count);
     }
 }
 
@@ -152,18 +144,10 @@ NativeExec::chargeOne(uint32_t cost_kind, uint32_t fn_id)
 {
     if (++steps_ > kStepLimit)
         panic("step limit exceeded in %s", fnName(fn_id));
-    uint64_t cost = cost_kind >> 2;
-    uint32_t kind = cost_kind & 3;
-    double scale = 1.0;
-    if (kind == 1)
-        scale = machine_.spec().arithCostScale;
-    else if (kind == 2)
-        scale = machine_.spec().memCostScale;
-    if (scale != 1.0) {
-        cost = std::max<uint64_t>(
-            1, static_cast<uint64_t>(static_cast<double>(cost) * scale));
-    }
-    machine_.advanceCompute(cost);
+    machine_.advanceCompute(
+        sim::scaledCost(cost_kind >> 2,
+                        static_cast<sim::CostKind>(cost_kind & 3),
+                        machine_.spec()));
 }
 
 uint64_t
@@ -191,13 +175,8 @@ NativeExec::externalCall(const ir::Instruction *site,
                          const ir::Function *callee, NolVal *args,
                          uint32_t n)
 {
-    uint64_t cost = sim::externalBaseCost(callee->name());
-    if (sim::isMathBuiltin(callee->name())) {
-        cost = std::max<uint64_t>(
-            1, static_cast<uint64_t>(static_cast<double>(cost) *
-                                     machine_.spec().arithCostScale));
-    }
-    machine_.advanceCompute(cost);
+    machine_.advanceCompute(
+        sim::builtinCallCost(callee->name(), machine_.spec()));
     std::vector<RtVal> vec(n);
     for (uint32_t i = 0; i < n; ++i) {
         vec[i].i = args[i].i;
@@ -221,9 +200,7 @@ NativeExec::callIndirectThunk(NolCtx *ctx, uint64_t target, uint32_t site,
                               NolVal *args, uint32_t n)
 {
     auto *self = static_cast<NativeExec *>(ctx->host);
-    ++self->indirect_calls_;
-    if (self->indirect_extra_cost_ > 0)
-        self->machine_.advanceCompute(self->indirect_extra_cost_);
+    self->chargeIndirectCall();
 
     ir::Function *callee = self->image_.functionAt(target);
     if (callee == nullptr) {

@@ -29,12 +29,9 @@ compileForOffload(std::unique_ptr<ir::Module> module,
     CompiledProgram out;
     out.mobileSpec = options.mobileSpec;
     out.serverSpec = options.serverSpec;
-    out.estimatorParams = options.estimator;
-    if (out.estimatorParams.speedRatio <= 0) {
-        out.estimatorParams.speedRatio =
-            options.mobileSpec.nsPerCostUnit /
-            options.serverSpec.nsPerCostUnit;
-    }
+    out.estimatorParams.speedRatio =
+        options.mobileSpec.nsPerCostUnit / options.serverSpec.nsPerCostUnit;
+    out.estimatorParams.bandwidthMbps = options.staticBandwidthMbps;
 
     // 1. Hot function/loop profiling with the profiling input, from
     //    main() like every run.
@@ -82,8 +79,7 @@ verifyOffloadSafety(const CompiledProgram &prog)
 }
 
 analysis::RepairReport
-repairOffloadSafety(CompiledProgram &prog,
-                    const analysis::RepairOptions &options)
+repairOffloadSafety(CompiledProgram &prog)
 {
     std::vector<std::string> target_names;
     for (const PartitionedTarget &target : prog.partition.targets)
@@ -96,7 +92,7 @@ repairOffloadSafety(CompiledProgram &prog,
     input.fptrMap = &prog.partition.fptrMap;
     input.fieldSensitive = prog.unifyStats.fieldSensitive;
     analysis::RepairReport report =
-        analysis::repairPartition(input, options);
+        analysis::repairPartition(input);
 
     // Repair may have demoted targets; shrink the partition's list to
     // match so the runtime never dispatches a demoted target.

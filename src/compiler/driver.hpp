@@ -24,8 +24,9 @@ namespace nol::compiler {
 struct CompileOptions {
     arch::ArchSpec mobileSpec;
     arch::ArchSpec serverSpec;
-    /** Estimation parameters; speedRatio <= 0 derives it from the specs. */
-    EstimatorParams estimator{/*speedRatio=*/0.0, /*bandwidthMbps=*/80.0};
+    /** Bandwidth the static estimate assumes, in Mbps (Equation 1's
+     *  BW); its speed ratio R is derived from the two specs. */
+    double staticBandwidthMbps = 80.0;
     FilterConfig filter;
     profile::ProfileInput profilingInput;
     /** Run memory unification and partitioning with the field-
@@ -44,7 +45,7 @@ struct CompiledProgram {
     profile::ProfileResult profile;
     SelectionResult selection;
     UnifyStats unifyStats;
-    EstimatorParams estimatorParams;
+    EstimatorParams estimatorParams; ///< R and BW of the static estimate
     arch::ArchSpec mobileSpec;
     arch::ArchSpec serverSpec;
 
@@ -79,8 +80,7 @@ support::DiagnosticEngine verifyOffloadSafety(const CompiledProgram &prog);
  * and whether the loop converged to 0 diagnostics.
  */
 analysis::RepairReport
-repairOffloadSafety(CompiledProgram &prog,
-                    const analysis::RepairOptions &options = {});
+repairOffloadSafety(CompiledProgram &prog);
 
 } // namespace nol::compiler
 

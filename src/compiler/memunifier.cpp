@@ -2,6 +2,7 @@
 
 #include "analysis/pointsto.hpp"
 #include "frontend/builtins.hpp"
+#include "interp/loader.hpp"
 #include "ir/datalayout.hpp"
 #include "sim/pagedmemory.hpp"
 
@@ -203,26 +204,21 @@ escapedStackSlots(const ir::Module &module,
     return escaped;
 }
 
-/** Base of the UVA globals range (mirrors interp::kUvaGlobalBase). */
-constexpr uint64_t kUvaGlobalBase = 0x3000'0000ull;
-
-/** Replay the loader's UVA packing over @p referenced (module order,
- *  align max(natural, 8)) and return the page footprint — the static
- *  count of 4 KiB pages the UVA global region would span. */
+/** Pack @p referenced with the loader's UVA packing and return the
+ *  page footprint — the static count of 4 KiB pages the UVA global
+ *  region would span. */
 size_t
 uvaPageFootprint(const ir::Module &module, const ir::DataLayout &dl,
                  const std::set<const ir::GlobalVariable *> &referenced)
 {
-    uint64_t cursor = kUvaGlobalBase;
+    uint64_t cursor = sim::kUvaGlobalBase;
     for (const auto &gv : module.globals()) {
-        if (referenced.count(gv.get()) == 0)
-            continue;
-        uint64_t align = std::max<uint64_t>(dl.alignOf(gv->valueType()), 8);
-        cursor = ir::alignUp(cursor, align);
-        cursor += dl.sizeOf(gv->valueType());
+        if (referenced.count(gv.get()) != 0)
+            interp::packGlobal(cursor, *gv, dl);
     }
-    return static_cast<size_t>((cursor - kUvaGlobalBase + sim::kPageSize - 1) /
-                               sim::kPageSize);
+    return static_cast<size_t>(
+        (cursor - sim::kUvaGlobalBase + sim::kPageSize - 1) /
+        sim::kPageSize);
 }
 
 } // namespace

@@ -69,7 +69,9 @@ selectTargets(ir::Module &module, const profile::ProfileResult &prof,
             cand.machineSpecific = filter.isMachineSpecific(cand.fn);
             cand.filterReason = filter.reason(cand.fn);
         }
-        cand.estimate = estimateRegion(region, params);
+        cand.estimate =
+            decision::evaluate(region.execSeconds(), region.memBytes(),
+                               region.invocations, params);
         result.candidates.push_back(std::move(cand));
     }
 

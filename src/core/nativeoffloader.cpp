@@ -19,8 +19,7 @@ Program::compile(const CompileRequest &request)
     options.serverSpec = request.serverSpec;
     options.filter = request.filter;
     options.profilingInput = request.profilingInput;
-    options.estimator.speedRatio = 0.0; // derive from the specs
-    options.estimator.bandwidthMbps = request.staticBandwidthMbps;
+    options.staticBandwidthMbps = request.staticBandwidthMbps;
     options.fieldSensitiveAnalysis = request.fieldSensitiveAnalysis;
 
     auto compiled = std::make_shared<compiler::CompiledProgram>(

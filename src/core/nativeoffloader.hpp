@@ -103,18 +103,6 @@ class Program
         return compiler::verifyOffloadSafety(*compiled_);
     }
 
-    /** Verification plus the bounded verifier-driven repair loop (see
-     *  compiler::repairOffloadSafety): diagnostics are turned into
-     *  in-place fixes — globals promoted into UVA, fptr map entries
-     *  added/dropped, unsafe targets demoted — until the partition
-     *  verifies clean or the iteration cap is hit. Mutates the
-     *  compiled partition. */
-    analysis::RepairReport
-    verifyAndRepair(const analysis::RepairOptions &options = {}) const
-    {
-        return compiler::repairOffloadSafety(*compiled_, options);
-    }
-
     /** Names of the selected offload targets. */
     std::vector<std::string> targets() const
     {

@@ -48,8 +48,7 @@ DecisionRecord
 Engine::finish(DecisionRecord record)
 {
     record.sequence = ++next_sequence_;
-    if (sink_ != nullptr)
-        sink_->onDecision(record);
+    records_.push_back(record);
     return record;
 }
 
@@ -129,17 +128,7 @@ void
 Engine::observe(const std::string &target, double mobile_equiv_seconds,
                 uint64_t traffic_bytes)
 {
-    TargetKnowledge &know = knowledge_[target];
-    double alpha = know.observations == 0 ? 1.0 : 0.5;
-    know.mobileSecondsPerInvocation =
-        (1 - alpha) * know.mobileSecondsPerInvocation +
-        alpha * mobile_equiv_seconds;
-    // Eq. 1 counts M twice (there and back); the observed traffic
-    // already includes both directions.
-    know.memBytes = static_cast<uint64_t>(
-        (1 - alpha) * static_cast<double>(know.memBytes) +
-        alpha * static_cast<double>(traffic_bytes) / 2.0);
-    ++know.observations;
+    knowledge_[target].fold(mobile_equiv_seconds, traffic_bytes);
     if (priors_ != nullptr) {
         priors_->recordObservation(target, mobile_equiv_seconds,
                                    traffic_bytes);

@@ -27,14 +27,16 @@
  *    and failures are published fleet-wide and seedFromPriors() warms
  *    a fresh session from what peers already learned.
  *
- * Every decide() returns (and sinks) a DecisionRecord with full
- * provenance: inputs, Equation 1 terms, verdict and reason.
+ * Every decide() returns a DecisionRecord with full provenance —
+ * inputs, Equation 1 terms, verdict and reason — and appends it to the
+ * engine's record list, which the session hands to its RunReport.
  */
 #ifndef NOL_DECISION_ENGINE_HPP
 #define NOL_DECISION_ENGINE_HPP
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "decision/record.hpp"
 
@@ -43,10 +45,7 @@ namespace nol::decision {
 class FleetPriors;
 
 /** Live per-target knowledge, seeded from profile and/or priors. */
-struct TargetKnowledge {
-    double mobileSecondsPerInvocation = 0; ///< Tm per call
-    uint64_t memBytes = 0;                 ///< M
-    uint64_t observations = 0;
+struct TargetKnowledge : ObservedCost {
     // Link-failure feedback (failover suppression).
     uint64_t consecutiveFailures = 0; ///< failovers since last success
     uint64_t totalFailures = 0;       ///< failovers ever
@@ -65,9 +64,6 @@ class Engine
      * scaled consistently with the workload byte counts).
      */
     Engine(double speed_ratio, double bandwidth_bps);
-
-    /** Sink every decide()'s record into @p sink (nullptr to detach). */
-    void setSink(RecordSink *sink) { sink_ = sink; }
 
     /**
      * Publish observations/failures to @p priors and allow
@@ -98,16 +94,16 @@ class Engine
      * Decide whether to offload this invocation of @p target at mobile
      * time @p now_seconds, optionally charging the admission-queue
      * wait predicted from @p load (nullptr = not admission-aware).
-     * The returned record is also forwarded to the attached sink.
+     * The returned record is also appended to records().
      */
     DecisionRecord decide(const std::string &target,
                           double now_seconds = 0.0,
                           const LoadSnapshot *load = nullptr);
 
     /**
-     * Fold an observed execution into the knowledge (exponential
-     * moving average, so changing behavior is tracked). Published to
-     * the attached fleet priors as well.
+     * Fold an observed execution into the knowledge
+     * (ObservedCost::fold). Published to the attached fleet priors as
+     * well.
      */
     void observe(const std::string &target, double mobile_equiv_seconds,
                  uint64_t traffic_bytes);
@@ -148,15 +144,21 @@ class Engine
         return knowledge_;
     }
 
+    /** Every decide()'s record so far, in decision order. */
+    const std::vector<DecisionRecord> &records() const { return records_; }
+
+    /** Move the records out (for handing to a RunReport). */
+    std::vector<DecisionRecord> takeRecords() { return std::move(records_); }
+
   private:
     DecisionRecord finish(DecisionRecord record);
 
     double speed_ratio_;
     double bandwidth_bps_;
     uint64_t next_sequence_ = 0;
-    RecordSink *sink_ = nullptr;
     FleetPriors *priors_ = nullptr;
     std::map<std::string, TargetKnowledge> knowledge_;
+    std::vector<DecisionRecord> records_;
 };
 
 } // namespace nol::decision

@@ -2,6 +2,18 @@
 
 namespace nol::decision {
 
+void
+ObservedCost::fold(double mobile_equiv_seconds, uint64_t traffic_bytes)
+{
+    double alpha = observations == 0 ? 1.0 : 0.5;
+    mobileSecondsPerInvocation = (1 - alpha) * mobileSecondsPerInvocation +
+                                 alpha * mobile_equiv_seconds;
+    memBytes = static_cast<uint64_t>(
+        (1 - alpha) * static_cast<double>(memBytes) +
+        alpha * static_cast<double>(traffic_bytes) / 2.0);
+    ++observations;
+}
+
 Terms
 evaluate(double mobile_seconds, uint64_t mem_bytes, uint64_t invocations,
          const ModelParams &params)

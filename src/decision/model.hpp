@@ -32,6 +32,24 @@
 
 namespace nol::decision {
 
+/**
+ * Equation 1's per-target inputs as learned from observed executions.
+ * A session's engine and the fleet priors both keep them this way.
+ */
+struct ObservedCost {
+    double mobileSecondsPerInvocation = 0; ///< Tm per call
+    uint64_t memBytes = 0;                 ///< M
+    uint64_t observations = 0;
+
+    /**
+     * Fold one observed execution in (exponential moving average, so
+     * changing behavior is tracked): the first observation replaces
+     * the seed, later ones weigh 1/2. @p traffic_bytes counts both
+     * directions; Equation 1 counts M twice, so M is half of it.
+     */
+    void fold(double mobile_equiv_seconds, uint64_t traffic_bytes);
+};
+
 /** Link/hardware parameters of one Equation 1 evaluation. */
 struct ModelParams {
     double speedRatio = 5.0;     ///< R: server is R times faster

@@ -3,22 +3,6 @@
 namespace nol::decision {
 
 void
-FleetPriors::recordObservation(const std::string &target,
-                               double mobile_equiv_seconds,
-                               uint64_t traffic_bytes)
-{
-    TargetPrior &prior = table_[target];
-    double alpha = prior.observations == 0 ? 1.0 : 0.5;
-    prior.mobileSecondsPerInvocation =
-        (1 - alpha) * prior.mobileSecondsPerInvocation +
-        alpha * mobile_equiv_seconds;
-    prior.memBytes = static_cast<uint64_t>(
-        (1 - alpha) * static_cast<double>(prior.memBytes) +
-        alpha * static_cast<double>(traffic_bytes) / 2.0);
-    ++prior.observations;
-}
-
-void
 FleetPriors::recordFailure(const std::string &target)
 {
     ++table_[target].totalFailures;

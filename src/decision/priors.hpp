@@ -10,12 +10,13 @@
  * to learn (COARA's point that decision state benefits from being
  * shared across executions).
  *
- * Aggregation mirrors the engine's own exponential moving average so a
- * prior is exactly the knowledge a single long-lived session would
- * have accumulated from the same observation stream. Failure *history*
- * (total count) is shared as fleet telemetry; failover-suppression
- * windows are NOT — a suppression window describes one client's link,
- * and another device's radio says nothing about mine.
+ * Aggregation is the engine's own exponential moving average
+ * (ObservedCost::fold), so a prior is exactly the knowledge a single
+ * long-lived session would have accumulated from the same observation
+ * stream. Failure *history* (total count) is shared as fleet
+ * telemetry; failover-suppression windows are NOT — a suppression
+ * window describes one client's link, and another device's radio says
+ * nothing about mine.
  *
  * Strictly opt-in via SystemConfig::fleetPriorsEnabled: with the flag
  * off the knowledge base is never read nor written and runs are
@@ -28,28 +29,28 @@
 #include <map>
 #include <string>
 
+#include "decision/model.hpp"
+
 namespace nol::decision {
 
-/** Fleet-aggregated knowledge about one offload target. */
-struct TargetPrior {
-    double mobileSecondsPerInvocation = 0; ///< EMA across the fleet
-    uint64_t memBytes = 0;                 ///< EMA of traffic / 2
-    uint64_t observations = 0;             ///< fleet-wide count
-    uint64_t totalFailures = 0;            ///< failovers, fleet-wide
+/** Fleet-aggregated knowledge about one offload target: the EMA of
+ *  every session's observations, plus fleet-wide failure telemetry. */
+struct TargetPrior : ObservedCost {
+    uint64_t totalFailures = 0; ///< failovers, fleet-wide
 };
 
 /** The server-side knowledge base. */
 class FleetPriors
 {
   public:
-    /**
-     * Fold one observed execution into the prior for @p target. Same
-     * EMA as Engine::observe(): @p traffic_bytes counts both
-     * directions, Equation 1's M is half of it.
-     */
+    /** Fold one observed execution into the prior for @p target
+     *  (ObservedCost::fold, as Engine::observe()). */
     void recordObservation(const std::string &target,
                            double mobile_equiv_seconds,
-                           uint64_t traffic_bytes);
+                           uint64_t traffic_bytes)
+    {
+        table_[target].fold(mobile_equiv_seconds, traffic_bytes);
+    }
 
     /** A session's offload of @p target failed over mid-flight. */
     void recordFailure(const std::string &target);

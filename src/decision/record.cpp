@@ -58,48 +58,4 @@ DecisionRecord::str() const
     return buf;
 }
 
-std::vector<const DecisionRecord *>
-RecordLog::byTarget(const std::string &target) const
-{
-    std::vector<const DecisionRecord *> out;
-    for (const DecisionRecord &record : records_) {
-        if (record.target == target)
-            out.push_back(&record);
-    }
-    return out;
-}
-
-std::vector<const DecisionRecord *>
-RecordLog::byVerdict(Verdict verdict) const
-{
-    std::vector<const DecisionRecord *> out;
-    for (const DecisionRecord &record : records_) {
-        if (record.verdict == verdict)
-            out.push_back(&record);
-    }
-    return out;
-}
-
-size_t
-RecordLog::count(Verdict verdict) const
-{
-    size_t n = 0;
-    for (const DecisionRecord &record : records_) {
-        if (record.verdict == verdict)
-            ++n;
-    }
-    return n;
-}
-
-std::string
-RecordLog::render() const
-{
-    std::string out;
-    for (const DecisionRecord &record : records_) {
-        out += record.str();
-        out += '\n';
-    }
-    return out;
-}
-
 } // namespace nol::decision

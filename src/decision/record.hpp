@@ -6,9 +6,8 @@
  * load it saw, and *why* it reached its verdict — so tests and benches
  * assert against the reasoning, not just the outcome.
  *
- * Records flow through RecordSink, a DiagnosticEngine-style collector
- * interface: the session wires a RecordLog, the log ends up in the
- * RunReport, and "why did client 3 stay local on call 7?" is one
+ * The engine keeps every record it produced; the session hands them to
+ * its RunReport, so "why did client 3 stay local on call 7?" is one
  * lookup instead of a re-run under a debugger.
  */
 #ifndef NOL_DECISION_RECORD_HPP
@@ -16,7 +15,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "decision/model.hpp"
 
@@ -75,47 +73,6 @@ struct DecisionRecord {
 
     /** Render like "#3 @t=1.25s hot: offload [offload] Tg=4.1s ...". */
     std::string str() const;
-};
-
-/** Receiver of decision records (DiagnosticEngine-style). */
-class RecordSink
-{
-  public:
-    virtual ~RecordSink() = default;
-    virtual void onDecision(const DecisionRecord &record) = 0;
-};
-
-/** Collecting sink with verdict accounting and rendering. */
-class RecordLog : public RecordSink
-{
-  public:
-    void onDecision(const DecisionRecord &record) override
-    {
-        records_.push_back(record);
-    }
-
-    const std::vector<DecisionRecord> &records() const { return records_; }
-
-    /** All records for @p target, in decision order. */
-    std::vector<const DecisionRecord *>
-    byTarget(const std::string &target) const;
-
-    /** All records with @p verdict, in decision order. */
-    std::vector<const DecisionRecord *> byVerdict(Verdict verdict) const;
-
-    size_t count(Verdict verdict) const;
-
-    /** Render every record, one line each. */
-    std::string render() const;
-
-    bool empty() const { return records_.empty(); }
-    size_t size() const { return records_.size(); }
-
-    /** Move the records out (for handing to a RunReport). */
-    std::vector<DecisionRecord> take() { return std::move(records_); }
-
-  private:
-    std::vector<DecisionRecord> records_;
 };
 
 } // namespace nol::decision

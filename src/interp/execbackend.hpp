@@ -174,6 +174,16 @@ class ExecBackend
     /** Abort execution after this many instructions (runaway guard). */
     static constexpr uint64_t kStepLimit = 4'000'000'000ull;
 
+    /** Count one indirect call and charge its function-pointer
+     *  translation (paper Sec. 3.4), if any is configured. */
+    void
+    chargeIndirectCall()
+    {
+        ++indirect_calls_;
+        if (indirect_extra_cost_ > 0)
+            machine_.advanceCompute(indirect_extra_cost_);
+    }
+
     sim::SimMachine &machine_;
     const ir::Module &module_;
     const ProgramImage &image_;

@@ -25,9 +25,7 @@ uint64_t
 DefaultEnv::guestMalloc(ExecBackend &interp, uint64_t size, bool uva)
 {
     sim::HeapAllocator *heap =
-        uva ? uva_heap_
-            : (malloc_heap_ != nullptr ? malloc_heap_
-                                       : &interp.machine().nativeHeap());
+        uva ? uva_heap_ : &interp.machine().nativeHeap();
     NOL_ASSERT(heap != nullptr, "u_malloc with no UVA heap configured");
     uint64_t addr = heap->allocate(size);
     if (addr == 0)
@@ -42,9 +40,7 @@ DefaultEnv::guestFree(ExecBackend &interp, uint64_t addr, bool uva)
     if (addr == 0)
         return;
     sim::HeapAllocator *heap =
-        uva ? uva_heap_
-            : (malloc_heap_ != nullptr ? malloc_heap_
-                                       : &interp.machine().nativeHeap());
+        uva ? uva_heap_ : &interp.machine().nativeHeap();
     NOL_ASSERT(heap != nullptr, "u_free with no UVA heap configured");
     if (!heap->contains(addr) || heap->blockSize(addr) == 0) {
         // A block allocated by the peer machine's UVA sub-heap: leak it

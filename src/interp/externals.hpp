@@ -23,9 +23,6 @@ class DefaultEnv : public ExecEnv
   public:
     DefaultEnv() = default;
 
-    /** Heap used by plain malloc/free (defaults to the native heap). */
-    void setMallocHeap(sim::HeapAllocator *heap) { malloc_heap_ = heap; }
-
     /** Heap used by u_malloc/u_free (the UVA heap; set by the runtime). */
     void setUvaHeap(sim::HeapAllocator *heap) { uva_heap_ = heap; }
 
@@ -46,13 +43,13 @@ class DefaultEnv : public ExecEnv
                      const std::string &input, size_t &pos);
 
   protected:
-    /** malloc through the configured heap (0 on exhaustion → fatal). */
+    /** malloc from the UVA heap (@p uva) or the machine's native heap;
+     *  exhaustion is a guest fatal error. */
     uint64_t guestMalloc(ExecBackend &interp, uint64_t size, bool uva);
 
     void guestFree(ExecBackend &interp, uint64_t addr, bool uva);
 
   private:
-    sim::HeapAllocator *malloc_heap_ = nullptr;
     sim::HeapAllocator *uva_heap_ = nullptr;
     uint64_t rng_state_ = 12345;
 };

@@ -95,14 +95,8 @@ Interp::execCall(const ir::Instruction &inst, ir::Function *callee,
         args.push_back(evalValue(inst.operand(i), frame));
 
     if (callee->isExternal()) {
-        uint64_t cost = sim::externalBaseCost(callee->name());
-        if (sim::isMathBuiltin(callee->name())) {
-            cost = std::max<uint64_t>(
-                1, static_cast<uint64_t>(
-                       static_cast<double>(cost) *
-                       machine_.spec().arithCostScale));
-        }
-        machine_.advanceCompute(cost);
+        machine_.advanceCompute(
+            sim::builtinCallCost(callee->name(), machine_.spec()));
         return env_.callExternal(*this, inst, args);
     }
     return execFunction(callee, args);
@@ -152,18 +146,10 @@ Interp::execFunction(ir::Function *fn, const std::vector<RtVal> &args)
             const ir::Instruction *inst = bb->inst(idx);
             if (++steps_ > kStepLimit)
                 panic("step limit exceeded in %s", fn->name().c_str());
-            uint64_t cost = sim::opcodeCost(inst->op());
-            double scale = 1.0;
-            if (sim::isArithHeavy(inst->op()))
-                scale = machine_.spec().arithCostScale;
-            else if (sim::isMemHeavy(inst->op()))
-                scale = machine_.spec().memCostScale;
-            if (scale != 1.0) {
-                cost = std::max<uint64_t>(
-                    1, static_cast<uint64_t>(
-                           static_cast<double>(cost) * scale));
-            }
-            machine_.advanceCompute(cost);
+            machine_.advanceCompute(
+                sim::scaledCost(sim::opcodeCost(inst->op()),
+                                sim::costKind(inst->op()),
+                                machine_.spec()));
 
             switch (inst->op()) {
               // ---- Memory ------------------------------------------------
@@ -467,9 +453,7 @@ Interp::execFunction(ir::Function *fn, const std::vector<RtVal> &args)
                 break;
               }
               case Opcode::CallIndirect: {
-                ++indirect_calls_;
-                if (indirect_extra_cost_ > 0)
-                    machine_.advanceCompute(indirect_extra_cost_);
+                chargeIndirectCall();
                 uint64_t target = evalValue(inst->operand(0), frame).ptr();
                 ir::Function *callee = image_.functionAt(target);
                 if (callee == nullptr)

@@ -146,6 +146,17 @@ class InitWriter
 
 } // namespace
 
+uint64_t
+packGlobal(uint64_t &cursor, const ir::GlobalVariable &gv,
+           const ir::DataLayout &dl)
+{
+    uint64_t align = std::max<uint64_t>(dl.alignOf(gv.valueType()), 8);
+    cursor = ir::alignUp(cursor, align);
+    uint64_t addr = cursor;
+    cursor += dl.sizeOf(gv.valueType());
+    return addr;
+}
+
 ProgramImage
 loadProgram(const ir::Module &module, sim::SimMachine &machine,
             bool write_uva_content)
@@ -163,16 +174,11 @@ loadProgram(const ir::Module &module, sim::SimMachine &machine,
     }
 
     // Global placement: UVA region (shared) or machine-local base.
-    uint64_t uva_cursor = kUvaGlobalBase;
+    uint64_t uva_cursor = sim::kUvaGlobalBase;
     uint64_t local_cursor = machine.globalBase();
     for (const auto &gv : module.globals()) {
-        uint64_t size = dl.sizeOf(gv->valueType());
-        uint64_t align =
-            std::max<uint64_t>(dl.alignOf(gv->valueType()), 8);
-        uint64_t &cursor = gv->inUva() ? uva_cursor : local_cursor;
-        cursor = ir::alignUp(cursor, align);
-        image.globalAddr[gv.get()] = cursor;
-        cursor += size;
+        image.globalAddr[gv.get()] = packGlobal(
+            gv->inUva() ? uva_cursor : local_cursor, *gv, dl);
     }
 
     // Serialize initializers.

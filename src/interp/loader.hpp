@@ -7,8 +7,9 @@
  *
  * UVA-resident globals ("referenced global variable allocation",
  * paper Sec. 3.2) are placed deterministically in the shared UVA
- * global region so the mobile and server images agree on addresses;
- * machine-local globals land at each machine's own (different!) base.
+ * global region (sim::kUvaGlobalBase) so the mobile and server images
+ * agree on addresses; machine-local globals land at each machine's own
+ * (different!) base.
  */
 #ifndef NOL_INTERP_LOADER_HPP
 #define NOL_INTERP_LOADER_HPP
@@ -21,9 +22,6 @@
 #include "sim/simmachine.hpp"
 
 namespace nol::interp {
-
-/** Base address of the UVA global-variable region. */
-constexpr uint64_t kUvaGlobalBase = 0x3000'0000ull;
 
 /** Canonical code-address region (function "addresses"). */
 constexpr uint64_t kCodeBase = 0x0100'0000ull;
@@ -51,6 +49,16 @@ struct ProgramImage {
  */
 ir::DataLayout effectiveLayout(const ir::Module &module,
                                const sim::SimMachine &machine);
+
+/**
+ * The loader's global packing: place @p gv at the next slot after
+ * @p cursor, aligned to max(natural alignment, 8) under @p dl, and
+ * advance @p cursor past it. Returns @p gv's address. Globals are
+ * packed in module order, UVA-resident ones from sim::kUvaGlobalBase
+ * and the rest from the machine's own global base.
+ */
+uint64_t packGlobal(uint64_t &cursor, const ir::GlobalVariable &gv,
+                    const ir::DataLayout &dl);
 
 /**
  * Lay out @p module on @p machine and write global initializers.

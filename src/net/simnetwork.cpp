@@ -28,14 +28,6 @@ makeWifi80211ac()
     return spec;
 }
 
-double
-SimNetwork::transferTimeNs(uint64_t bytes) const
-{
-    double serialize_s =
-        static_cast<double>(bytes) * 8.0 / effectiveBitsPerSecond();
-    return spec_.latencyUs * 1e3 + serialize_s * 1e9;
-}
-
 NetworkSpec
 makeCloudlet()
 {
@@ -56,24 +48,6 @@ makeLteCloud()
     spec.transmitMw = 5000.0;
     spec.remoteIoServiceMw = 2500.0;
     return spec;
-}
-
-double
-SimNetwork::transferTimeUnscaledNs(uint64_t bytes) const
-{
-    double serialize_s =
-        static_cast<double>(bytes) * 8.0 / (spec_.bandwidthMbps * 1e6);
-    return spec_.latencyUs * 1e3 + serialize_s * 1e9;
-}
-
-void
-SimNetwork::account(Direction direction, uint64_t bytes, double ns)
-{
-    TrafficStats &stats =
-        direction == Direction::MobileToServer ? to_server_ : to_mobile_;
-    ++stats.messages;
-    stats.bytes += bytes;
-    stats.seconds += ns * 1e-9;
 }
 
 // --- Fault injection -------------------------------------------------------
@@ -125,16 +99,14 @@ SimNetwork::setFaultPlan(const FaultPlan &plan)
 }
 
 AttemptPlan
-SimNetwork::planAttempt(Direction direction, uint64_t bytes, bool unscaled)
+SimNetwork::planAttempt(uint64_t bytes, bool unscaled)
 {
-    (void)direction;
     AttemptPlan plan;
     plan.latencyNs = spec_.latencyUs * 1e3;
     plan.bitsPerSecond = bitsPerSecond(unscaled);
 
     if (!plan_.enabled) {
-        plan.ns = unscaled ? transferTimeUnscaledNs(bytes)
-                           : transferTimeNs(bytes);
+        plan.ns = durationNs(plan.latencyNs, bytes, plan.bitsPerSecond);
         return plan;
     }
 
@@ -179,8 +151,7 @@ SimNetwork::planAttempt(Direction direction, uint64_t bytes, bool unscaled)
     plan.latencyNs = spec_.latencyUs * 1e3 *
                      (spiked ? plan_.latencySpikeFactor : 1.0);
     plan.bitsPerSecond /= plan_.bandwidthFactor;
-    plan.ns = plan.latencyNs +
-              static_cast<double>(bytes) * 8.0 / plan.bitsPerSecond * 1e9;
+    plan.ns = durationNs(plan.latencyNs, bytes, plan.bitsPerSecond);
 
     if (spiked)
         events_.push_back({attempts_, FaultKind::LatencySpike});
@@ -189,17 +160,6 @@ SimNetwork::planAttempt(Direction direction, uint64_t bytes, bool unscaled)
         plan.outcome = TransferOutcome::Dropped;
     }
     return plan;
-}
-
-TransferResult
-SimNetwork::tryTransfer(Direction direction, uint64_t bytes, bool unscaled)
-{
-    AttemptPlan plan = planAttempt(direction, bytes, unscaled);
-    if (plan.outcome == TransferOutcome::LinkDown)
-        return {TransferOutcome::LinkDown, 0.0};
-    // The radio transmitted either way: account the attempt.
-    account(direction, bytes, plan.ns);
-    return {plan.outcome, plan.ns};
 }
 
 } // namespace nol::net

@@ -3,7 +3,8 @@
  * Simulated wireless network between the mobile device and the server.
  * Models the paper's two WiFi environments — 802.11n "slow" (144 Mbps)
  * and 802.11ac "fast" (844 Mbps) — as a bandwidth + per-message
- * latency pipe with per-direction byte and time accounting.
+ * latency pipe that times messages and injects faults. Traffic is
+ * accounted by its one user, runtime::CommManager.
  *
  * The workload memory footprints in this reproduction are scaled down
  * by a configurable factor k; the effective bandwidth is divided by
@@ -115,34 +116,21 @@ enum class TransferOutcome {
     LinkDown,  ///< nothing transmitted; the sender must time out
 };
 
-/** Outcome + duration of one attempt. */
-struct TransferResult {
-    TransferOutcome outcome = TransferOutcome::Delivered;
-    double ns = 0;
-};
-
 /**
  * The injector's decision for one attempt together with the link
- * parameters it saw, split out from the duration computation so a
- * contended SharedMedium can time the attempt instead of the
- * closed-form pipe (the fault decision is per-session and must stay
- * deterministic regardless of fleet interleaving).
+ * parameters it saw, so a contended SharedMedium can time the attempt
+ * instead of the closed-form pipe (the fault decision is per-session
+ * and must stay deterministic regardless of fleet interleaving).
  */
 struct AttemptPlan {
     TransferOutcome outcome = TransferOutcome::Delivered;
     double latencyNs = 0;     ///< per-message latency (spiked if so)
     double bitsPerSecond = 0; ///< effective rate for this attempt
-    double ns = 0;            ///< uncontended closed-form duration
+    double ns = 0;            ///< uncontended closed-form duration;
+                              ///< 0 for LinkDown (nothing was sent)
 };
 
-/** Per-direction traffic statistics. */
-struct TrafficStats {
-    uint64_t messages = 0;
-    uint64_t bytes = 0;
-    double seconds = 0;
-};
-
-/** The pipe itself: computes durations and accounts traffic. */
+/** The pipe itself: times messages and decides their fate. */
 class SimNetwork
 {
   public:
@@ -164,36 +152,36 @@ class SimNetwork
         return spec_.bandwidthMbps * 1e6 / scale_;
     }
 
-    /** Clean-link duration of one message of @p bytes in nanoseconds
-     *  (latency + serialization), without accounting it. */
-    double transferTimeNs(uint64_t bytes) const;
-
     /**
-     * Duration at the UNSCALED link bandwidth. Used for remote-I/O
-     * round trips: the scale factor k compensates for scaled-down page
-     * and file payloads, but per-operation control messages were never
-     * scaled, so they see the true link (latency-dominated, as on real
-     * WiFi).
+     * Effective rate in bits/s. @p unscaled selects the true link
+     * bandwidth, used for remote-I/O round trips: the scale factor k
+     * compensates for scaled-down page and file payloads, but
+     * per-operation control messages were never scaled, so they see
+     * the true link (latency-dominated, as on real WiFi).
      */
-    double transferTimeUnscaledNs(uint64_t bytes) const;
-
-    /**
-     * Account one message whose duration @p ns was computed elsewhere
-     * (by the SharedMedium under fair-share contention). The byte and
-     * message statistics are identical to tryTransfer(); only the time
-     * source differs.
-     */
-    void accountTransfer(Direction direction, uint64_t bytes, double ns)
-    {
-        account(direction, bytes, ns);
-    }
-
-    /** Effective rate in bits/s, scaled or raw (see transferTime*). */
     double
     bitsPerSecond(bool unscaled) const
     {
         return unscaled ? spec_.bandwidthMbps * 1e6
                         : effectiveBitsPerSecond();
+    }
+
+    /** The link-duration formula: latency plus serialization of
+     *  @p bytes at @p bits_per_second, in nanoseconds. */
+    static double
+    durationNs(double latency_ns, uint64_t bytes, double bits_per_second)
+    {
+        return latency_ns +
+               static_cast<double>(bytes) * 8.0 / bits_per_second * 1e9;
+    }
+
+    /** Clean-link duration of one message of @p bytes in nanoseconds,
+     *  at the scaled or (@p unscaled) true bandwidth. */
+    double
+    transferTimeNs(uint64_t bytes, bool unscaled = false) const
+    {
+        return durationNs(spec_.latencyUs * 1e3, bytes,
+                          bitsPerSecond(unscaled));
     }
 
     // --- Fault injection ------------------------------------------------
@@ -207,47 +195,21 @@ class SimNetwork
     bool linkUp() const { return link_up_; }
 
     /**
-     * Attempt one transfer under the fault plan. Delivered and Dropped
-     * attempts are accounted in the traffic stats (both consumed the
-     * radio); LinkDown attempts are not. With the plan disabled this
-     * is one Delivered attempt at the closed-form transferTimeNs() (or
-     * transferTimeUnscaledNs()).
+     * Decide the fate of one attempt of @p bytes under the fault plan,
+     * advancing the injector's random stream and event trace, and time
+     * it on the closed-form pipe. The caller uses `ns` or asks the
+     * SharedMedium to time the attempt with the returned link
+     * parameters. With the plan disabled this is a Delivered attempt
+     * at transferTimeNs(bytes, unscaled).
      */
-    TransferResult tryTransfer(Direction direction, uint64_t bytes,
-                               bool unscaled = false);
-
-    /**
-     * Decide the fate of one attempt (advancing the injector's random
-     * stream and event trace) WITHOUT accounting traffic or computing
-     * contended timing: the caller either uses the closed-form `ns` or
-     * asks the SharedMedium to time the attempt with the returned link
-     * parameters, then accounts via accountTransfer(). With the plan
-     * disabled this is a Delivered attempt at clean link parameters.
-     * tryTransfer() is exactly planAttempt() + account for transmitted
-     * attempts.
-     */
-    AttemptPlan planAttempt(Direction direction, uint64_t bytes,
-                            bool unscaled = false);
+    AttemptPlan planAttempt(uint64_t bytes, bool unscaled = false);
 
     /** Every fault injected so far, in attempt order. */
     const std::vector<FaultEvent> &faultEvents() const { return events_; }
 
-    const TrafficStats &toServer() const { return to_server_; }
-    const TrafficStats &toMobile() const { return to_mobile_; }
-
-    /** Total bytes both ways. */
-    uint64_t totalBytes() const
-    {
-        return to_server_.bytes + to_mobile_.bytes;
-    }
-
   private:
-    void account(Direction direction, uint64_t bytes, double ns);
-
     NetworkSpec spec_;
     double scale_;
-    TrafficStats to_server_;
-    TrafficStats to_mobile_;
 
     // Fault-injector state (inert while plan_.enabled is false).
     FaultPlan plan_;

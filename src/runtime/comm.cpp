@@ -74,26 +74,23 @@ CommManager::syncClocks()
     server_.syncTo(t, sim::PowerState::Idle);
 }
 
-net::TransferResult
-CommManager::timedTryTransfer(net::Direction direction, uint64_t bytes,
-                              bool unscaled)
+net::AttemptPlan
+CommManager::timedAttempt(uint64_t bytes, bool unscaled)
 {
-    if (medium_ == nullptr)
-        return network_.tryTransfer(direction, bytes, unscaled);
-    // Fleet mode: the SimNetwork decides the attempt's fate and link
-    // parameters (its RNG stream must not depend on fleet
-    // interleaving); the SharedMedium serializes the bytes against
-    // every other session's flows. Callers synced the clocks, so
-    // mobile time is the flow's start on the shared timeline. Only
-    // delivered or dropped attempts occupy the medium.
-    net::AttemptPlan plan = network_.planAttempt(direction, bytes, unscaled);
-    if (plan.outcome == net::TransferOutcome::LinkDown)
-        return {net::TransferOutcome::LinkDown, 0.0};
-    double ns = medium_->transfer(*strand_, mobile_.nowNs(), bytes,
-                                  plan.bitsPerSecond, plan.latencyNs,
-                                  plan.ns);
-    network_.accountTransfer(direction, bytes, ns);
-    return {plan.outcome, ns};
+    // The SimNetwork decides the attempt's fate and link parameters
+    // (its RNG stream must not depend on fleet interleaving). In fleet
+    // mode the SharedMedium then serializes the bytes against every
+    // other session's flows; callers synced the clocks, so mobile time
+    // is the flow's start on the shared timeline. Only delivered or
+    // dropped attempts occupy the medium.
+    net::AttemptPlan plan = network_.planAttempt(bytes, unscaled);
+    if (medium_ != nullptr &&
+        plan.outcome != net::TransferOutcome::LinkDown) {
+        plan.ns = medium_->transfer(*strand_, mobile_.nowNs(), bytes,
+                                    plan.bitsPerSecond, plan.latencyNs,
+                                    plan.ns);
+    }
+    return plan;
 }
 
 double
@@ -108,8 +105,7 @@ CommManager::transferWithRetry(net::Direction direction, uint64_t bytes,
         direction == net::Direction::MobileToServer
             ? sim::PowerState::Transmit
             : sim::PowerState::Receive;
-    double expected_ns = unscaled ? network_.transferTimeUnscaledNs(bytes)
-                                  : network_.transferTimeNs(bytes);
+    double expected_ns = network_.transferTimeNs(bytes, unscaled);
     CommTotals &totals = totals_[category];
     double total_ns = 0;
     bool link_down = false;
@@ -122,8 +118,7 @@ CommManager::transferWithRetry(net::Direction direction, uint64_t bytes,
             totals.retrySeconds += backoff * 1e-9;
             total_ns += backoff;
         }
-        net::TransferResult result =
-            timedTryTransfer(direction, bytes, unscaled);
+        net::AttemptPlan result = timedAttempt(bytes, unscaled);
         if (result.outcome == net::TransferOutcome::Delivered) {
             mobile_.advanceTime(result.ns, radio_state);
             server_.advanceTime(result.ns, sim::PowerState::Idle);

@@ -181,9 +181,9 @@ class CommManager
     /**
      * Fleet mode: time transfers on the shared @p medium (cooperatively
      * blocking @p strand) instead of this session's closed-form private
-     * pipe. The SimNetwork keeps deciding fault outcomes and accounting
-     * traffic; only the time source changes. Never attached in a solo
-     * run, so single-client timing is untouched.
+     * pipe. The SimNetwork keeps deciding fault outcomes; only the time
+     * source changes. Never attached in a solo run, so single-client
+     * timing is untouched.
      */
     void
     attachMedium(net::SharedMedium *medium, sim::Strand *strand)
@@ -202,8 +202,7 @@ class CommManager
     double transferWithRetry(net::Direction direction, uint64_t bytes,
                              CommCategory category);
     /** One attempt, timed on the private pipe or the shared medium. */
-    net::TransferResult timedTryTransfer(net::Direction direction,
-                                         uint64_t bytes, bool unscaled);
+    net::AttemptPlan timedAttempt(uint64_t bytes, bool unscaled);
     void account(CommCategory category, uint64_t wire, uint64_t raw,
                  double ns);
 

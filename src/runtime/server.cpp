@@ -154,32 +154,6 @@ ServerRuntime::release(uint64_t session_id, double now_ns)
     });
 }
 
-void
-ServerRuntime::disconnect(uint64_t session_id, double now_ns)
-{
-    NOL_ASSERT(loop_ != nullptr, "disconnect outside a fleet run");
-    loop_->schedule(now_ns, [this, session_id, now_ns] {
-        // Queued? Evict the waiter and deliver a denial, exactly as a
-        // queue timeout would, so the session's overflow path runs.
-        for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-            if (it->sessionId != session_id)
-                continue;
-            Waiter waiter = *it;
-            queue_.erase(it);
-            loop_->cancel(waiter.timeoutEvent);
-            waiter.result->granted = false;
-            ++admission_denials_;
-            publishLoad(now_ns);
-            loop_->wake(*waiter.strand, now_ns);
-            return;
-        }
-        // Holding a slot? Free it; a queued waiter inherits it.
-        if (hold_start_ns_.count(session_id) == 0)
-            return; // neither queued nor holding: nothing to clean
-        freeSlot(session_id, now_ns);
-    });
-}
-
 /**
  * Close @p session_id's slot hold (if one is open) and free the slot:
  * the policy's pick among the waiters inherits it, else the pool

@@ -221,15 +221,6 @@ class ServerRuntime
     void release(uint64_t session_id, double now_ns);
 
     /**
-     * A session's client vanished (network churn): drop its queued
-     * admission request, if any, waking the strand with a denial; a
-     * slot it already holds is released. Safe to call for sessions
-     * that are neither queued nor holding — it is then a no-op. Keeps
-     * loadSnapshot() consistent (no leaked slots or ghost waiters).
-     */
-    void disconnect(uint64_t session_id, double now_ns);
-
-    /**
      * The server's live load, republished on every grant, queue change
      * and release: slot pool size, active sessions, queue depth and the
      * mean slot-hold time of completed holds. Sessions read it
@@ -250,7 +241,7 @@ class ServerRuntime
     /**
      * Test-only: bind the admission machinery to an external event
      * loop and reset its run-scoped state, so unit tests can exercise
-     * acquire()/release()/disconnect() from raw strands without a full
+     * acquire()/release() from raw strands without a full
      * fleet run. Detach by passing nullptr before the loop dies.
      */
     void attachLoopForTesting(sim::EventLoop *loop);

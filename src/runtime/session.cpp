@@ -46,8 +46,7 @@ struct Session::Impl {
     UvaManager uva; ///< this session's UVA namespace
     interp::ProgramImage mobileImage;
     interp::ProgramImage serverImage;
-    decision::Engine dyn;
-    decision::RecordLog decisionLog; ///< provenance of every decide()
+    decision::Engine dyn; ///< keeps the provenance of every decide()
     std::map<std::string, TargetEntry> targetsByStub;
 
     /** The report run() returns; counters are recorded into it as the
@@ -81,7 +80,6 @@ struct Session::Impl {
                   .effectiveBitsPerSecond())
     {
         network.setFaultPlan(config.faultPlan);
-        dyn.setSink(&decisionLog);
         if (fleet.server != nullptr && cfg.fleetPriorsEnabled) {
             // Publish observations fleet-wide and read the knowledge
             // base at run() start. Strictly flag-gated: with priors
@@ -550,10 +548,10 @@ class MobileEnv : public interp::DefaultEnv
     std::vector<uint64_t>
     collectPrefetchPages(bool everything) const
     {
-        // Unified pages are the ones with a named UVA region (globals
-        // or either heap sub-range); everything else is machine-local.
-        auto in_uva = [this](uint64_t page_num) {
-            return ctx_.uva.regionOfPage(page_num) != nullptr;
+        // Unified pages lie in the UVA globals or either heap
+        // sub-range; everything else is machine-local.
+        auto in_uva = [](uint64_t page_num) {
+            return sim::isUvaAddress(page_num * sim::kPageSize);
         };
         std::vector<uint64_t> out;
         if (everything) {
@@ -950,7 +948,7 @@ Session::Impl::run(const RunInput &input)
     report.demandFaults = comm.demandFaults();
     report.retries = comm.totalRetries();
     report.admissionWaitSeconds = admissionWaitNs * 1e-9;
-    report.decisions = decisionLog.take();
+    report.decisions = dyn.takeRecords();
     for (const decision::DecisionRecord &record : report.decisions) {
         if (record.offload && record.inputs.observations == 0)
             ++report.coldStartOffloads;

@@ -5,13 +5,20 @@
  * simulated nanoseconds (the mobile spec converts ~5.5x slower than the
  * server spec, matching the paper's Table 1 performance gap). External
  * (builtin) calls carry base costs plus per-byte costs where relevant.
+ *
+ * The charge rule (scaledCost) is defined here once: the interpreter,
+ * the native-C backend's charge replay and the C emitter's charge
+ * tables all take it from this header, which is what keeps the two
+ * backends' simulated time bit-identical.
  */
 #ifndef NOL_SIM_COSTMODEL_HPP
 #define NOL_SIM_COSTMODEL_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
+#include "arch/archspec.hpp"
 #include "ir/instruction.hpp"
 
 namespace nol::sim {
@@ -48,16 +55,19 @@ opcodeCost(ir::Opcode op)
     }
 }
 
-/** True for opcodes subject to ArchSpec::memCostScale. */
-constexpr bool
-isMemHeavy(ir::Opcode op)
-{
-    return op == ir::Opcode::Load || op == ir::Opcode::Store;
-}
+/**
+ * Which ArchSpec scale an instruction's cost is subject to. The values
+ * are the `kind` the generated C's charge tables carry.
+ */
+enum class CostKind : uint32_t {
+    Plain = 0, ///< unscaled
+    Arith = 1, ///< scaled by ArchSpec::arithCostScale
+    Mem = 2,   ///< scaled by ArchSpec::memCostScale
+};
 
-/** True for opcodes subject to ArchSpec::arithCostScale. */
-constexpr bool
-isArithHeavy(ir::Opcode op)
+/** The scale @p op's cost is subject to. */
+constexpr CostKind
+costKind(ir::Opcode op)
 {
     using ir::Opcode;
     switch (op) {
@@ -70,9 +80,12 @@ isArithHeavy(ir::Opcode op)
       case Opcode::FSub:
       case Opcode::FMul:
       case Opcode::FDiv:
-        return true;
+        return CostKind::Arith;
+      case Opcode::Load:
+      case Opcode::Store:
+        return CostKind::Mem;
       default:
-        return false;
+        return CostKind::Plain;
     }
 }
 
@@ -81,6 +94,38 @@ uint64_t externalBaseCost(const std::string &name);
 
 /** True if builtin @p name is a math-library call (arith scaling). */
 bool isMathBuiltin(const std::string &name);
+
+/**
+ * The charge rule: cost units of one occurrence of an instruction of
+ * base @p cost and @p kind on @p spec. A scaled cost rounds down but
+ * never below one unit. Both execution backends charge through here,
+ * the interpreter once per instruction, so it stays inline.
+ */
+inline uint64_t
+scaledCost(uint64_t cost, CostKind kind, const arch::ArchSpec &spec)
+{
+    double scale = 1.0;
+    if (kind == CostKind::Arith)
+        scale = spec.arithCostScale;
+    else if (kind == CostKind::Mem)
+        scale = spec.memCostScale;
+    if (scale != 1.0) {
+        cost = std::max<uint64_t>(
+            1, static_cast<uint64_t>(static_cast<double>(cost) * scale));
+    }
+    return cost;
+}
+
+/** Cost units of one call of builtin @p name on @p spec (excluding
+ *  per-byte parts); math-library calls are arith-scaled. */
+inline uint64_t
+builtinCallCost(const std::string &name, const arch::ArchSpec &spec)
+{
+    return scaledCost(externalBaseCost(name),
+                      isMathBuiltin(name) ? CostKind::Arith
+                                          : CostKind::Plain,
+                      spec);
+}
 
 /** Additional cost units for @p bytes moved by a builtin (memcpy...). */
 constexpr uint64_t

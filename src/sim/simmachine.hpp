@@ -7,15 +7,9 @@
  * The address-space map below is shared by both machines so that the
  * UVA regions coincide while the machine-local regions deliberately
  * differ (modeling "back-end compilers may allocate global variables at
- * different addresses", paper Sec. 3.2):
- *
- *   0x0800'0000  mobile-local globals
- *   0x1800'0000  server-local globals
- *   0x2000'0000  mobile-local native heap (non-unified runs)
- *   0x4000'0000  UVA heap (u_malloc; identical on both machines)
- *   0xA800'0000  server stack (relocated, paper Sec. 3.3), grows down
- *   0xBF00'0000  mobile stack, grows down
- *   0x7f00'0000'0000  server-local native heap (64-bit only)
+ * different addresses", paper Sec. 3.2). It is the one definition of
+ * the unified layout: the loader, the compiler's UVA page count, the
+ * UVA allocators and the prefetch/page-cache predicate all read it.
  */
 #ifndef NOL_SIM_SIMMACHINE_HPP
 #define NOL_SIM_SIMMACHINE_HPP
@@ -31,17 +25,37 @@
 
 namespace nol::sim {
 
-// Address-space map constants (see file comment).
-constexpr uint64_t kMobileGlobalBase = 0x0800'0000ull;
-constexpr uint64_t kServerGlobalBase = 0x1800'0000ull;
+// Address-space map (see file comment), in address order.
+constexpr uint64_t kMobileGlobalBase = 0x0800'0000ull; ///< mobile-local globals
+constexpr uint64_t kServerGlobalBase = 0x1800'0000ull; ///< server-local globals
+/** Mobile-local native heap (non-unified runs). */
 constexpr uint64_t kNativeHeapBase = 0x2000'0000ull;
 constexpr uint64_t kNativeHeapSize = 0x1800'0000ull;
+/** UVA globals, packed by the loader identically on both machines. */
+constexpr uint64_t kUvaGlobalBase = 0x3000'0000ull;
+/** UVA heap (u_malloc), right after the UVA globals. */
 constexpr uint64_t kUvaHeapBase = 0x4000'0000ull;
 constexpr uint64_t kUvaHeapSize = 0x6000'0000ull;
-constexpr uint64_t kServerStackBase = 0xA800'0000ull; // grows down
-constexpr uint64_t kMobileStackBase = 0xBF00'0000ull; // grows down
+/** Split of the UVA heap: the mobile sub-heap below, the server's from
+ *  here, so the two sides never hand out the same address. */
+constexpr uint64_t kUvaServerSubBase = kUvaHeapBase + kUvaHeapSize * 3 / 4;
+/** Server stack, relocated (paper Sec. 3.3); grows down. */
+constexpr uint64_t kServerStackBase = 0xA800'0000ull;
+constexpr uint64_t kMobileStackBase = 0xBF00'0000ull; ///< grows down
 constexpr uint64_t kStackSize = 0x0100'0000ull;
+/** Server-local native heap (64-bit only). */
 constexpr uint64_t kServer64HeapBase = 0x7f00'0000'0000ull;
+
+/**
+ * True if @p addr is a unified address: in the UVA globals or either
+ * UVA sub-heap, which are contiguous. Unified pages are the ones the
+ * prefetch collector ships and the server page cache keys on.
+ */
+constexpr bool
+isUvaAddress(uint64_t addr)
+{
+    return addr >= kUvaGlobalBase && addr < kUvaHeapBase + kUvaHeapSize;
+}
 
 /** Which role a machine plays in the offloading system. */
 enum class MachineRole {

@@ -44,9 +44,9 @@ runOpenLoop(const Trace &trace, const std::vector<TrafficProgram> &programs,
             client.config.faultPlan.enabled = true;
             client.config.faultPlan.seed = entry.faultSeed;
             client.config.faultPlan.disconnectAtMessage =
-                trace.config.churnDisconnectAtMessage;
+                kChurnDisconnectAtMessage;
             client.config.faultPlan.reconnectAfterAttempts =
-                trace.config.churnReconnectAfterAttempts;
+                kChurnReconnectAfterAttempts;
             ++report.churnedSessions;
         }
         clients.push_back(std::move(client));

@@ -155,8 +155,7 @@ makeSuiteMix(const net::NetworkSpec &network, interp::BackendKind backend)
         cls.config.network = network;
         cls.config.memScale = spec.memScale;
         cls.config.backend = backend;
-        cls.input.stdinText = spec.evalInput.stdinText;
-        cls.input.files = spec.evalInput.files;
+        cls.input = spec.evalInput;
         // Interactive-first, as in the built-in mix: workloads the
         // paper finishes fastest get admission priority over the
         // slot-parking heavy tail.

@@ -54,9 +54,6 @@ generateTrace(const TraceConfig &config, size_t program_count)
 {
     NOL_ASSERT(config.arrivals > 0, "empty trace requested");
     NOL_ASSERT(config.ratePerSecond > 0, "offered load must be positive");
-    NOL_ASSERT(config.diurnalAmplitude >= 0 &&
-                   config.diurnalAmplitude < 1.0,
-               "diurnal amplitude must be in [0, 1)");
 
     Trace trace;
     trace.config = config;
@@ -71,7 +68,7 @@ generateTrace(const TraceConfig &config, size_t program_count)
     // of draws whether kept or thinned, so the stream stays aligned.
     double peak_rate =
         config.process == ArrivalProcess::Diurnal
-            ? config.ratePerSecond * (1.0 + config.diurnalAmplitude)
+            ? config.ratePerSecond * (1.0 + kDiurnalAmplitude)
             : config.ratePerSecond;
 
     double now = 0;
@@ -81,9 +78,9 @@ generateTrace(const TraceConfig &config, size_t program_count)
         if (config.process == ArrivalProcess::Diurnal) {
             double intensity =
                 config.ratePerSecond *
-                (1.0 + config.diurnalAmplitude *
+                (1.0 + kDiurnalAmplitude *
                            std::sin(2.0 * M_PI * now /
-                                    config.diurnalPeriodSeconds));
+                                    kDiurnalPeriodSeconds));
             if (rng.uniform() >= intensity / peak_rate)
                 continue; // thinned candidate
         }

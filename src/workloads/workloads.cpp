@@ -31,4 +31,15 @@ workloadById(const std::string &id)
     return nullptr;
 }
 
+core::CompileRequest
+evaluationRequest(const WorkloadSpec &spec)
+{
+    core::CompileRequest req;
+    req.name = spec.id;
+    req.source = spec.source;
+    req.profilingInput = spec.profilingInput;
+    req.staticBandwidthMbps = 844.0 / spec.memScale;
+    return req;
+}
+
 } // namespace nol::workloads

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "core/nativeoffloader.hpp"
 #include "profile/profiler.hpp"
 #include "runtime/offload.hpp"
 
@@ -58,6 +59,16 @@ const WorkloadSpec *workloadById(const std::string &id);
  * @p max_depth is the AI thinking depth ("difficulty level").
  */
 WorkloadSpec makeChess(int max_depth);
+
+/**
+ * The request the suite is evaluated with: @p spec's source and
+ * profiling input, with the static estimator assuming the best network
+ * the deployment might see (802.11ac, 844 Mbps), scaled by the
+ * workload's memory scale k like its byte counts. Generating the
+ * offloading-enabled code is cheap; the runtime's per-invocation
+ * decision makes the real call (paper Sec. 4).
+ */
+core::CompileRequest evaluationRequest(const WorkloadSpec &spec);
 
 } // namespace nol::workloads
 

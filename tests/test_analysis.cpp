@@ -484,24 +484,29 @@ TEST(Repair, EveryBrokenCorpusCaseConvergesWithinBound)
             << outcome.name << ": " << outcome.report.iterations
             << " iterations, remaining:\n"
             << outcome.report.remaining.render();
-        EXPECT_LE(outcome.report.iterations, RepairOptions{}.maxIterations)
+        EXPECT_LE(outcome.report.iterations, kMaxRepairIterations)
             << outcome.name;
         EXPECT_GE(outcome.report.totalActions(), 1u) << outcome.name;
         EXPECT_EQ(outcome.report.remaining.size(), 0u) << outcome.name;
     }
 }
 
-TEST(Repair, DisabledModeOnlyVerifies)
+TEST(Repair, VerifyAloneChangesNothing)
 {
+    // Verification without the repair loop reports the broken
+    // partition and leaves it exactly as it was.
     std::vector<CorpusCase> corpus = buildBrokenCorpus();
     ASSERT_FALSE(corpus.empty());
-    RepairOptions off;
-    off.enabled = false;
-    RepairReport report = repairPartition(corpus[0].repairInput(), off);
-    EXPECT_FALSE(report.converged);
-    EXPECT_EQ(report.iterations, 1u);
-    EXPECT_EQ(report.totalActions(), 0u);
-    EXPECT_GT(report.remaining.size(), 0u);
+    CorpusCase &c = corpus[0];
+    std::vector<std::string> targets = c.targets;
+    std::set<std::string> fptr_map = c.fptrMap;
+    support::DiagnosticEngine engine;
+    verifyPartition(c.input(), engine);
+    EXPECT_GT(engine.size(), 0u);
+    EXPECT_EQ(c.targets, targets);
+    EXPECT_EQ(c.fptrMap, fptr_map);
+    // The repair loop, by contrast, drives the same case clean.
+    EXPECT_TRUE(repairPartition(c.repairInput()).converged);
 }
 
 TEST(Repair, PerSlotFptrRepairAddsOnlyTheDispatchedSlot)

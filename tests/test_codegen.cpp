@@ -10,6 +10,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "codegen/artifact.hpp"
 #include "codegen/cemitter.hpp"
 #include "codegen/nativeexec.hpp"
@@ -33,15 +35,6 @@ compileWorkload(const WorkloadSpec &spec)
     req.source = spec.source;
     req.profilingInput = spec.profilingInput;
     return core::Program::compile(req);
-}
-
-runtime::RunInput
-evalInput(const WorkloadSpec &spec)
-{
-    runtime::RunInput input;
-    input.stdinText = spec.evalInput.stdinText;
-    input.files = spec.evalInput.files;
-    return input;
 }
 
 SystemConfig
@@ -140,6 +133,86 @@ TEST(CodegenLowering, BackendKindParsesAndNames)
                  "interp");
 }
 
+namespace {
+
+/**
+ * Content digests of the C emitted for the mobile and server modules
+ * of every workload and chess (depth 3), compiled with the suite's
+ * evaluation request. They pin the lowering, the cost model it
+ * bakes into the charge tables and the compile pipeline that shapes
+ * the modules: a refactor of any of those must emit byte-identical C.
+ * A change meant to alter the generated C updates them from the
+ * digests the failing test prints, and says why.
+ */
+const std::map<std::string, std::string> kGeneratedCGolden = {
+    {"164.gzip mobile", "22e028faec0b66e8"},
+    {"164.gzip server", "a06bff5137225c67"},
+    {"175.vpr mobile", "868ff3b7b452cc90"},
+    {"175.vpr server", "ec603ddb75447426"},
+    {"177.mesa mobile", "937dae0fd98fd678"},
+    {"177.mesa server", "58dc6b249ad1b961"},
+    {"179.art mobile", "dec2ee7a68c216d8"},
+    {"179.art server", "96451715b4ba8891"},
+    {"183.equake mobile", "0d204c672d87cd0e"},
+    {"183.equake server", "b06777a898934836"},
+    {"188.ammp mobile", "aaea08620e1237b4"},
+    {"188.ammp server", "be026f39d37356e3"},
+    {"300.twolf mobile", "e02de73f3db6388d"},
+    {"300.twolf server", "bf41821581419610"},
+    {"401.bzip2 mobile", "5a6e63681da79178"},
+    {"401.bzip2 server", "9e001950cdc460ac"},
+    {"429.mcf mobile", "39e83334a89a69e3"},
+    {"429.mcf server", "2474dffef71e7ffd"},
+    {"433.milc mobile", "78ffb0d1a34d025b"},
+    {"433.milc server", "6f7fa9f0ea99c7bb"},
+    {"445.gobmk mobile", "96e44f174a8070c3"},
+    {"445.gobmk server", "2fc30c21460da69a"},
+    {"456.hmmer mobile", "6c67ede80ca7bf16"},
+    {"456.hmmer server", "3fd3b522d1a07da6"},
+    {"458.sjeng mobile", "5d84616cf8c79e67"},
+    {"458.sjeng server", "82de9b081c6b1724"},
+    {"462.libquantum mobile", "a53359f9647d4be5"},
+    {"462.libquantum server", "74a9017a06eeca78"},
+    {"464.h264ref mobile", "11a9c31aea6d5b7b"},
+    {"464.h264ref server", "a79062e773f0ee89"},
+    {"470.lbm mobile", "99897ea484a071bc"},
+    {"470.lbm server", "1142703c7e2ce5d5"},
+    {"482.sphinx3 mobile", "3af3bf392e328cbd"},
+    {"482.sphinx3 server", "be8f5171e1b8f3b4"},
+    {"chess mobile", "fa986ba260ededd8"},
+    {"chess server", "1133941e55f627fc"},
+};
+
+} // namespace
+
+TEST(CodegenLowering, GeneratedCMatchesGoldenDigests)
+{
+    std::vector<WorkloadSpec> specs = allWorkloads();
+    specs.push_back(makeChess(3));
+    for (const WorkloadSpec &spec : specs) {
+        core::Program prog =
+            core::Program::compile(evaluationRequest(spec));
+        const compiler::CompiledProgram &compiled = prog.compiled();
+        sim::SimMachine mobile(sim::MachineRole::Mobile,
+                               compiled.mobileSpec);
+        sim::SimMachine server(sim::MachineRole::Server,
+                               compiled.serverSpec);
+        for (bool on_server : {false, true}) {
+            const ir::Module &module =
+                on_server ? *compiled.partition.serverModule
+                          : *compiled.partition.mobileModule;
+            ir::DataLayout dl = interp::effectiveLayout(
+                module, on_server ? server : mobile);
+            std::string key =
+                spec.id + (on_server ? " server" : " mobile");
+            SCOPED_TRACE(key);
+            EXPECT_EQ(codegen::contentDigest(
+                          codegen::emitModule(module, dl).source),
+                      kGeneratedCGolden.at(key));
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Differential oracle: all 17 workloads x 2 networks, solo
 // ---------------------------------------------------------------------------
@@ -159,10 +232,10 @@ TEST_P(CodegenOracle, CompiledMatchesInterpretedOnBothNetworks)
         SCOPED_TRACE(spec->id + (slow ? " @802.11n" : " @802.11ac"));
         RunReport interp_report = prog.run(
             backendConfig(interp::BackendKind::Interpreter, slow),
-            evalInput(*spec));
+            spec->evalInput);
         RunReport native_report = prog.run(
             backendConfig(interp::BackendKind::NativeC, slow),
-            evalInput(*spec));
+            spec->evalInput);
         expectIdentical(interp_report, native_report);
     }
 }
@@ -226,10 +299,10 @@ TEST(CodegenOracleFleet, FleetWithFaultsMatchesInterpreter)
 
     FleetReport interp_fleet =
         runBackendFleet(prog.compiled(), interp::BackendKind::Interpreter,
-                        evalInput(*spec), 4);
+                        spec->evalInput, 4);
     FleetReport native_fleet =
         runBackendFleet(prog.compiled(), interp::BackendKind::NativeC,
-                        evalInput(*spec), 4);
+                        spec->evalInput, 4);
 
     ASSERT_EQ(interp_fleet.clients.size(), native_fleet.clients.size());
     for (size_t i = 0; i < interp_fleet.clients.size(); ++i) {
@@ -260,7 +333,7 @@ TEST(CodegenOracleFleet, MixedBackendFleetSharesOneTimeline)
         client.config.backend = (i % 2 == 0)
                                     ? interp::BackendKind::NativeC
                                     : interp::BackendKind::Interpreter;
-        client.input = evalInput(*spec);
+        client.input = spec->evalInput;
         client.startSeconds = static_cast<double>(i) * 0.0005;
         mixed.push_back(client);
     }

@@ -93,28 +93,28 @@ compileChess()
 TEST(Estimator, Table3GoldenNumbers)
 {
     // Paper Table 3: R = 5, BW = 80 Mbps.
-    EstimatorParams params{5.0, 80.0};
+    decision::ModelParams params{5.0, 80.0};
 
     // runGame: Tm 27.0 s, 20 MB, 1 invocation.
-    Estimate run_game = estimateGain(27.0, 20'000'000, 1, params);
+    decision::Terms run_game = decision::evaluate(27.0, 20'000'000, 1, params);
     EXPECT_NEAR(run_game.idealGain, 21.6, 0.01);
     EXPECT_NEAR(run_game.commSeconds, 4.0, 0.01);
     EXPECT_NEAR(run_game.gain, 17.6, 0.01);
 
     // getAITurn: Tm 26.0 s, 12 MB, 3 invocations.
-    Estimate ai_turn = estimateGain(26.0, 12'000'000, 3, params);
+    decision::Terms ai_turn = decision::evaluate(26.0, 12'000'000, 3, params);
     EXPECT_NEAR(ai_turn.idealGain, 20.8, 0.01);
     EXPECT_NEAR(ai_turn.commSeconds, 7.2, 0.01);
     EXPECT_NEAR(ai_turn.gain, 13.6, 0.01);
 
     // for_j: Tm 25.0 s, 12 MB, 36 invocations → NEGATIVE gain.
-    Estimate for_j = estimateGain(25.0, 12'000'000, 36, params);
+    decision::Terms for_j = decision::evaluate(25.0, 12'000'000, 36, params);
     EXPECT_NEAR(for_j.commSeconds, 86.4, 0.01);
     EXPECT_NEAR(for_j.gain, -66.4, 0.01);
     EXPECT_FALSE(for_j.profitable());
 
     // getPlayerTurn: Tm 1.5 s, 10 MB, 3 invocations → negative.
-    Estimate player = estimateGain(1.5, 10'000'000, 3, params);
+    decision::Terms player = decision::evaluate(1.5, 10'000'000, 3, params);
     EXPECT_NEAR(player.gain, -4.8, 0.01);
 }
 

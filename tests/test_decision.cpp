@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "compiler/driver.hpp"
-#include "compiler/estimator.hpp"
 #include "decision/engine.hpp"
 #include "decision/model.hpp"
 #include "decision/priors.hpp"
@@ -68,17 +67,6 @@ TEST(DecisionModel, MatchesEquationOneBitForBit)
         EXPECT_EQ(terms.commSeconds, comm);
         EXPECT_EQ(terms.gain, ideal - comm);
         EXPECT_EQ(terms.queueWaitSeconds, 0.0);
-
-        // And the compiler adapter forwards it verbatim.
-        compiler::EstimatorParams cp;
-        cp.speedRatio = c.ratio;
-        cp.bandwidthMbps = c.mbps;
-        compiler::Estimate est =
-            compiler::estimateGain(c.tm, c.mem, c.invocations, cp);
-        EXPECT_EQ(est.mobileSeconds, terms.mobileSeconds);
-        EXPECT_EQ(est.idealGain, terms.idealGain);
-        EXPECT_EQ(est.commSeconds, terms.commSeconds);
-        EXPECT_EQ(est.gain, terms.gain);
     }
 }
 
@@ -250,11 +238,9 @@ TEST(DecisionEngine, QueueErasedOnlyWhenLoadSaysSo)
               decision::Verdict::Offload);
 }
 
-TEST(DecisionEngine, RecordLogCollectsEveryDecision)
+TEST(DecisionEngine, RecordsEveryDecisionInOrder)
 {
-    decision::RecordLog log;
     decision::Engine dyn(5.0, 80e6);
-    dyn.setSink(&log);
 
     dyn.seed("hot", 10.0, 10'000'000);
     dyn.decide("hot", 1.0);
@@ -263,22 +249,27 @@ TEST(DecisionEngine, RecordLogCollectsEveryDecision)
     dyn.decide("cold", 3.0);
     dyn.decide("hot", 4.0);
 
-    ASSERT_EQ(log.size(), 4u);
-    EXPECT_EQ(log.count(decision::Verdict::Offload), 2u);
-    EXPECT_EQ(log.count(decision::Verdict::UnknownTarget), 1u);
-    EXPECT_EQ(log.count(decision::Verdict::Unprofitable), 1u);
-    EXPECT_EQ(log.byTarget("hot").size(), 2u);
-    EXPECT_EQ(log.byTarget("hot")[1]->sequence, 4u);
-    EXPECT_EQ(log.byVerdict(decision::Verdict::Unprofitable)[0]->target,
-              "cold");
-    // Every record renders with its target and verdict name.
-    std::string rendered = log.render();
+    const std::vector<decision::DecisionRecord> &records = dyn.records();
+    ASSERT_EQ(records.size(), 4u);
+    const std::pair<const char *, decision::Verdict> expected[] = {
+        {"hot", decision::Verdict::Offload},
+        {"ghost", decision::Verdict::UnknownTarget},
+        {"cold", decision::Verdict::Unprofitable},
+        {"hot", decision::Verdict::Offload},
+    };
+    for (size_t i = 0; i < records.size(); ++i) {
+        EXPECT_EQ(records[i].target, expected[i].first);
+        EXPECT_EQ(records[i].verdict, expected[i].second);
+        EXPECT_EQ(records[i].sequence, i + 1);
+    }
+    // A record renders with its target and verdict name.
+    std::string rendered = records[1].str();
     EXPECT_NE(rendered.find("ghost"), std::string::npos);
     EXPECT_NE(rendered.find("unknown-target"), std::string::npos);
 
-    std::vector<decision::DecisionRecord> taken = log.take();
+    std::vector<decision::DecisionRecord> taken = dyn.takeRecords();
     EXPECT_EQ(taken.size(), 4u);
-    EXPECT_TRUE(log.empty());
+    EXPECT_TRUE(dyn.records().empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -67,14 +67,12 @@ TEST(faults, SameSeedSameEventTrace)
 
     Rng traffic(7);
     for (int i = 0; i < 200; ++i) {
-        net::Direction dir = traffic.chance(0.5)
-                                 ? net::Direction::MobileToServer
-                                 : net::Direction::ServerToMobile;
         uint64_t bytes = 64 + traffic.below(8192);
+        bool unscaled = traffic.chance(0.5);
         // NOTE: both networks see the identical message sequence; the
         // traffic rng is shared, the fault rngs are per-network.
-        net::TransferResult ra = net_a.tryTransfer(dir, bytes);
-        net::TransferResult rb = net_b.tryTransfer(dir, bytes);
+        net::AttemptPlan ra = net_a.planAttempt(bytes, unscaled);
+        net::AttemptPlan rb = net_b.planAttempt(bytes, unscaled);
         ASSERT_EQ(static_cast<int>(ra.outcome),
                   static_cast<int>(rb.outcome))
             << "attempt " << i;
@@ -83,25 +81,21 @@ TEST(faults, SameSeedSameEventTrace)
     ASSERT_EQ(net_a.faultEvents().size(), net_b.faultEvents().size());
     EXPECT_TRUE(net_a.faultEvents() == net_b.faultEvents());
     EXPECT_GT(net_a.faultEvents().size(), 0u);
-    EXPECT_EQ(net_a.toServer().bytes, net_b.toServer().bytes);
-    EXPECT_EQ(net_a.toMobile().bytes, net_b.toMobile().bytes);
 }
 
 TEST(faults, DisabledPlanMatchesPlainTransfer)
 {
-    net::SimNetwork injected(net::makeWifi80211n());
+    net::SimNetwork injected(net::makeWifi80211n(), 16.0);
     injected.setFaultPlan({}); // disabled
-    uint64_t sent = 0;
     for (uint64_t bytes : {64ull, 4096ull, 1000000ull}) {
-        net::TransferResult r = injected.tryTransfer(
-            net::Direction::MobileToServer, bytes);
-        EXPECT_EQ(static_cast<int>(r.outcome),
-                  static_cast<int>(net::TransferOutcome::Delivered));
-        // Exactly the closed-form clean-link duration, bit for bit.
-        EXPECT_EQ(r.ns, injected.transferTimeNs(bytes));
-        sent += bytes;
+        for (bool unscaled : {false, true}) {
+            net::AttemptPlan r = injected.planAttempt(bytes, unscaled);
+            EXPECT_EQ(static_cast<int>(r.outcome),
+                      static_cast<int>(net::TransferOutcome::Delivered));
+            // Exactly the closed-form clean-link duration, bit for bit.
+            EXPECT_EQ(r.ns, injected.transferTimeNs(bytes, unscaled));
+        }
     }
-    EXPECT_EQ(injected.totalBytes(), sent);
     EXPECT_TRUE(injected.faultEvents().empty());
 }
 
@@ -113,9 +107,7 @@ TEST(faults, DisconnectAtMessageTakesLinkDown)
     net::SimNetwork net(net::makeWifi80211ac());
     net.setFaultPlan(plan);
 
-    auto send = [&] {
-        return net.tryTransfer(net::Direction::MobileToServer, 1024);
-    };
+    auto send = [&] { return net.planAttempt(1024); };
     EXPECT_EQ(static_cast<int>(send().outcome),
               static_cast<int>(net::TransferOutcome::Delivered));
     EXPECT_EQ(static_cast<int>(send().outcome),
@@ -143,11 +135,7 @@ TEST(faults, DisconnectAtByteAndReconnect)
     net::SimNetwork net(net::makeWifi80211ac());
     net.setFaultPlan(plan);
 
-    auto send = [&] {
-        return net
-            .tryTransfer(net::Direction::MobileToServer, 4096)
-            .outcome;
-    };
+    auto send = [&] { return net.planAttempt(4096).outcome; };
     EXPECT_EQ(static_cast<int>(send()),
               static_cast<int>(net::TransferOutcome::Delivered)); // 4096
     EXPECT_EQ(static_cast<int>(send()),

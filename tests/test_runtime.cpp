@@ -11,6 +11,7 @@
 #include "compress/lz.hpp"
 #include "frontend/codegen.hpp"
 #include "net/simnetwork.hpp"
+#include "runtime/comm.hpp"
 #include "runtime/offload.hpp"
 #include "support/rng.hpp"
 
@@ -148,13 +149,21 @@ TEST(Network, ScaleDividesBandwidth)
 
 TEST(Network, StatsAccumulate)
 {
+    // CommManager is the link's only traffic accountant: each message
+    // adds its bytes and its closed-form duration to its category.
+    sim::SimMachine mobile(sim::MachineRole::Mobile, arch::makeArm32());
+    sim::SimMachine server(sim::MachineRole::Server, arch::makeX86_64());
     net::SimNetwork net(net::makeWifi80211ac());
-    net.tryTransfer(net::Direction::MobileToServer, 1000);
-    net.tryTransfer(net::Direction::ServerToMobile, 500);
-    EXPECT_EQ(net.toServer().bytes, 1000u);
-    EXPECT_EQ(net.toMobile().bytes, 500u);
-    EXPECT_EQ(net.totalBytes(), 1500u);
-    EXPECT_EQ(net.toServer().messages, 1u);
+    runtime::CommManager comm(mobile, server, net, false);
+    comm.sendToServer(1000, runtime::CommCategory::Control);
+    comm.sendToMobile(500, runtime::CommCategory::Control);
+    const runtime::CommTotals &control =
+        comm.totals().at(runtime::CommCategory::Control);
+    EXPECT_EQ(control.messages, 2u);
+    EXPECT_EQ(control.wireBytes, 1500u);
+    EXPECT_EQ(comm.totalWireBytes(), 1500u);
+    EXPECT_EQ(control.seconds, net.transferTimeNs(1000) * 1e-9 +
+                                   net.transferTimeNs(500) * 1e-9);
 }
 
 // ---------------------------------------------------------------------------

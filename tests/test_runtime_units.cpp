@@ -56,7 +56,7 @@ TEST(Loader, UvaGlobalsGetIdenticalAddressesOnBothMachines)
     EXPECT_EQ(mob.addressOf(counter), srv.addressOf(counter));
     EXPECT_EQ(mob.addressOf(weight), srv.addressOf(weight));
     EXPECT_NE(mob.addressOf(local), srv.addressOf(local));
-    EXPECT_GE(mob.addressOf(counter), interp::kUvaGlobalBase);
+    EXPECT_GE(mob.addressOf(counter), sim::kUvaGlobalBase);
 }
 
 TEST(Loader, CanonicalFunctionAddressesMatchAcrossClones)
@@ -113,9 +113,9 @@ TEST(Uva, SubHeapsAreDisjoint)
     EXPECT_NE(m, 0u);
     EXPECT_NE(s, 0u);
     EXPECT_LT(uva.mobileHeap().limit(), uva.serverHeap().base() + 1);
-    EXPECT_TRUE(UvaManager::isUvaAddress(m));
-    EXPECT_TRUE(UvaManager::isUvaAddress(s));
-    EXPECT_FALSE(UvaManager::isUvaAddress(sim::kMobileStackBase - 8));
+    EXPECT_TRUE(sim::isUvaAddress(m));
+    EXPECT_TRUE(sim::isUvaAddress(s));
+    EXPECT_FALSE(sim::isUvaAddress(sim::kMobileStackBase - 8));
 }
 
 // ---------------------------------------------------------------------------
@@ -477,7 +477,7 @@ TEST(DynEstimator, ConsecutiveFailuresDoubleTheWindow)
 }
 
 // ---------------------------------------------------------------------------
-// Admission churn (ServerRuntime::disconnect)
+// Admission queue: timeout denial and slot handoff
 // ---------------------------------------------------------------------------
 
 #include "compiler/driver.hpp"
@@ -500,11 +500,11 @@ tinyProgram()
 
 } // namespace
 
-TEST(AdmissionChurn, MidQueueDisconnectRemovesWaiterWithoutSlotLeak)
+TEST(AdmissionQueue, MidQueueTimeoutRemovesWaiterWithoutSlotLeak)
 {
     AdmissionConfig config;
     config.maxConcurrentSessions = 1;
-    config.maxQueueWaitSeconds = 5.0;
+    config.maxQueueWaitSeconds = 2.0;
     ServerRuntime server(tinyProgram(), config);
 
     std::vector<decision::LoadSnapshot> snapshots;
@@ -519,29 +519,28 @@ TEST(AdmissionChurn, MidQueueDisconnectRemovesWaiterWithoutSlotLeak)
     AdmissionResult r1, r2, r3;
     sim::Strand *s1 = nullptr, *s2 = nullptr, *s3 = nullptr;
     s1 = loop.spawn("s1", 0.0, [&] { r1 = server.acquire(*s1, 1, 0.0); });
-    s2 = loop.spawn("s2", 1000.0,
-                    [&] { r2 = server.acquire(*s2, 2, 1000.0); });
-    s3 = loop.spawn("s3", 2000.0,
-                    [&] { r3 = server.acquire(*s3, 3, 2000.0); });
-    // Session 2 churns out of the middle of the queue; session 1
-    // releases later; session 3 must still inherit the slot.
-    server.disconnect(2, 3000.0);
-    server.release(1, 5000.0);
-    server.release(3, 6000.0);
+    s2 = loop.spawn("s2", 1e9, [&] { r2 = server.acquire(*s2, 2, 1e9); });
+    s3 = loop.spawn("s3", 2.5e9,
+                    [&] { r3 = server.acquire(*s3, 3, 2.5e9); });
+    // Session 2's queue wait runs out in the middle of the queue at
+    // 3 s; session 1 releases later; session 3 must still inherit the
+    // slot.
+    server.release(1, 3.5e9);
+    server.release(3, 6e9);
     loop.run();
     server.attachLoopForTesting(nullptr);
     server.setLoadObserver(nullptr);
 
     EXPECT_TRUE(r1.granted);
     EXPECT_DOUBLE_EQ(r1.waitedNs, 0.0);
-    EXPECT_FALSE(r2.granted); // the disconnect delivered a denial
-    EXPECT_DOUBLE_EQ(r2.wakeNs, 3000.0);
+    EXPECT_FALSE(r2.granted); // the queue timeout delivered a denial
+    EXPECT_DOUBLE_EQ(r2.wakeNs, 3e9);
     EXPECT_TRUE(r3.granted); // later waiters are unaffected
-    EXPECT_DOUBLE_EQ(r3.wakeNs, 5000.0);
-    EXPECT_DOUBLE_EQ(r3.waitedNs, 3000.0);
+    EXPECT_DOUBLE_EQ(r3.wakeNs, 3.5e9);
+    EXPECT_DOUBLE_EQ(r3.waitedNs, 1e9);
 
-    // The disconnect removed exactly one waiter (queue 2 -> 1) while
-    // the slot holder stayed put — no slot leaked, no ghost waiter.
+    // The timeout removed exactly one waiter (queue 2 -> 1) while the
+    // slot holder stayed put — no slot leaked, no ghost waiter.
     bool saw_eviction = false;
     uint32_t peak_queue = 0;
     for (size_t i = 1; i < snapshots.size(); ++i) {
@@ -561,7 +560,7 @@ TEST(AdmissionChurn, MidQueueDisconnectRemovesWaiterWithoutSlotLeak)
     EXPECT_EQ(final_load.completedHolds, 2u); // sessions 1 and 3
 }
 
-TEST(AdmissionChurn, HoldingSessionDisconnectFreesSlotForWaiter)
+TEST(AdmissionQueue, ReleasedSlotPassesToWaiterAndCountsTheHold)
 {
     AdmissionConfig config;
     config.maxConcurrentSessions = 1;
@@ -576,12 +575,10 @@ TEST(AdmissionChurn, HoldingSessionDisconnectFreesSlotForWaiter)
     s1 = loop.spawn("s1", 0.0, [&] { r1 = server.acquire(*s1, 1, 0.0); });
     s2 = loop.spawn("s2", 1000.0,
                     [&] { r2 = server.acquire(*s2, 2, 1000.0); });
-    // The slot holder churns; its slot must pass to the queued waiter.
-    server.disconnect(1, 2000.0);
+    // The slot holder releases; its slot must pass to the queued
+    // waiter.
+    server.release(1, 2000.0);
     server.release(2, 3000.0);
-    // Disconnect of a session that is neither queued nor holding is a
-    // harmless no-op (a client can vanish after finishing cleanly).
-    server.disconnect(99, 3500.0);
     loop.run();
     server.attachLoopForTesting(nullptr);
 
@@ -594,8 +591,8 @@ TEST(AdmissionChurn, HoldingSessionDisconnectFreesSlotForWaiter)
     EXPECT_EQ(final_load.activeSessions, 0u);
     EXPECT_EQ(final_load.queueDepth, 0u);
     EXPECT_EQ(final_load.slotPool, 1u);
-    // The churned holder's hold still counts toward the ledger the
-    // admission-aware Eq. 1 term reads (its time on the slot was real).
+    // Both holds count toward the ledger the admission-aware Eq. 1
+    // term reads.
     EXPECT_EQ(final_load.completedHolds, 2u);
     EXPECT_GT(final_load.meanHoldSeconds, 0.0);
 }

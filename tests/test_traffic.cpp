@@ -87,8 +87,6 @@ TEST(Trace, DiurnalPreservesAverageRateAndDeterminism)
     config.arrivals = 10000;
     config.ratePerSecond = 4.0;
     config.process = ArrivalProcess::Diurnal;
-    config.diurnalPeriodSeconds = 60.0;
-    config.diurnalAmplitude = 0.8;
     Trace a = generateTrace(config, 3);
     Trace b = generateTrace(config, 3);
     EXPECT_EQ(serializeTrace(a), serializeTrace(b));

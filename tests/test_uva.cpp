@@ -1,10 +1,13 @@
 /**
  * @file
- * UvaManager address-space tests: the named region registry (overlap
- * rejection, unmapped lookups, translation) and sub-heap exhaustion —
- * the address-management edge cases the offload runtime leans on.
+ * UVA address-space tests: sim::isUvaAddress at every edge of the
+ * unified layout, and UvaManager's sub-heaps (disjointness and
+ * exhaustion) — the address-management edge cases the offload runtime
+ * leans on.
  */
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "runtime/uva.hpp"
 
@@ -13,113 +16,72 @@ using namespace nol::runtime;
 
 TEST(UvaRegions, CanonicalLayout)
 {
+    // Globals, mobile sub-heap and server sub-heap are contiguous, and
+    // isUvaAddress holds on both sides of each inner edge.
+    EXPECT_LT(sim::kUvaGlobalBase, sim::kUvaHeapBase);
+    EXPECT_TRUE(sim::isUvaAddress(sim::kUvaHeapBase - 1));
+    EXPECT_TRUE(sim::isUvaAddress(sim::kUvaHeapBase));
+    EXPECT_GT(sim::kUvaServerSubBase, sim::kUvaHeapBase);
+    EXPECT_LT(sim::kUvaServerSubBase, sim::kUvaHeapBase + sim::kUvaHeapSize);
+    EXPECT_TRUE(sim::isUvaAddress(sim::kUvaServerSubBase - 1));
+    EXPECT_TRUE(sim::isUvaAddress(sim::kUvaServerSubBase));
+
+    // Each namespace's arenas sit exactly on those edges and abut.
     UvaManager uva;
-    ASSERT_EQ(uva.regions().size(), 3u);
-
-    const UvaRegion *globals = uva.regionOf(kUvaGlobalsBase);
-    ASSERT_NE(globals, nullptr);
-    EXPECT_EQ(globals->name, "uva-globals");
-
-    const UvaRegion *mob = uva.regionOf(sim::kUvaHeapBase);
-    ASSERT_NE(mob, nullptr);
-    EXPECT_EQ(mob->name, "uva-heap-mobile");
-
-    const UvaRegion *srv = uva.regionOf(kUvaServerSubBase);
-    ASSERT_NE(srv, nullptr);
-    EXPECT_EQ(srv->name, "uva-heap-server");
-
-    // Contiguous: the last byte of one region abuts the next.
-    EXPECT_EQ(globals->base + globals->size, mob->base);
-    EXPECT_EQ(mob->base + mob->size, srv->base);
+    EXPECT_EQ(uva.mobileHeap().base(), sim::kUvaHeapBase);
+    EXPECT_EQ(uva.mobileHeap().limit(), sim::kUvaServerSubBase);
+    EXPECT_EQ(uva.serverHeap().base(), sim::kUvaServerSubBase);
+    EXPECT_EQ(uva.serverHeap().limit(),
+              sim::kUvaHeapBase + sim::kUvaHeapSize);
 }
 
 TEST(UvaRegions, BoundaryAddresses)
 {
-    UvaManager uva;
-    // One below the globals base is unmapped; the base itself maps.
-    EXPECT_EQ(uva.regionOf(kUvaGlobalsBase - 1), nullptr);
-    EXPECT_NE(uva.regionOf(kUvaGlobalsBase), nullptr);
-
-    // The heap split point belongs to the server sub-heap, its
-    // predecessor to the mobile sub-heap.
-    EXPECT_EQ(uva.regionOf(kUvaServerSubBase - 1)->name, "uva-heap-mobile");
-    EXPECT_EQ(uva.regionOf(kUvaServerSubBase)->name, "uva-heap-server");
+    // One below the globals base is machine-local; the base is unified.
+    EXPECT_FALSE(sim::isUvaAddress(sim::kUvaGlobalBase - 1));
+    EXPECT_TRUE(sim::isUvaAddress(sim::kUvaGlobalBase));
 
     // End of the heap is exclusive.
     uint64_t end = sim::kUvaHeapBase + sim::kUvaHeapSize;
-    EXPECT_EQ(uva.regionOf(end - 1)->name, "uva-heap-server");
-    EXPECT_EQ(uva.regionOf(end), nullptr);
+    EXPECT_TRUE(sim::isUvaAddress(end - 1));
+    EXPECT_FALSE(sim::isUvaAddress(end));
+
+    // The machine-local regions are all outside.
+    EXPECT_FALSE(sim::isUvaAddress(sim::kMobileGlobalBase));
+    EXPECT_FALSE(sim::isUvaAddress(sim::kServerGlobalBase));
+    EXPECT_FALSE(sim::isUvaAddress(sim::kServerStackBase - 8));
+    EXPECT_FALSE(sim::isUvaAddress(sim::kMobileStackBase - 8));
+    EXPECT_FALSE(sim::isUvaAddress(sim::kServer64HeapBase));
 }
 
 TEST(UvaRegions, RegionUnionMatchesLegacyPredicate)
 {
+    // The UVA globals plus both u_malloc arenas must cover exactly the
+    // addresses isUvaAddress accepts — prefetch page selection and the
+    // allocators depend on the two agreeing bit for bit.
     UvaManager uva;
-    // The named regions must cover exactly the addresses the legacy
-    // static predicate accepted — prefetch page selection depends on
-    // the two agreeing bit for bit.
+    auto in_union = [&uva](uint64_t addr) {
+        return (addr >= sim::kUvaGlobalBase && addr < sim::kUvaHeapBase) ||
+               uva.mobileHeap().contains(addr) ||
+               uva.serverHeap().contains(addr);
+    };
     std::vector<uint64_t> probes = {
         0,
-        kUvaGlobalsBase - 1,
-        kUvaGlobalsBase,
-        kUvaGlobalsBase + 0x1234,
+        sim::kUvaGlobalBase - 1,
+        sim::kUvaGlobalBase,
+        sim::kUvaGlobalBase + 0x1234,
         sim::kUvaHeapBase - 1,
         sim::kUvaHeapBase,
-        kUvaServerSubBase,
+        sim::kUvaServerSubBase - 1,
+        sim::kUvaServerSubBase,
         sim::kUvaHeapBase + sim::kUvaHeapSize - 1,
         sim::kUvaHeapBase + sim::kUvaHeapSize,
         0xffff'ffff'ffff'0000ull,
     };
     for (uint64_t addr : probes) {
-        EXPECT_EQ(uva.regionOf(addr) != nullptr,
-                  UvaManager::isUvaAddress(addr))
+        EXPECT_EQ(in_union(addr), sim::isUvaAddress(addr))
             << "disagreement at 0x" << std::hex << addr;
     }
-}
-
-TEST(UvaRegions, OverlapRejected)
-{
-    UvaManager uva;
-    // Fully inside an existing region.
-    EXPECT_FALSE(uva.addRegion("inside", sim::kUvaHeapBase + 0x1000, 0x100));
-    // Straddling a region boundary from below.
-    EXPECT_FALSE(uva.addRegion("straddle", kUvaGlobalsBase - 0x100, 0x200));
-    // Enclosing an existing region entirely.
-    EXPECT_FALSE(uva.addRegion("enclose", kUvaGlobalsBase - 0x1000,
-                               sim::kUvaHeapSize * 2));
-    // Identical range.
-    EXPECT_FALSE(uva.addRegion("dup", kUvaGlobalsBase,
-                               sim::kUvaHeapBase - kUvaGlobalsBase));
-    EXPECT_EQ(uva.regions().size(), 3u);
-
-    // Disjoint ranges are accepted, adjacency included.
-    uint64_t end = sim::kUvaHeapBase + sim::kUvaHeapSize;
-    EXPECT_TRUE(uva.addRegion("after-heap", end, 0x1000));
-    EXPECT_EQ(uva.regionOf(end)->name, "after-heap");
-}
-
-TEST(UvaRegions, DegenerateRangesRejected)
-{
-    UvaManager uva;
-    EXPECT_FALSE(uva.addRegion("empty", 0x1000, 0));
-    // Address wrap-around.
-    EXPECT_FALSE(uva.addRegion("wrap", ~0ull - 0x10, 0x100));
-}
-
-TEST(UvaRegions, TranslateUnmappedLeavesOutputsUntouched)
-{
-    UvaManager uva;
-    const UvaRegion *region = reinterpret_cast<const UvaRegion *>(0x1);
-    uint64_t offset = 0xdeadbeef;
-    EXPECT_FALSE(uva.translate(0x100, &region, &offset));
-    EXPECT_EQ(region, reinterpret_cast<const UvaRegion *>(0x1));
-    EXPECT_EQ(offset, 0xdeadbeefull);
-
-    EXPECT_TRUE(uva.translate(sim::kUvaHeapBase + 0x40, &region, &offset));
-    EXPECT_EQ(region->name, "uva-heap-mobile");
-    EXPECT_EQ(offset, 0x40u);
-
-    // Null outputs are allowed (existence probe).
-    EXPECT_TRUE(uva.translate(kUvaGlobalsBase, nullptr, nullptr));
 }
 
 TEST(UvaHeaps, DisjointSubHeaps)
@@ -129,10 +91,11 @@ TEST(UvaHeaps, DisjointSubHeaps)
     uint64_t s = uva.serverHeap().allocate(64);
     ASSERT_NE(m, 0u);
     ASSERT_NE(s, 0u);
-    EXPECT_LT(m, kUvaServerSubBase);
-    EXPECT_GE(s, kUvaServerSubBase);
-    EXPECT_EQ(uva.regionOf(m)->name, "uva-heap-mobile");
-    EXPECT_EQ(uva.regionOf(s)->name, "uva-heap-server");
+    EXPECT_GE(m, sim::kUvaHeapBase);
+    EXPECT_LT(m, sim::kUvaServerSubBase);
+    EXPECT_GE(s, sim::kUvaServerSubBase);
+    EXPECT_TRUE(sim::isUvaAddress(m));
+    EXPECT_TRUE(sim::isUvaAddress(s));
 }
 
 TEST(UvaHeaps, MobileExhaustionReturnsZero)
@@ -141,7 +104,7 @@ TEST(UvaHeaps, MobileExhaustionReturnsZero)
     // The allocator manages addresses only, so walking the whole
     // sub-heap in large chunks is cheap.
     constexpr uint64_t kChunk = 0x1000'0000ull; // 256 MiB
-    uint64_t total = kUvaServerSubBase - sim::kUvaHeapBase;
+    uint64_t total = sim::kUvaServerSubBase - sim::kUvaHeapBase;
     uint64_t expected = total / kChunk;
     uint64_t got = 0;
     uint64_t last = 0;
@@ -154,7 +117,7 @@ TEST(UvaHeaps, MobileExhaustionReturnsZero)
         ASSERT_LE(got, expected) << "allocated past the sub-heap";
     }
     EXPECT_EQ(got, expected);
-    EXPECT_LT(last + kChunk, kUvaServerSubBase + 1);
+    EXPECT_LT(last + kChunk, sim::kUvaServerSubBase + 1);
     // Smaller requests may still fit the tail; a full-chunk one never.
     EXPECT_EQ(uva.mobileHeap().allocate(kChunk), 0u);
     // Releasing makes the space reusable (free-list path).

@@ -36,15 +36,6 @@ uvaGlobalNames(const ir::Module &module)
     return out;
 }
 
-runtime::RunInput
-evalInput(const WorkloadSpec &spec)
-{
-    runtime::RunInput input;
-    input.stdinText = spec.evalInput.stdinText;
-    input.files = spec.evalInput.files;
-    return input;
-}
-
 } // namespace
 
 TEST(WorkloadRegistry, HasAll17InTable4Order)
@@ -137,7 +128,7 @@ TEST_P(WorkloadEquivalence, OffloadedMatchesLocal)
     const WorkloadSpec *spec = workloadById(GetParam());
     ASSERT_NE(spec, nullptr);
     core::Program prog = compileWorkload(*spec);
-    runtime::RunInput input = evalInput(*spec);
+    const runtime::RunInput &input = spec->evalInput;
 
     runtime::RunReport local = prog.runLocal(input);
 
@@ -201,7 +192,7 @@ TEST_P(FieldSensitivePrecision, StrictlyShrinksUvaWithIdenticalOutputs)
 
     // Same partition, bit-identical execution in both modes.
     EXPECT_EQ(sens.targets(), flat.targets()) << spec->id;
-    runtime::RunInput input = evalInput(*spec);
+    const runtime::RunInput &input = spec->evalInput;
     runtime::RunReport a = sens.runLocal(input);
     runtime::RunReport b = flat.runLocal(input);
     EXPECT_EQ(a.console, b.console) << spec->id;
@@ -277,8 +268,8 @@ TEST(ChessExample, DifficultyScalesComputation)
     WorkloadSpec hard = makeChess(8);
     core::Program easy_prog = compileWorkload(easy);
     core::Program hard_prog = compileWorkload(hard);
-    runtime::RunReport easy_run = easy_prog.runLocal(evalInput(easy));
-    runtime::RunReport hard_run = hard_prog.runLocal(evalInput(hard));
+    runtime::RunReport easy_run = easy_prog.runLocal(easy.evalInput);
+    runtime::RunReport hard_run = hard_prog.runLocal(hard.evalInput);
     // Deeper thinking must cost substantially more (Table 1's shape).
     EXPECT_GT(hard_run.mobileSeconds, easy_run.mobileSeconds * 2.0);
 }
@@ -288,7 +279,7 @@ TEST(ChessExample, MobileServerGapMatchesTable1)
     // Table 1: the smartphone is ~5.4-5.9x slower across difficulties.
     WorkloadSpec chess = makeChess(6);
     core::Program prog = compileWorkload(chess);
-    runtime::RunInput input = evalInput(chess);
+    const runtime::RunInput &input = chess.evalInput;
     runtime::RunReport local = prog.runLocal(input);
     runtime::RunReport ideal = prog.runIdeal(input);
     ASSERT_GT(ideal.offloads, 0u);

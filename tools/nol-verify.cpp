@@ -48,14 +48,8 @@ using nol::support::DiagnosticEngine;
 int
 verifyWorkload(const nol::workloads::WorkloadSpec &spec, bool verbose)
 {
-    CompileRequest req;
-    req.name = spec.id;
-    req.source = spec.source;
-    req.profilingInput = spec.profilingInput;
-    // Match the bench setup: generous static estimator, scaled
-    // consistently with the workload's byte counts.
-    req.staticBandwidthMbps = 844.0 / spec.memScale;
-    Program program = Program::compile(req);
+    Program program =
+        Program::compile(nol::workloads::evaluationRequest(spec));
 
     DiagnosticEngine engine = program.verify();
     const auto &partition = program.compiled().partition;
@@ -158,11 +152,7 @@ printPointsToStatsJson(const nol::analysis::PointsToStats &s)
 int
 statsWorkload(const nol::workloads::WorkloadSpec &spec, bool last)
 {
-    CompileRequest req;
-    req.name = spec.id;
-    req.source = spec.source;
-    req.profilingInput = spec.profilingInput;
-    req.staticBandwidthMbps = 844.0 / spec.memScale;
+    CompileRequest req = nol::workloads::evaluationRequest(spec);
     Program sensitive = Program::compile(req);
     req.fieldSensitiveAnalysis = false;
     Program insensitive = Program::compile(req);
@@ -222,12 +212,8 @@ statsWorkload(const nol::workloads::WorkloadSpec &spec, bool last)
 int
 backendWorkload(const nol::workloads::WorkloadSpec &spec)
 {
-    CompileRequest req;
-    req.name = spec.id;
-    req.source = spec.source;
-    req.profilingInput = spec.profilingInput;
-    req.staticBandwidthMbps = 844.0 / spec.memScale;
-    Program program = Program::compile(req);
+    Program program =
+        Program::compile(nol::workloads::evaluationRequest(spec));
 
     DiagnosticEngine engine = program.verify();
     if (engine.hasErrors()) {
@@ -238,14 +224,12 @@ backendWorkload(const nol::workloads::WorkloadSpec &spec)
 
     nol::runtime::SystemConfig cfg;
     cfg.memScale = spec.memScale;
-    nol::runtime::RunInput input;
-    input.stdinText = spec.evalInput.stdinText;
-    input.files = spec.evalInput.files;
-
     cfg.backend = nol::interp::BackendKind::Interpreter;
-    nol::runtime::RunReport interp_report = program.run(cfg, input);
+    nol::runtime::RunReport interp_report =
+        program.run(cfg, spec.evalInput);
     cfg.backend = nol::interp::BackendKind::NativeC;
-    nol::runtime::RunReport native_report = program.run(cfg, input);
+    nol::runtime::RunReport native_report =
+        program.run(cfg, spec.evalInput);
 
     std::string why;
     bool same =
