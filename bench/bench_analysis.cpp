@@ -1,27 +1,25 @@
 /**
  * @file
- * Analysis-framework bench: for all 17 workloads + chess, measures the
- * interprocedural points-to + taint analysis wall time, the points-to
- * graph shape (nodes, objects, edges, fixpoint passes) and — the paper
- * payoff — how much the analysis shrinks what must be shipped to the
- * server versus the conservative call-graph treatment: UVA-resident
- * globals (Sec. 3.2) and the function-pointer translation map
- * (Sec. 3.4). Also re-runs the offload-safety verifier so the shrink
- * numbers are only reported on partitions it accepts. Results land in
- * BENCH_analysis.json next to the table.
+ * Analysis-framework bench: for all 17 workloads + chess, reports the
+ * points-to graph shape (nodes, objects, edges, fixpoint passes), the
+ * machine-specific function count and — the paper payoff — how much
+ * the analysis shrinks what must be shipped to the server versus the
+ * conservative call-graph treatment: UVA-resident globals (Sec. 3.2)
+ * and the function-pointer translation map (Sec. 3.4). Also re-runs
+ * the offload-safety verifier so the shrink numbers are only reported
+ * on partitions it accepts, and exits 1 if it rejects any. Results
+ * land in BENCH_analysis.json next to the table.
  *
- * Timings are the p50 of repeated samples (summarizeLatencies — the
- * tree's one percentile definition), and every shrink number is quoted
- * field-sensitive next to its field-insensitive oracle so the table
- * shows what the per-field dimension buys (and costs).
+ * Every shrink number is quoted field-sensitive next to its
+ * field-insensitive oracle so the table shows what the per-field
+ * dimension buys. The output is deterministic; the analysis passes'
+ * host time is perfbench's compiler.*_s.
  */
-#include <chrono>
 #include <cstdio>
 
 #include "analysis/pointsto.hpp"
 #include "analysis/taint.hpp"
 #include "bench/benchlib.hpp"
-#include "support/stats.hpp"
 #include "support/strings.hpp"
 
 using namespace nol;
@@ -29,13 +27,8 @@ using namespace nol::bench;
 
 namespace {
 
-/** Repeated timing samples per workload; the table quotes the p50. */
-constexpr int kTimingSamples = 9;
-
 struct Row {
     std::string id;
-    double analysisMs = 0;     ///< p50 of the field-sensitive stack
-    double analysisMsFlat = 0; ///< p50 of the insensitive solver alone
     analysis::PointsToStats stats;
     size_t taintedFns = 0;
     size_t uvaGlobals = 0;
@@ -63,35 +56,11 @@ measure(const workloads::WorkloadSpec &spec)
     core::Program flat_program = compileWorkload(spec, false);
     const compiler::CompiledProgram &flat = flat_program.compiled();
 
-    // Re-run the analysis stack over the unified module, timed alone
-    // (the pipeline interleaves it with profiling and partitioning).
-    // kTimingSamples repetitions through summarizeLatencies smooth the
-    // scheduler noise a single-shot measurement is hostage to.
-    std::vector<double> samples;
-    std::vector<double> flat_samples;
-    for (int k = 0; k < kTimingSamples; ++k) {
-        auto t0 = std::chrono::steady_clock::now();
-        analysis::PointsToResult pts =
-            analysis::analyzePointsTo(*prog.unified);
-        analysis::AttributeResult taint =
-            analysis::machineSpecificTaint(*prog.unified, pts, {});
-        auto t1 = std::chrono::steady_clock::now();
-        samples.push_back(
-            std::chrono::duration<double, std::milli>(t1 - t0).count());
-        if (k == 0) {
-            row.stats = pts.stats();
-            row.taintedFns = taint.members().size();
-        }
-
-        auto t2 = std::chrono::steady_clock::now();
-        analysis::analyzePointsTo(*prog.unified,
-                                  {.fieldSensitive = false});
-        auto t3 = std::chrono::steady_clock::now();
-        flat_samples.push_back(
-            std::chrono::duration<double, std::milli>(t3 - t2).count());
-    }
-    row.analysisMs = summarizeLatencies(samples).p50;
-    row.analysisMsFlat = summarizeLatencies(flat_samples).p50;
+    // Re-run the analysis stack over the unified module for its shape.
+    analysis::PointsToResult pts = analysis::analyzePointsTo(*prog.unified);
+    row.stats = pts.stats();
+    row.taintedFns =
+        analysis::machineSpecificTaint(*prog.unified, pts, {}).members().size();
 
     row.uvaGlobals = prog.unifyStats.uvaGlobals;
     row.uvaGlobalsInsensitive = flat.unifyStats.uvaGlobals;
@@ -128,7 +97,7 @@ main()
         rows.push_back(measure(spec));
 
     TextTable table;
-    table.header({"Program", "p50ms", "flat-ms", "nodes", "slots",
+    table.header({"Program", "nodes", "slots",
                   "edges", "passes", "tainted", "UVA", "UVA-flat",
                   "UVA-cons", "pages", "pg-flat", "fld-lim", "fptr",
                   "fptr-flat", "verified"});
@@ -142,9 +111,7 @@ main()
                          row.uvaPages < row.uvaPagesInsensitive)
                             ? 1
                             : 0;
-        table.row({row.id, fixed(row.analysisMs, 2),
-                   fixed(row.analysisMsFlat, 2),
-                   std::to_string(row.stats.nodes),
+        table.row({row.id, std::to_string(row.stats.nodes),
                    std::to_string(row.stats.fieldSlots),
                    std::to_string(row.stats.totalEdges),
                    std::to_string(row.stats.iterations),
@@ -171,8 +138,7 @@ main()
         const Row &row = rows[i];
         std::fprintf(
             json,
-            "    {\"id\": \"%s\", \"analysis_ms_p50\": %.3f, "
-            "\"analysis_ms_p50_insensitive\": %.3f, "
+            "    {\"id\": \"%s\", "
             "\"pts_nodes\": %zu, \"pts_objects\": %zu, "
             "\"pts_field_slots\": %zu, "
             "\"pts_edges\": %zu, \"pts_max_set\": %zu, "
@@ -185,8 +151,7 @@ main()
             "\"fptr_map_insensitive\": %zu, "
             "\"fptr_map_conservative\": %zu, \"diagnostics\": %zu, "
             "\"verified\": %s}%s\n",
-            row.id.c_str(), row.analysisMs, row.analysisMsFlat,
-            row.stats.nodes, row.stats.objects, row.stats.fieldSlots,
+            row.id.c_str(), row.stats.nodes, row.stats.objects, row.stats.fieldSlots,
             row.stats.totalEdges, row.stats.maxSetSize,
             row.stats.iterations, row.taintedFns, row.uvaGlobals,
             row.uvaGlobalsInsensitive, row.uvaGlobalsConservative,

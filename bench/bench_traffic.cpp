@@ -23,15 +23,13 @@
  *
  * Every cell executes on the native-C backend when a host toolchain
  * is present (simulated metrics are backend-independent, so only wall
- * clock moves); one representative cell is re-run on the interpreter
- * and the wall-clock ratio lands in the JSON as native_speedup.
+ * clock moves).
  *
  * Results land in BENCH_traffic.json next to the table.
  * Usage: bench_traffic [arrivals] [--suite]
  *   (default 2000 arrivals; CI smoke uses 64. --suite swaps the
  *    three-class built-in mix for the 17-program SPEC-shaped suite.)
  */
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -94,14 +92,6 @@ traceFor(uint32_t arrivals, double rate, size_t program_count)
     config.mixAlpha = kMixAlpha;
     config.churnFraction = kChurnFraction;
     return generateTrace(config, program_count);
-}
-
-double
-now()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
 }
 
 } // namespace
@@ -261,50 +251,17 @@ main(int argc, char **argv)
     if (!tail_win)
         std::printf("WARNING: no policy beat fifo on p99 at any load\n");
 
-    // Compiled-vs-interpreted wall clock on one representative cell
-    // (first load point, FIFO): same trace, same admission, only the
-    // execution engine differs. Simulated counters must agree.
-    double native_wall = 0, interp_wall = 0;
-    if (native) {
-        Trace trace =
-            traceFor(arrivals, rhos.front() * capacity, mix.programs.size());
-        std::fprintf(stderr, "[traffic] backend speedup cell ...\n");
-        double t0 = now();
-        TrafficReport fast_report = runOpenLoop(
-            trace, mix.programs,
-            admissionFor(runtime::AdmissionPolicyKind::Fifo, false));
-        native_wall = now() - t0;
-        std::vector<TrafficProgram> interp_mix = mix.programs;
-        for (TrafficProgram &cls : interp_mix)
-            cls.config.backend = interp::BackendKind::Interpreter;
-        t0 = now();
-        TrafficReport slow_report = runOpenLoop(
-            trace, interp_mix,
-            admissionFor(runtime::AdmissionPolicyKind::Fifo, false));
-        interp_wall = now() - t0;
-        NOL_ASSERT(serializeTrafficReport(fast_report) ==
-                       serializeTrafficReport(slow_report),
-                   "backends diverged on the traffic report");
-        std::printf("native backend speedup %.1fx on the fifo cell "
-                    "(%.2fs interpreted, %.2fs native)\n",
-                    interp_wall / native_wall, interp_wall, native_wall);
-    }
-
     FILE *json = std::fopen("BENCH_traffic.json", "w");
     NOL_ASSERT(json != nullptr, "cannot write BENCH_traffic.json");
     std::fprintf(json,
                  "{\n  \"arrivals\": %u, \"slots\": %u, "
                  "\"mix\": \"%s\", \"backend\": \"%s\", "
                  "\"mean_service_s\": %.6f, \"capacity_per_s\": %.6f, "
-                 "\"churn_fraction\": %.4f, \"tail_win\": %s, "
-                 "\"native_wall_s\": %.4f, \"interp_wall_s\": %.4f, "
-                 "\"native_speedup\": %.2f,\n"
+                 "\"churn_fraction\": %.4f, \"tail_win\": %s,\n"
                  "  \"cells\": [\n",
                  arrivals, kSlots, suite ? "suite" : "builtin",
                  interp::backendKindName(backend), mean_service, capacity,
-                 kChurnFraction, tail_win ? "true" : "false", native_wall,
-                 interp_wall,
-                 native_wall > 0 ? interp_wall / native_wall : 0.0);
+                 kChurnFraction, tail_win ? "true" : "false");
     for (size_t i = 0; i < cells.size(); ++i) {
         const TrafficReport &r = cells[i].report;
         std::fprintf(

@@ -1,5 +1,6 @@
 #include "analysis/corpus.hpp"
 
+#include "frontend/builtins.hpp"
 #include "ir/irbuilder.hpp"
 
 namespace nol::analysis {
@@ -299,6 +300,52 @@ globalFieldNotUva()
     return c;
 }
 
+/** The field-limited global again (marked for field #0 only), but the
+ *  kernel hands field #1's address to memset through a function-pointer
+ *  global. Any external routine may dereference what it is handed, so
+ *  the escape needs field #1 marked whether the call is direct or not. */
+CorpusCase
+globalFieldEscapesThroughPointer()
+{
+    CorpusCase c =
+        makeCase("global-field-fptr-escape", diag::kGlobalNotUva);
+    c.fieldSensitiveOnly = true;
+    addKernel(*c.mobile);
+
+    ir::Module &srv = *c.server;
+    ir::StructType *cfg_ty = srv.types().createStruct(
+        "Cfg", {{"scale", srv.types().i32()}, {"bias", srv.types().i32()}});
+    ir::GlobalVariable *cfg = srv.createGlobal(
+        "cfg", cfg_ty,
+        ir::Initializer::aggregate(
+            {ir::Initializer::ofInt(3), ir::Initializer::ofInt(4)}),
+        false);
+    cfg->setInUva(true);
+    cfg->setUvaFields({0}); // bias (field #1) deliberately unmarked
+
+    ir::Function *memset_fn = frontend::declareBuiltin(srv, "memset");
+    ir::GlobalVariable *fill = srv.createGlobal(
+        "fill", srv.types().pointerTo(memset_fn->functionType()),
+        ir::Initializer::ofFunction(memset_fn), false);
+    fill->setInUva(true);
+    c.fptrMap = {"memset"}; // only the field mark is broken here
+
+    const ir::FunctionType *fn_ty =
+        srv.types().functionTy(srv.types().i32(), {});
+    ir::Function *kernel = srv.createFunction("kernel", fn_ty, false);
+    kernel->materializeArgs();
+    ir::IRBuilder builder(srv);
+    builder.setInsertPoint(kernel->createBlock("entry"));
+    ir::Instruction *bias = builder.fieldAddr(cfg, 1, "bias");
+    ir::Instruction *dst = builder.cast(
+        ir::Opcode::Bitcast, bias, srv.types().pointerTo(srv.types().i8()));
+    ir::Instruction *fp = builder.load(fill, "fp");
+    builder.callIndirect(fp, memset_fn->functionType(),
+                         {dst, srv.constI32(0), srv.constI64(4)}, "p");
+    builder.ret(srv.constI32(0));
+    return c;
+}
+
 } // namespace
 
 std::vector<CorpusCase>
@@ -315,6 +362,7 @@ buildBrokenCorpus()
     corpus.push_back(targetMissing());
     corpus.push_back(fptrSlotMissing());
     corpus.push_back(globalFieldNotUva());
+    corpus.push_back(globalFieldEscapesThroughPointer());
     return corpus;
 }
 

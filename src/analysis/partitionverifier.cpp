@@ -1,7 +1,6 @@
 #include "analysis/partitionverifier.hpp"
 
-#include <map>
-
+#include "analysis/footprint.hpp"
 #include "analysis/taint.hpp"
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
@@ -76,40 +75,11 @@ checkMachineSpecific(const PartitionCheckInput &input,
     }
 }
 
-/** First instruction that makes a function reference each global. */
-struct GlobalRef {
-    const ir::Function *fn = nullptr;
-    const ir::Instruction *inst = nullptr;
-};
-
 void
-checkReferencedGlobals(const PointsToResult &pts,
-                       const std::vector<const ir::Function *> &roots,
+checkReferencedGlobals(const PointsToResult &pts, const FunctionSet &reach,
                        DiagnosticEngine &engine)
 {
-    PointsToResult::Reachable reach = pts.reachableFrom(roots);
-    std::map<const ir::GlobalVariable *, GlobalRef> referenced;
-    auto note = [&](const PtsSet &set, const ir::Function *fn,
-                    const ir::Instruction *inst) {
-        for (const MemObject &obj : set) {
-            if (obj.kind != MemObject::Kind::Global)
-                continue;
-            const auto *gv =
-                static_cast<const ir::GlobalVariable *>(obj.value);
-            referenced.emplace(gv, GlobalRef{fn, inst});
-        }
-    };
-    for (const ir::Function *fn : reach.fns) {
-        for (const auto &bb : fn->blocks()) {
-            for (const auto &inst : bb->insts()) {
-                note(pts.pointsTo(inst.get()), fn, inst.get());
-                for (const ir::Value *op : inst->operands())
-                    note(pts.pointsTo(op), fn, inst.get());
-            }
-        }
-    }
-
-    for (const auto &[gv, ref] : referenced) {
+    for (const auto &[gv, ref] : referencedGlobals(pts, reach)) {
         if (gv->inUva())
             continue;
         Diagnostic &diag = engine.report(
@@ -129,64 +99,18 @@ checkReferencedGlobals(const PointsToResult &pts,
 /**
  * Field-granular UVA check (field-sensitive mode only): for struct
  * globals whose UVA mark was limited to a field subset, every memory
- * access offloaded code can perform must land on a marked field. A
- * whole-object access (unknown offset, or the address escaping to an
- * external routine) needs every field, which a limited mark cannot
- * promise. Field-insensitive verification cannot see this at all — it
- * stops at gv->inUva(), which is still true for these globals.
+ * access offloaded code can perform — the unifier's own field walk —
+ * must land on a marked field. A whole-object access (unknown offset,
+ * or the address escaping to an external routine) needs every field,
+ * which a limited mark cannot promise. Field-insensitive verification
+ * cannot see this at all — it stops at gv->inUva(), which is still
+ * true for these globals.
  */
 void
-checkUvaFieldMarks(const PointsToResult &pts,
-                   const std::vector<const ir::Function *> &roots,
+checkUvaFieldMarks(const PointsToResult &pts, const FunctionSet &reach,
                    DiagnosticEngine &engine)
 {
-    PointsToResult::Reachable reach = pts.reachableFrom(roots);
-    if (!reach.precise)
-        return; // conservative marking never limits fields
-
-    struct FieldRef {
-        const ir::Function *fn = nullptr;
-        const ir::Instruction *inst = nullptr;
-    };
-    // First witness per (global, field); field -1 = whole-object access.
-    std::map<std::pair<const ir::GlobalVariable *, int32_t>, FieldRef>
-        accessed;
-    auto note = [&](const PtsSet &set, const ir::Function *fn,
-                    const ir::Instruction *inst) {
-        for (const MemObject &obj : set) {
-            if (obj.kind != MemObject::Kind::Global)
-                continue;
-            const auto *gv =
-                static_cast<const ir::GlobalVariable *>(obj.value);
-            accessed.emplace(std::make_pair(gv, obj.field),
-                             FieldRef{fn, inst});
-        }
-    };
-    for (const ir::Function *fn : reach.fns) {
-        for (const auto &bb : fn->blocks()) {
-            for (const auto &inst : bb->insts()) {
-                switch (inst->op()) {
-                  case ir::Opcode::Load:
-                    note(pts.pointsTo(inst->operand(0)), fn, inst.get());
-                    break;
-                  case ir::Opcode::Store:
-                    note(pts.pointsTo(inst->operand(1)), fn, inst.get());
-                    break;
-                  case ir::Opcode::Call:
-                    if (inst->callee() != nullptr &&
-                        !inst->callee()->hasBody()) {
-                        for (const ir::Value *op : inst->operands())
-                            note(pts.pointsTo(op), fn, inst.get());
-                    }
-                    break;
-                  default:
-                    break;
-                }
-            }
-        }
-    }
-
-    for (const auto &[key, ref] : accessed) {
+    for (const auto &[key, ref] : globalFieldAccesses(pts, reach)) {
         const ir::GlobalVariable *gv = key.first;
         int32_t field = key.second;
         if (!gv->inUva() || !gv->uvaFieldLimited())
@@ -211,46 +135,27 @@ checkUvaFieldMarks(const PointsToResult &pts,
     }
 }
 
+/** The partitioner's fptr map must hold every function the server's
+ *  indirect calls may reach (fptrTargets, the walk it was built
+ *  from); entries beyond that are dead weight. */
 void
 checkFptrMap(const PartitionCheckInput &input, const PointsToResult &pts,
              DiagnosticEngine &engine)
 {
-    std::set<std::string> needed;
-    bool any_indirect = false;
-    for (const auto &fn : input.server->functions()) {
-        for (const auto &bb : fn->blocks()) {
-            for (const auto &inst : bb->insts()) {
-                if (inst->op() != ir::Opcode::CallIndirect)
-                    continue;
-                any_indirect = true;
-                PointsToResult::CalleeSet callees =
-                    pts.indirectCallees(inst.get());
-                std::set<const ir::Function *> targets = callees.fns;
-                if (!callees.complete) {
-                    // Unresolved pointer: any address-taken function
-                    // must be translatable.
-                    targets.insert(pts.addressTaken().begin(),
-                                   pts.addressTaken().end());
-                }
-                for (const ir::Function *target : targets) {
-                    needed.insert(target->name());
-                    if (input.fptrMap.count(target->name()) != 0)
-                        continue;
-                    Diagnostic &diag = engine.report(
-                        DiagSeverity::Error, diag::kFptrMapMissing,
-                        "function address @" + target->name() +
-                            " can flow to a server indirect call but is "
-                            "missing from the fptr map");
-                    diag.function = fn->name();
-                    diag.subject = target->name();
-                    diag.instruction = ir::printInst(*inst);
-                    diag.witness = {
-                        "@" + fn->name() + ": '" + ir::printInst(*inst) +
-                            "' may call @" + target->name(),
-                    };
-                }
-            }
-        }
+    std::map<std::string, SiteRef> needed = fptrTargets(*input.server, pts);
+    for (const auto &[name, ref] : needed) {
+        if (input.fptrMap.count(name) != 0)
+            continue;
+        Diagnostic &diag = engine.report(
+            DiagSeverity::Error, diag::kFptrMapMissing,
+            "function address @" + name +
+                " can flow to a server indirect call but is missing from "
+                "the fptr map");
+        diag.function = ref.fn->name();
+        diag.subject = name;
+        diag.instruction = ir::printInst(*ref.inst);
+        diag.witness = {"@" + ref.fn->name() + ": '" +
+                        ir::printInst(*ref.inst) + "' may call @" + name};
     }
 
     for (const std::string &name : input.fptrMap) {
@@ -259,10 +164,7 @@ checkFptrMap(const PartitionCheckInput &input, const PointsToResult &pts,
         Diagnostic &diag = engine.report(
             DiagSeverity::Warning, diag::kFptrMapExtra,
             "fptr map entry @" + name +
-                (any_indirect
-                     ? " cannot flow to any server indirect call"
-                     : " is dead weight: the server has no indirect "
-                       "calls"));
+                " cannot flow to any server indirect call");
         diag.function = name;
         diag.subject = name;
     }
@@ -326,9 +228,11 @@ verifyPartition(const PartitionCheckInput &input, DiagnosticEngine &engine)
     PointsToResult pts = analyzePointsTo(
         *input.server, {.fieldSensitive = input.fieldSensitive});
     checkMachineSpecific(input, pts, roots, engine);
-    checkReferencedGlobals(pts, roots, engine);
-    if (input.fieldSensitive)
-        checkUvaFieldMarks(pts, roots, engine);
+    PointsToResult::Reachable reach = pts.reachableFrom(roots);
+    checkReferencedGlobals(pts, reach.fns, engine);
+    // Conservative (imprecise) marking never limits fields.
+    if (input.fieldSensitive && reach.precise)
+        checkUvaFieldMarks(pts, reach.fns, engine);
     checkFptrMap(input, pts, engine);
     checkStackMarks(input, engine);
 }

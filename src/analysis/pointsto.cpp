@@ -37,32 +37,6 @@ MemObject::str() const
     return base;
 }
 
-bool
-isAllocatorName(const std::string &name)
-{
-    return name == "malloc" || name == "calloc" || name == "realloc" ||
-           name == "u_malloc" || name == "u_calloc" || name == "u_realloc";
-}
-
-namespace {
-
-/** Builtins returning their first (destination) pointer argument. */
-bool
-returnsFirstArg(const std::string &name)
-{
-    return name == "memcpy" || name == "memmove" || name == "memset" ||
-           name == "strcpy" || name == "strncpy" || name == "strcat";
-}
-
-/** Builtins that may copy stored pointers from arg1's to arg0's object. */
-bool
-copiesContents(const std::string &name)
-{
-    return name == "memcpy" || name == "memmove";
-}
-
-} // namespace
-
 /** The worklist-free fixpoint solver (module-sized passes). */
 class PointsToSolver
 {
@@ -317,27 +291,34 @@ class PointsToSolver
     transferExternal(const ir::Instruction &inst, const ir::Function &callee,
                      size_t first_arg)
     {
-        const std::string &name = callee.name();
-        if (isAllocatorName(name)) {
+        // The r_* remote I/O twins stay unmodeled, like any external
+        // without a row of its own.
+        frontend::BuiltinName found = frontend::lookupBuiltin(callee.name());
+        if (found.row == nullptr || found.twin == frontend::Twin::Remote)
+            return transferUnknown(inst, first_arg);
+        switch (found.row->ptr) {
+          case frontend::PtrEffect::Allocates:
+            return add(pts(&inst), MemObject::heap(&inst));
+          case frontend::PtrEffect::Reallocates: {
+            // The new block inherits pointers stored in the old, slot
+            // for slot.
             bool grew = add(pts(&inst), MemObject::heap(&inst));
-            if (name == "realloc" || name == "u_realloc") {
-                // The new block inherits pointers stored in the old,
-                // slot for slot.
-                PtsSet old = pts(inst.operand(first_arg));
-                for (const MemObject &obj : old) {
-                    for (int32_t f : slotsOf(obj)) {
-                        MemObject src = obj.base().withField(f);
-                        grew |= addAll(
-                            contents(MemObject::heap(&inst).withField(f)),
-                            contentsConst(src));
-                    }
+            PtsSet old = pts(inst.operand(first_arg));
+            for (const MemObject &obj : old) {
+                for (int32_t f : slotsOf(obj)) {
+                    MemObject src = obj.base().withField(f);
+                    grew |= addAll(
+                        contents(MemObject::heap(&inst).withField(f)),
+                        contentsConst(src));
                 }
             }
             return grew;
-        }
-        if (returnsFirstArg(name)) {
+          }
+          case frontend::PtrEffect::ReturnsArg0:
+          case frontend::PtrEffect::CopiesArg1: {
             bool grew = addAll(pts(&inst), pts(inst.operand(first_arg)));
-            if (copiesContents(name) && inst.numOperands() > first_arg + 1) {
+            if (found.row->ptr == frontend::PtrEffect::CopiesArg1 &&
+                inst.numOperands() > first_arg + 1) {
                 PtsSet dst = pts(inst.operand(first_arg));
                 PtsSet src = pts(inst.operand(first_arg + 1));
                 for (const MemObject &dobj : dst)
@@ -345,17 +326,22 @@ class PointsToSolver
                         grew |= transferCopy(dobj, sobj);
             }
             return grew;
-        }
-        if (frontend::isBuiltin(name) || name == "u_free" ||
-            name == "__machine_asm" || name == "__syscall") {
-            // Known library routine: never stores pointers into user
-            // memory and never returns one we must track.
+          }
+          case frontend::PtrEffect::None:
+            // Never stores pointers into user memory and never
+            // returns one we must track.
             return false;
         }
-        // Unknown external: everything reachable from the arguments
-        // escapes, and the return value is untracked. The escape is
-        // written to the whole-object slot so every field load (which
-        // always consults that slot) observes it.
+        return false;
+    }
+
+    /** Unknown external: everything reachable from the arguments
+     *  escapes, and the return value is untracked. The escape is
+     *  written to the whole-object slot so every field load (which
+     *  always consults that slot) observes it. */
+    bool
+    transferUnknown(const ir::Instruction &inst, size_t first_arg)
+    {
         bool grew = add(pts(&inst), MemObject::unknown());
         for (size_t i = first_arg; i < inst.numOperands(); ++i) {
             const PtsSet arg = pts(inst.operand(i));
@@ -459,11 +445,27 @@ PointsToResult::indirectCallees(const ir::Instruction *site) const
     return out;
 }
 
-const PointsToResult::FunctionCallees &
-PointsToResult::callees(const ir::Function *fn) const
+PointsToResult::SiteCallees
+PointsToResult::siteCallees(const ir::Instruction &site) const
 {
-    auto it = fn_callees_.find(fn);
-    return it == fn_callees_.end() ? empty_callees_ : it->second;
+    SiteCallees out;
+    auto add = [&](const ir::Function *fn) {
+        (fn->hasBody() ? out.defined : out.external).push_back(fn);
+    };
+    if (site.op() == ir::Opcode::Call) {
+        if (site.callee() != nullptr)
+            add(site.callee());
+        return out;
+    }
+    if (site.op() != ir::Opcode::CallIndirect)
+        return out;
+    out.indirect = true;
+    CalleeSet resolved = indirectCallees(&site);
+    out.resolved = resolved.complete;
+    for (const ir::Function *fn :
+         resolved.complete ? resolved.fns : address_taken_)
+        add(fn);
+    return out;
 }
 
 PointsToResult::Reachable
@@ -472,22 +474,20 @@ PointsToResult::reachableFrom(
 {
     Reachable out;
     std::vector<const ir::Function *> work(roots.begin(), roots.end());
-    bool fallback_applied = false;
     while (!work.empty()) {
         const ir::Function *fn = work.back();
         work.pop_back();
         if (!out.fns.insert(fn).second)
             continue;
-        const FunctionCallees &cs = callees(fn);
-        for (const ir::Function *callee : cs.fns)
-            work.push_back(callee);
-        if (!cs.complete && !fallback_applied) {
-            // An unresolved indirect call may reach any address-taken
-            // function (the paper's conservative rule).
-            fallback_applied = true;
-            out.precise = false;
-            for (const ir::Function *target : address_taken_)
-                work.push_back(target);
+        for (const auto &bb : fn->blocks()) {
+            for (const auto &inst : bb->insts()) {
+                SiteCallees callees = siteCallees(*inst);
+                out.precise &= callees.resolved;
+                work.insert(work.end(), callees.defined.begin(),
+                            callees.defined.end());
+                work.insert(work.end(), callees.external.begin(),
+                            callees.external.end());
+            }
         }
     }
     return out;
@@ -505,24 +505,6 @@ analyzePointsTo(const ir::Module &module, const PointsToOptions &options)
     ir::CallGraph cg(module);
     for (const ir::Function *fn : cg.addressTaken())
         result.address_taken_.insert(fn);
-
-    // Per-function callee sets over resolved edges.
-    for (const auto &fn : module.functions()) {
-        PointsToResult::FunctionCallees &cs = result.fn_callees_[fn.get()];
-        for (const auto &bb : fn->blocks()) {
-            for (const auto &inst : bb->insts()) {
-                if (inst->op() == ir::Opcode::Call &&
-                    inst->callee() != nullptr) {
-                    cs.fns.insert(inst->callee());
-                } else if (inst->op() == ir::Opcode::CallIndirect) {
-                    PointsToResult::CalleeSet site =
-                        result.indirectCallees(inst.get());
-                    cs.fns.insert(site.fns.begin(), site.fns.end());
-                    cs.complete &= site.complete;
-                }
-            }
-        }
-    }
 
     // Statistics.
     std::set<MemObject> objects;

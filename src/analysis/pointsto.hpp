@@ -21,9 +21,10 @@
  * of the insensitive ones on every workload.
  *
  * Abstract memory objects are globals, functions, heap allocation
- * sites (one per malloc/u_malloc-family call) and stack slots (one per
- * alloca). A distinguished Unknown object models values the analysis
- * cannot track (returns of unmodeled externals, loads through Unknown);
+ * sites (one per call of a builtin the builtin table marks as
+ * allocating, u_* twins included) and stack slots (one per alloca). A
+ * distinguished Unknown object models values the analysis cannot
+ * track (returns of unmodeled externals, loads through Unknown);
  * its presence in a set makes the consumer fall back to the paper's
  * conservative treatment.
  *
@@ -174,14 +175,24 @@ class PointsToResult
     /** Targets of CallIndirect @p site (must be a CallIndirect). */
     CalleeSet indirectCallees(const ir::Instruction *site) const;
 
-    /** Direct + resolved-indirect callees of @p fn (defined and
-     *  external); complete=false if any indirect site in @p fn is
-     *  unresolved. */
-    struct FunctionCallees {
-        std::set<const ir::Function *> fns;
-        bool complete = true;
+    /** What one call site may reach, split into defined and external
+     *  callees. */
+    struct SiteCallees {
+        std::vector<const ir::Function *> defined;
+        std::vector<const ir::Function *> external;
+        bool indirect = false;
+        /** False if the address-taken fallback applied. */
+        bool resolved = true;
     };
-    const FunctionCallees &callees(const ir::Function *fn) const;
+
+    /**
+     * The call-site rule every client reads (taint, the unifier's and
+     * the verifier's footprints, the fptr map): a direct call reaches
+     * its callee; an indirect call reaches its points-to callee set,
+     * or every address-taken function when the site is unresolved.
+     * Empty for an instruction that is not a call.
+     */
+    SiteCallees siteCallees(const ir::Instruction &site) const;
 
     /** Address-taken functions (the conservative fallback universe). */
     const std::set<const ir::Function *> &addressTaken() const
@@ -189,7 +200,7 @@ class PointsToResult
         return address_taken_;
     }
 
-    /** Functions reachable from @p roots over resolved call edges. */
+    /** Functions reachable from @p roots over siteCallees edges. */
     struct Reachable {
         std::set<const ir::Function *> fns;
         /** False if an unresolved indirect call was reachable and the
@@ -211,20 +222,14 @@ class PointsToResult
     PointsToOptions options_;
     std::map<const ir::Value *, PtsSet> pts_;
     std::map<MemObject, PtsSet> contents_;
-    std::map<const ir::Function *, FunctionCallees> fn_callees_;
     std::set<const ir::Function *> address_taken_;
     PointsToStats stats_;
     PtsSet empty_;
-    FunctionCallees empty_callees_;
 };
 
 /** Run the analysis on @p module. */
 PointsToResult analyzePointsTo(const ir::Module &module,
                                const PointsToOptions &options = {});
-
-/** True if @p name is a heap-allocator entry point the analysis models
- *  as a fresh allocation site (malloc family and its u_* UVA twins). */
-bool isAllocatorName(const std::string &name);
 
 } // namespace nol::analysis
 

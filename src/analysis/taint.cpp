@@ -7,89 +7,67 @@ namespace nol::analysis {
 
 namespace {
 
-/** Remote-capable output and file-stream builtins (paper Sec. 3.4:
- *  outputs are cheap one-way; file streams support remote input because
- *  data can be prefetched and amortized). */
-const std::set<std::string> kRemoteIo = {
-    "printf", "puts",  "putchar", "fopen", "fclose", "fread",
-    "fwrite", "fgetc", "fputc",   "feof",  "fseek",  "ftell",
-};
-
-/** Interactive input builtins: a round trip to the user; never remote. */
-const std::set<std::string> kInteractiveIo = {
-    "scanf",
-    "getchar",
-};
-
-/** Strip the server-side "r_" prefix if the rest is remotable I/O. */
+/** Why a call that may reach external @p callee (through a function
+ *  pointer if @p indirect) is machine specific; "" if it is not. */
 std::string
-stripRemotePrefix(const std::string &name)
+externalTaint(const ir::Function &callee, bool indirect,
+              const TaintPolicy &policy)
 {
-    if (name.size() > 2 && name.compare(0, 2, "r_") == 0 &&
-        kRemoteIo.count(name.substr(2)) != 0) {
-        return name.substr(2);
+    frontend::BuiltinName found = frontend::lookupBuiltin(callee.name());
+    if (found.row == nullptr ||
+        (found.twin != frontend::Twin::None && !policy.allowRuntimeNames))
+        return "unknown external library call (" + callee.name() + ")";
+    if (found.twin == frontend::Twin::Uva)
+        return ""; // UVA allocator twin (post-unification modules)
+    std::string name = found.row->name;
+    switch (found.row->io) {
+      case frontend::IoClass::None:
+        return "";
+      case frontend::IoClass::Assembly:
+        return "assembly instruction";
+      case frontend::IoClass::System:
+        return "system call";
+      case frontend::IoClass::Interactive:
+        return "interactive I/O (" + name + ")";
+      case frontend::IoClass::RemoteOutput:
+      case frontend::IoClass::RemoteInput:
+        if (!policy.remoteIoEnabled)
+            return "I/O instruction (" + name + ")";
+        // Remote I/O (Sec. 3.4) only retargets direct call sites.
+        if (indirect)
+            return "I/O through a function pointer (" + name + ")";
+        return "";
     }
-    return name;
+    return "";
 }
 
-} // namespace
-
-bool
-isRemoteIoName(const std::string &name)
-{
-    return kRemoteIo.count(name) != 0;
-}
-
-bool
-isInteractiveIoName(const std::string &name)
-{
-    return kInteractiveIo.count(name) != 0;
-}
-
+/**
+ * Why @p inst is machine specific by itself; "" if it is not. Every
+ * external callee a call site may reach is classified through the
+ * builtin table, whether the call is direct or indirect. Defined
+ * callees taint the caller through propagation; an unresolved indirect
+ * call is conservatively machine specific.
+ */
 std::string
 instructionTaint(const ir::Instruction &inst, const TaintPolicy &policy,
                  const PointsToResult &pts)
 {
     if (inst.op() == ir::Opcode::MachineAsm)
         return "assembly instruction";
-    if (inst.op() == ir::Opcode::CallIndirect) {
-        // Classified through points-to: a fully resolved callee set is
-        // clean here (any target taint reaches the caller through
-        // propagation); losing track of the pointer is conservatively
-        // machine specific.
-        PointsToResult::CalleeSet callees = pts.indirectCallees(&inst);
-        if (!callees.complete)
-            return "indirect call with unresolved targets";
-        return "";
-    }
-    if (inst.op() != ir::Opcode::Call)
-        return "";
-    const ir::Function *callee = inst.callee();
-    if (callee == nullptr)
+    if (inst.op() == ir::Opcode::Call && inst.callee() == nullptr)
         return "call with no callee";
-    if (!callee->isExternal())
-        return "";
-    std::string name = callee->name();
-    if (policy.allowRuntimeNames) {
-        if (isAllocatorName(name) || name == "u_free")
-            return ""; // UVA allocator twins (post-unification modules)
-        name = stripRemotePrefix(name);
+    PointsToResult::SiteCallees callees = pts.siteCallees(inst);
+    if (!callees.resolved)
+        return "indirect call with unresolved targets";
+    for (const ir::Function *callee : callees.external) {
+        std::string why = externalTaint(*callee, callees.indirect, policy);
+        if (!why.empty())
+            return why;
     }
-    if (name == "__machine_asm")
-        return "assembly instruction";
-    if (name == "__syscall" || name == "exit")
-        return "system call";
-    if (kInteractiveIo.count(name))
-        return "interactive I/O (" + name + ")";
-    if (kRemoteIo.count(name)) {
-        if (policy.remoteIoEnabled)
-            return ""; // remotely executable (Sec. 3.4)
-        return "I/O instruction (" + name + ")";
-    }
-    if (frontend::isBuiltin(name))
-        return ""; // known side-effect-free library call
-    return "unknown external library call (" + name + ")";
+    return "";
 }
+
+} // namespace
 
 std::vector<std::string>
 TaintWitness::frames() const
@@ -141,10 +119,8 @@ AttributeResult::blocks(const ir::Function *fn) const
 }
 
 AttributeResult
-propagateAttribute(
-    const ir::Module &module, const PointsToResult &pts,
-    const std::function<std::string(const ir::Function &,
-                                    const ir::Instruction &)> &seed)
+machineSpecificTaint(const ir::Module &module, const PointsToResult &pts,
+                     const TaintPolicy &policy)
 {
     AttributeResult result;
 
@@ -152,7 +128,7 @@ propagateAttribute(
     for (const auto &fn : module.functions()) {
         for (const auto &bb : fn->blocks()) {
             for (const auto &inst : bb->insts()) {
-                std::string why = seed(*fn, *inst);
+                std::string why = instructionTaint(*inst, policy, pts);
                 if (why.empty())
                     continue;
                 result.blocks_[fn.get()].insert(bb.get());
@@ -167,39 +143,8 @@ propagateAttribute(
         }
     }
 
-    // The conservative universe for unresolved indirect sites.
-    std::set<const ir::Function *> addr_taken_defined;
-    for (const ir::Function *fn : pts.addressTaken()) {
-        if (fn->hasBody())
-            addr_taken_defined.insert(fn);
-    }
-
-    // Per-site callee sets (direct callee, resolved indirect targets,
-    // or the address-taken fallback when a site is unresolved).
-    auto site_callees =
-        [&](const ir::Instruction &inst,
-            bool &indirect) -> std::set<const ir::Function *> {
-        indirect = false;
-        if (inst.op() == ir::Opcode::Call) {
-            if (inst.callee() != nullptr && inst.callee()->hasBody())
-                return {inst.callee()};
-            return {};
-        }
-        if (inst.op() != ir::Opcode::CallIndirect)
-            return {};
-        indirect = true;
-        PointsToResult::CalleeSet cs = pts.indirectCallees(&inst);
-        if (!cs.complete)
-            return addr_taken_defined;
-        std::set<const ir::Function *> defined;
-        for (const ir::Function *target : cs.fns) {
-            if (target->hasBody())
-                defined.insert(target);
-        }
-        return defined;
-    };
-
-    // Pass 2: bottom-up fixpoint over resolved call edges.
+    // Pass 2: bottom-up fixpoint over the defined callees of each
+    // call site.
     bool changed = true;
     while (changed) {
         changed = false;
@@ -208,9 +153,9 @@ propagateAttribute(
                 continue;
             for (const auto &bb : fn->blocks()) {
                 for (const auto &inst : bb->insts()) {
-                    bool indirect = false;
-                    for (const ir::Function *callee :
-                         site_callees(*inst, indirect)) {
+                    PointsToResult::SiteCallees callees =
+                        pts.siteCallees(*inst);
+                    for (const ir::Function *callee : callees.defined) {
                         auto it = result.witnesses_.find(callee);
                         if (it == result.witnesses_.end())
                             continue;
@@ -218,7 +163,8 @@ propagateAttribute(
                         witness.reason = it->second.reason;
                         witness.steps.push_back(
                             {fn.get(), inst.get(),
-                             (indirect ? "may reach @" : "calls @") +
+                             (callees.indirect ? "may reach @"
+                                               : "calls @") +
                                  callee->name()});
                         witness.steps.insert(witness.steps.end(),
                                              it->second.steps.begin(),
@@ -244,9 +190,8 @@ propagateAttribute(
     for (const auto &fn : module.functions()) {
         for (const auto &bb : fn->blocks()) {
             for (const auto &inst : bb->insts()) {
-                bool indirect = false;
                 for (const ir::Function *callee :
-                     site_callees(*inst, indirect)) {
+                     pts.siteCallees(*inst).defined) {
                     if (result.members_.count(callee) != 0) {
                         result.blocks_[fn.get()].insert(bb.get());
                         break;
@@ -257,37 +202,6 @@ propagateAttribute(
     }
 
     return result;
-}
-
-AttributeResult
-machineSpecificTaint(const ir::Module &module, const PointsToResult &pts,
-                     const TaintPolicy &policy)
-{
-    return propagateAttribute(
-        module, pts,
-        [&](const ir::Function &fn, const ir::Instruction &inst) {
-            (void)fn;
-            return instructionTaint(inst, policy, pts);
-        });
-}
-
-AttributeResult
-remoteIoUse(const ir::Module &module, const PointsToResult &pts)
-{
-    return propagateAttribute(
-        module, pts,
-        [](const ir::Function &fn,
-           const ir::Instruction &inst) -> std::string {
-            (void)fn;
-            if (inst.op() != ir::Opcode::Call || inst.callee() == nullptr)
-                return "";
-            const ir::Function *callee = inst.callee();
-            if (!callee->isExternal())
-                return "";
-            if (isRemoteIoName(callee->name()))
-                return "remote I/O (" + callee->name() + ")";
-            return "";
-        });
 }
 
 } // namespace nol::analysis

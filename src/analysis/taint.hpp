@@ -1,18 +1,17 @@
 /**
  * @file
- * Generic forward attribute lattice over the points-to-resolved call
- * graph: a boolean attribute is seeded on individual instructions
- * (each seed carries a reason) and propagated to (transitive) callers,
- * recording a per-function *witness* — the call chain from the
- * function down to the seeding instruction. The function filter's
- * machine-specificity taint (paper Sec. 3.1) and remote-I/O use (Sec.
- * 3.4) are both instances; the offload-safety verifier re-runs the
- * machine-specificity instance on the partitioned server module.
+ * Machine-specificity taint (paper Sec. 3.1) over the points-to call
+ * graph: the attribute is seeded on individual instructions (each seed
+ * carries a reason) and propagated to (transitive) callers, recording
+ * a per-function *witness* — the call chain from the function down to
+ * the seeding instruction. Call sites are read through the call-site
+ * rule (PointsToResult::siteCallees) and builtins through the builtin
+ * table. The function filter runs it on the source module; the
+ * offload-safety verifier re-runs it on the partitioned server module.
  */
 #ifndef NOL_ANALYSIS_TAINT_HPP
 #define NOL_ANALYSIS_TAINT_HPP
 
-#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -31,22 +30,6 @@ struct TaintPolicy {
      *  on partitioned modules where these replaced the originals). */
     bool allowRuntimeNames = true;
 };
-
-/** True if builtin @p name is remotely executable I/O. */
-bool isRemoteIoName(const std::string &name);
-
-/** True if builtin @p name is interactive (never remotable) I/O. */
-bool isInteractiveIoName(const std::string &name);
-
-/**
- * Why @p inst is machine specific by itself; "" if it is not. Indirect
- * calls are classified through @p pts: a fully resolved callee set is
- * clean here (taint reaches the caller through propagation), an
- * unresolved one is conservatively machine specific.
- */
-std::string instructionTaint(const ir::Instruction &inst,
-                             const TaintPolicy &policy,
-                             const PointsToResult &pts);
 
 /** One frame of a witness chain. */
 struct TaintStep {
@@ -69,7 +52,7 @@ struct TaintWitness {
     std::string str() const;
 };
 
-/** Result of one attribute propagation. */
+/** Result of the taint propagation. */
 class AttributeResult
 {
   public:
@@ -92,11 +75,9 @@ class AttributeResult
     const std::set<const ir::BasicBlock *> &blocks(const ir::Function *fn) const;
 
   private:
-    friend AttributeResult propagateAttribute(
-        const ir::Module &,
-        const PointsToResult &,
-        const std::function<std::string(const ir::Function &,
-                                        const ir::Instruction &)> &);
+    friend AttributeResult machineSpecificTaint(const ir::Module &,
+                                                const PointsToResult &,
+                                                const TaintPolicy &);
 
     std::map<const ir::Function *, TaintWitness> witnesses_;
     std::set<const ir::Function *> members_;
@@ -105,24 +86,15 @@ class AttributeResult
 };
 
 /**
- * Propagate the attribute seeded by @p seed (non-empty reason ⇒ the
- * instruction carries it) bottom-up over direct and resolved-indirect
- * call edges of @p module. Unresolved indirect sites propagate from
- * every address-taken function, mirroring the conservative call graph.
+ * Seed every instruction of @p module that is machine specific by
+ * itself — assembly, an unresolved indirect call, or a call site that
+ * may reach an external the builtin table (under @p policy) does not
+ * clear, directly or through a function pointer — and propagate
+ * bottom-up to callers over the defined callees of each call site.
  */
-AttributeResult propagateAttribute(
-    const ir::Module &module, const PointsToResult &pts,
-    const std::function<std::string(const ir::Function &,
-                                    const ir::Instruction &)> &seed);
-
-/** The machine-specificity instance (function filter / verifier). */
 AttributeResult machineSpecificTaint(const ir::Module &module,
                                      const PointsToResult &pts,
                                      const TaintPolicy &policy);
-
-/** The remote-I/O-use instance (paper Sec. 3.4 bookkeeping). */
-AttributeResult remoteIoUse(const ir::Module &module,
-                            const PointsToResult &pts);
 
 } // namespace nol::analysis
 

@@ -175,14 +175,13 @@ NativeExec::externalCall(const ir::Instruction *site,
                          const ir::Function *callee, NolVal *args,
                          uint32_t n)
 {
-    machine_.advanceCompute(
-        sim::builtinCallCost(callee->name(), machine_.spec()));
+    chargeExternalCall(*callee);
     std::vector<RtVal> vec(n);
     for (uint32_t i = 0; i < n; ++i) {
         vec[i].i = args[i].i;
         vec[i].f = args[i].f;
     }
-    return env_.callExternal(*this, *site, vec);
+    return env_.callExternal(*this, *callee, *site, vec);
 }
 
 NolVal

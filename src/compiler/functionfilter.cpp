@@ -2,18 +2,6 @@
 
 namespace nol::compiler {
 
-bool
-isRemoteIoCapable(const std::string &name)
-{
-    return analysis::isRemoteIoName(name);
-}
-
-bool
-isInteractiveIo(const std::string &name)
-{
-    return analysis::isInteractiveIoName(name);
-}
-
 std::string
 FilterResult::reason(const ir::Function *fn) const
 {
@@ -51,7 +39,6 @@ runFunctionFilter(const ir::Module &module, const FilterConfig &config)
     analysis::PointsToResult pts = analysis::analyzePointsTo(module);
     FilterResult result;
     result.taint_ = analysis::machineSpecificTaint(module, pts, policy);
-    result.remote_io_ = analysis::remoteIoUse(module, pts);
     return result;
 }
 

@@ -7,11 +7,12 @@
  * remote I/O manager (Sec. 3.4) can execute remotely, which stay
  * offloadable when the optimization is enabled.
  *
- * The classification is an instance of the analysis-layer attribute
- * lattice over points-to-resolved call edges: indirect calls taint only
- * through their resolved target sets (or the address-taken fallback
- * when a pointer escapes tracking), and every machine-specific verdict
- * carries a witness call chain down to the seeding instruction.
+ * The classification is the analysis layer's machine-specificity
+ * taint over the call-site rule: indirect calls taint through their
+ * resolved target sets (or the address-taken fallback when a pointer
+ * escapes tracking) — I/O reached through a function pointer is never
+ * remotable — and every machine-specific verdict carries a witness
+ * call chain down to the seeding instruction.
  */
 #ifndef NOL_COMPILER_FUNCTIONFILTER_HPP
 #define NOL_COMPILER_FUNCTIONFILTER_HPP
@@ -29,12 +30,6 @@ struct FilterConfig {
     /** Treat remotable I/O builtins as offloadable (paper Sec. 3.4). */
     bool remoteIoEnabled = true;
 };
-
-/** True if builtin @p name is remotely executable I/O. */
-bool isRemoteIoCapable(const std::string &name);
-
-/** True if builtin @p name is interactive (never remotable) I/O. */
-bool isInteractiveIo(const std::string &name);
 
 /** Classification of every function in a module. */
 class FilterResult
@@ -62,12 +57,6 @@ class FilterResult
         return taint_.witness(fn);
     }
 
-    /** True if @p fn (transitively) performs remote-capable I/O. */
-    bool usesRemoteIo(const ir::Function *fn) const
-    {
-        return remote_io_.has(fn);
-    }
-
     /** All machine-specific functions. */
     const std::set<const ir::Function *> &tainted() const
     {
@@ -78,7 +67,6 @@ class FilterResult
     friend FilterResult runFunctionFilter(const ir::Module &,
                                           const FilterConfig &);
     analysis::AttributeResult taint_;
-    analysis::AttributeResult remote_io_;
 };
 
 /** Classify every function of @p module. */

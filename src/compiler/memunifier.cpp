@@ -1,6 +1,6 @@
 #include "compiler/memunifier.hpp"
 
-#include "analysis/pointsto.hpp"
+#include "analysis/footprint.hpp"
 #include "frontend/builtins.hpp"
 #include "interp/loader.hpp"
 #include "ir/datalayout.hpp"
@@ -9,34 +9,6 @@
 namespace nol::compiler {
 
 namespace {
-
-/** malloc-family builtin → its UVA counterpart. */
-const char *
-uvaCounterpart(const std::string &name)
-{
-    if (name == "malloc")
-        return "u_malloc";
-    if (name == "calloc")
-        return "u_calloc";
-    if (name == "realloc")
-        return "u_realloc";
-    if (name == "free")
-        return "u_free";
-    return nullptr;
-}
-
-/** Declare the UVA allocator entry point matching builtin @p like. */
-ir::Function *
-declareUvaFn(ir::Module &module, const std::string &name,
-             const ir::Function *like)
-{
-    if (ir::Function *existing = module.functionByName(name))
-        return existing;
-    ir::Function *fn =
-        module.createFunction(name, like->functionType(), /*external=*/true);
-    fn->materializeArgs();
-    return fn;
-}
 
 /** Collect globals referenced by @p fn (operands + nested in calls). */
 void
@@ -78,93 +50,6 @@ closeOverInitializers(std::set<const ir::GlobalVariable *> &referenced)
             collectInitGlobals(gv->init(), extra);
         for (const ir::GlobalVariable *gv : extra)
             grew |= referenced.insert(gv).second;
-    }
-}
-
-/** Globals whose address may reach @p fn's instructions per @p pts. */
-void
-collectGlobalsPointsTo(const ir::Function &fn,
-                       const analysis::PointsToResult &pts,
-                       std::set<const ir::GlobalVariable *> &out)
-{
-    auto note = [&](const analysis::PtsSet &set) {
-        for (const analysis::MemObject &obj : set) {
-            if (obj.kind == analysis::MemObject::Kind::Global) {
-                out.insert(
-                    static_cast<const ir::GlobalVariable *>(obj.value));
-            }
-        }
-    };
-    for (const auto &bb : fn.blocks()) {
-        for (const auto &inst : bb->insts()) {
-            note(pts.pointsTo(inst.get()));
-            for (const ir::Value *op : inst->operands())
-                note(pts.pointsTo(op));
-        }
-    }
-}
-
-/** Per-field access marks for struct globals: which field subobjects
- *  offload-reachable code may actually load from, store to, or hand to
- *  an external routine. A whole-object access (unknown offset, address
- *  escaping wholesale) clears the limit for that global. Only memory
- *  *accesses* count — a global merely appearing as an operand (its
- *  address being computed) does not touch any field yet. */
-struct FieldAccessMarks {
-    std::map<const ir::GlobalVariable *, std::set<int32_t>> fields;
-    std::set<const ir::GlobalVariable *> whole;
-};
-
-void
-collectFieldAccesses(const ir::Function &fn,
-                     const analysis::PointsToResult &pts,
-                     FieldAccessMarks &out)
-{
-    auto note = [&](const analysis::PtsSet &set) {
-        for (const analysis::MemObject &obj : set) {
-            if (obj.kind != analysis::MemObject::Kind::Global)
-                continue;
-            const auto *gv = static_cast<const ir::GlobalVariable *>(obj.value);
-            if (obj.hasField())
-                out.fields[gv].insert(obj.field);
-            else
-                out.whole.insert(gv);
-        }
-    };
-    for (const auto &bb : fn.blocks()) {
-        for (const auto &inst : bb->insts()) {
-            switch (inst->op()) {
-              case ir::Opcode::Load:
-                note(pts.pointsTo(inst->operand(0)));
-                break;
-              case ir::Opcode::Store:
-                note(pts.pointsTo(inst->operand(1)));
-                break;
-              case ir::Opcode::Call:
-                // A defined callee's own accesses are collected when
-                // this walk visits it (it is points-to reachable); an
-                // external may dereference any pointer it is handed.
-                if (inst->callee() != nullptr && !inst->callee()->hasBody()) {
-                    for (const ir::Value *op : inst->operands())
-                        note(pts.pointsTo(op));
-                }
-                break;
-              case ir::Opcode::CallIndirect: {
-                analysis::PointsToResult::CalleeSet cs =
-                    pts.indirectCallees(inst.get());
-                bool external_target = !cs.complete;
-                for (const ir::Function *target : cs.fns)
-                    external_target |= !target->hasBody();
-                if (external_target) {
-                    for (const ir::Value *op : inst->operands())
-                        note(pts.pointsTo(op));
-                }
-                break;
-              }
-              default:
-                break;
-            }
-        }
     }
 }
 
@@ -263,11 +148,13 @@ unifyMemory(ir::Module &module, const std::vector<ir::Function *> &targets,
             for (const auto &inst : bb->insts()) {
                 if (inst->op() != ir::Opcode::Call)
                     continue;
-                const char *uva_name = uvaCounterpart(inst->callee()->name());
-                if (uva_name == nullptr)
+                const frontend::Builtin *row =
+                    frontend::findBuiltin(inst->callee()->name());
+                if (row == nullptr || row->uvaTwin == nullptr)
                     continue;
                 inst->setCallee(
-                    declareUvaFn(module, uva_name, inst->callee()));
+                    frontend::declareTwin(module, row->uvaTwin,
+                                          inst->callee()));
                 ++stats.allocSitesReplaced;
             }
         }
@@ -298,8 +185,9 @@ unifyMemory(ir::Module &module, const std::vector<ir::Function *> &targets,
     analysis::PointsToResult::Reachable reach = pts.reachableFrom(roots);
     std::set<const ir::GlobalVariable *> referenced;
     if (reach.precise) {
-        for (const ir::Function *fn : reach.fns)
-            collectGlobalsPointsTo(*fn, pts, referenced);
+        for (const auto &[gv, ref] :
+             analysis::referencedGlobals(pts, reach.fns))
+            referenced.insert(gv);
         closeOverInitializers(referenced);
     } else {
         referenced = conservative;
@@ -320,16 +208,22 @@ unifyMemory(ir::Module &module, const std::vector<ir::Function *> &targets,
     // keeping addresses bit-identical to insensitive mode); the marks
     // feed the verifier's field-level check and the repair loop.
     if (options.fieldSensitive && reach.precise) {
-        FieldAccessMarks marks;
-        for (const ir::Function *fn : reach.fns)
-            collectFieldAccesses(*fn, pts, marks);
+        std::map<const ir::GlobalVariable *, std::set<int32_t>> fields;
+        std::set<const ir::GlobalVariable *> whole;
+        for (const auto &[key, ref] :
+             analysis::globalFieldAccesses(pts, reach.fns)) {
+            if (key.second == analysis::kWholeObject)
+                whole.insert(key.first);
+            else
+                fields[key.first].insert(key.second);
+        }
         for (const auto &gv : module.globals()) {
             if (!gv->inUva() || !gv->valueType()->isStruct() ||
-                marks.whole.count(gv.get()) != 0) {
+                whole.count(gv.get()) != 0) {
                 continue;
             }
-            auto it = marks.fields.find(gv.get());
-            if (it == marks.fields.end())
+            auto it = fields.find(gv.get());
+            if (it == fields.end())
                 continue; // never accessed (initializer-dragged): whole
             gv->setUvaFields(it->second);
             ++stats.uvaFieldLimitedGlobals;

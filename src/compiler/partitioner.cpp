@@ -2,7 +2,8 @@
 
 #include <set>
 
-#include "analysis/pointsto.hpp"
+#include "analysis/footprint.hpp"
+#include "frontend/builtins.hpp"
 #include "ir/callgraph.hpp"
 #include "ir/outline.hpp"
 #include "ir/verifier.hpp"
@@ -11,33 +12,6 @@
 namespace nol::compiler {
 
 const char *const kOffloadStubPrefix = "nol.offload.";
-const char *const kRemoteIoPrefix = "r_";
-
-namespace {
-
-/** Builtins whose remote version performs a round trip (input side). */
-bool
-isRemoteInput(const std::string &name)
-{
-    return name == "fopen" || name == "fclose" || name == "fread" ||
-           name == "fgetc" || name == "feof" || name == "fseek" ||
-           name == "ftell";
-}
-
-/** Declare (idempotently) an external twin of @p like named @p name. */
-ir::Function *
-declareTwin(ir::Module &module, const std::string &name,
-            const ir::Function *like)
-{
-    if (ir::Function *existing = module.functionByName(name))
-        return existing;
-    ir::Function *fn =
-        module.createFunction(name, like->functionType(), /*external=*/true);
-    fn->materializeArgs();
-    return fn;
-}
-
-} // namespace
 
 OutlinedTargets
 outlineTargets(ir::Module &module, const SelectionResult &selection)
@@ -72,32 +46,6 @@ outlineTargets(ir::Module &module, const SelectionResult &selection)
         out.fns.push_back(target_fn);
     }
     ir::verifyModuleOrDie(module);
-    return out;
-}
-
-/** Build the Sec. 3.4 translation map over @p srv with @p pts: one
- *  entry per function whose address may flow to an indirect call that
- *  can execute on the server; unresolved sites fall back to the
- *  conservative "every address-taken function" baseline. */
-std::set<std::string>
-buildFptrMap(const ir::Module &srv, const analysis::PointsToResult &pts)
-{
-    std::set<std::string> out;
-    for (const auto &fn : srv.functions()) {
-        for (const auto &bb : fn->blocks()) {
-            for (const auto &inst : bb->insts()) {
-                if (inst->op() != ir::Opcode::CallIndirect)
-                    continue;
-                analysis::PointsToResult::CalleeSet callees =
-                    pts.indirectCallees(inst.get());
-                const auto &targets = callees.complete
-                                          ? callees.fns
-                                          : pts.addressTaken();
-                for (const ir::Function *target : targets)
-                    out.insert(target->name());
-            }
-        }
-    }
     return out;
 }
 
@@ -136,7 +84,7 @@ partitionModule(ir::Module &module, const OutlinedTargets &outlined,
 
         std::map<ir::Function *, ir::Function *> stub_for;
         for (ir::Function *target : mob_targets) {
-            stub_for[target] = declareTwin(
+            stub_for[target] = frontend::declareTwin(
                 mob, std::string(kOffloadStubPrefix) + target->name(),
                 target);
         }
@@ -189,17 +137,17 @@ partitionModule(ir::Module &module, const OutlinedTargets &outlined,
                         ++result.functionPointerUses;
                         continue;
                     }
-                    if (inst->op() != ir::Opcode::Call)
+                    if (inst->op() != ir::Opcode::Call ||
+                        !inst->callee()->isExternal())
                         continue;
-                    const std::string &name = inst->callee()->name();
-                    if (!inst->callee()->isExternal() ||
-                        !isRemoteIoCapable(name)) {
+                    const frontend::Builtin *row =
+                        frontend::findBuiltin(inst->callee()->name());
+                    if (row == nullptr || !row->remoteIo())
                         continue;
-                    }
-                    inst->setCallee(declareTwin(
-                        srv, std::string(kRemoteIoPrefix) + name,
-                        inst->callee()));
-                    if (isRemoteInput(name))
+                    inst->setCallee(
+                        frontend::declareTwin(srv, row->remoteTwin(),
+                                              inst->callee()));
+                    if (row->io == frontend::IoClass::RemoteInput)
                         ++result.remoteInputSites;
                     else
                         ++result.remoteOutputSites;
@@ -217,7 +165,8 @@ partitionModule(ir::Module &module, const OutlinedTargets &outlined,
         analysis::PointsToResult pts = analysis::analyzePointsTo(
             srv, {.fieldSensitive = options.fieldSensitive});
         result.fptrMapConservative = pts.addressTaken().size();
-        result.fptrMap = buildFptrMap(srv, pts);
+        for (const auto &[name, ref] : analysis::fptrTargets(srv, pts))
+            result.fptrMap.insert(name);
         ir::verifyModuleOrDie(srv);
     }
 

@@ -34,9 +34,6 @@ namespace nol::compiler {
 /** Prefix of the mobile-side offload stubs. */
 extern const char *const kOffloadStubPrefix;
 
-/** Prefix of server-side remote I/O functions ("r_"). */
-extern const char *const kRemoteIoPrefix;
-
 /** One partitioned offload target. */
 struct PartitionedTarget {
     std::string name;       ///< target function name (post-outlining)

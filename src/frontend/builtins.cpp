@@ -1,85 +1,125 @@
 #include "frontend/builtins.hpp"
 
-#include <map>
+#include <unordered_map>
 #include <vector>
 
 namespace nol::frontend {
 
 const char *const kSizeofIntrinsic = "nol.sizeof";
+const char *const kRemoteIoPrefix = "r_";
 
 namespace {
 
-/** Compact signature spec: r = return, rest = params, '+' = variadic.
- *  v void, b i8, h i16, i i32, l i64, f f32, d f64, p void*, s i8*. */
-struct BuiltinSig {
-    const char *sig;
+constexpr IoClass kPure = IoClass::None;
+constexpr IoClass kOut = IoClass::RemoteOutput;
+constexpr IoClass kIn = IoClass::RemoteInput;
+constexpr IoClass kUser = IoClass::Interactive;
+constexpr IoClass kSys = IoClass::System;
+constexpr PtrEffect kOpaque = PtrEffect::None;
+constexpr PtrEffect kAlloc = PtrEffect::Allocates;
+constexpr PtrEffect kRet0 = PtrEffect::ReturnsArg0;
+constexpr PtrEffect kCopy = PtrEffect::CopiesArg1;
+
+// name, signature, cost, arith, I/O class, pointer effect, u_* twin
+const Builtin kBuiltins[] = {
+    // Allocation
+    {"malloc", "pl", 50, false, kPure, kAlloc, "u_malloc"},
+    {"calloc", "pll", 60, false, kPure, kAlloc, "u_calloc"},
+    {"realloc", "ppl", 60, false, kPure, PtrEffect::Reallocates,
+     "u_realloc"},
+    {"free", "vp", 30, false, kPure, kOpaque, "u_free"},
+    // Formatted and character I/O
+    {"printf", "is+", 90, false, kOut, kOpaque, nullptr},
+    {"scanf", "is+", 120, false, kUser, kOpaque, nullptr},
+    {"puts", "is", 40, false, kOut, kOpaque, nullptr},
+    {"putchar", "ii", 10, false, kOut, kOpaque, nullptr},
+    {"getchar", "i", 10, false, kUser, kOpaque, nullptr},
+    // File streams (FILE* modeled as void*)
+    {"fopen", "pss", 200, false, kIn, kOpaque, nullptr},
+    {"fclose", "ip", 120, false, kIn, kOpaque, nullptr},
+    {"fread", "lpllp", 60, false, kIn, kOpaque, nullptr},
+    {"fwrite", "lpllp", 60, false, kOut, kOpaque, nullptr},
+    {"fgetc", "ip", 8, false, kIn, kOpaque, nullptr},
+    {"fputc", "iip", 8, false, kOut, kOpaque, nullptr},
+    {"feof", "ip", 4, false, kIn, kOpaque, nullptr},
+    {"fseek", "ipli", 30, false, kIn, kOpaque, nullptr},
+    {"ftell", "lp", 6, false, kIn, kOpaque, nullptr},
+    // Math library (arith-scaled)
+    {"sqrt", "dd", 18, true, kPure, kOpaque, nullptr},
+    {"sin", "dd", 30, true, kPure, kOpaque, nullptr},
+    {"cos", "dd", 30, true, kPure, kOpaque, nullptr},
+    {"tan", "dd", 35, true, kPure, kOpaque, nullptr},
+    {"exp", "dd", 30, true, kPure, kOpaque, nullptr},
+    {"log", "dd", 30, true, kPure, kOpaque, nullptr},
+    {"pow", "ddd", 45, true, kPure, kOpaque, nullptr},
+    {"fabs", "dd", 2, true, kPure, kOpaque, nullptr},
+    {"floor", "dd", 4, true, kPure, kOpaque, nullptr},
+    {"ceil", "dd", 4, true, kPure, kOpaque, nullptr},
+    {"fmod", "ddd", 20, true, kPure, kOpaque, nullptr},
+    {"abs", "ii", 2, false, kPure, kOpaque, nullptr},
+    {"labs", "ll", 2, false, kPure, kOpaque, nullptr},
+    // Strings and memory
+    {"strlen", "ls", 10, false, kPure, kOpaque, nullptr},
+    {"strcpy", "sss", 12, false, kPure, kRet0, nullptr},
+    {"strncpy", "sssl", 12, false, kPure, kRet0, nullptr},
+    {"strcmp", "iss", 10, false, kPure, kOpaque, nullptr},
+    {"strncmp", "issl", 10, false, kPure, kOpaque, nullptr},
+    {"strcat", "sss", 14, false, kPure, kRet0, nullptr},
+    {"memcpy", "pppl", 16, false, kPure, kCopy, nullptr},
+    {"memmove", "pppl", 18, false, kPure, kCopy, nullptr},
+    {"memset", "ppil", 12, false, kPure, kRet0, nullptr},
+    {"memcmp", "ippl", 12, false, kPure, kOpaque, nullptr},
+    {"atoi", "is", 20, false, kPure, kOpaque, nullptr},
+    {"atof", "ds", 30, false, kPure, kOpaque, nullptr},
+    // Process / misc
+    {"exit", "vi", 10, false, kSys, kOpaque, nullptr},
+    {"rand", "i", 12, false, kPure, kOpaque, nullptr},
+    {"srand", "vi", 4, false, kPure, kOpaque, nullptr},
+    // Internal intrinsics
+    {"nol.sizeof", "l", 0, false, kPure, kOpaque, nullptr},
+    {"__machine_asm", "vs", 1, false, IoClass::Assembly, kOpaque, nullptr},
+    {"__syscall", "li+", 150, false, kSys, kOpaque, nullptr},
 };
 
-const std::map<std::string, BuiltinSig> kBuiltins = {
-    // Allocation
-    {"malloc", {"pl"}},
-    {"calloc", {"pll"}},
-    {"realloc", {"ppl"}},
-    {"free", {"vp"}},
-    // Formatted and character I/O
-    {"printf", {"is+"}},
-    {"scanf", {"is+"}},
-    {"puts", {"is"}},
-    {"putchar", {"ii"}},
-    {"getchar", {"i"}},
-    // File streams (FILE* modeled as void*)
-    {"fopen", {"pss"}},
-    {"fclose", {"ip"}},
-    {"fread", {"lpllp"}},
-    {"fwrite", {"lpllp"}},
-    {"fgetc", {"ip"}},
-    {"fputc", {"iip"}},
-    {"feof", {"ip"}},
-    {"fseek", {"ipli"}},
-    {"ftell", {"lp"}},
-    // Math
-    {"sqrt", {"dd"}},
-    {"sin", {"dd"}},
-    {"cos", {"dd"}},
-    {"tan", {"dd"}},
-    {"exp", {"dd"}},
-    {"log", {"dd"}},
-    {"pow", {"ddd"}},
-    {"fabs", {"dd"}},
-    {"floor", {"dd"}},
-    {"ceil", {"dd"}},
-    {"fmod", {"ddd"}},
-    {"abs", {"ii"}},
-    {"labs", {"ll"}},
-    // Strings and memory
-    {"strlen", {"ls"}},
-    {"strcpy", {"sss"}},
-    {"strncpy", {"sssl"}},
-    {"strcmp", {"iss"}},
-    {"strncmp", {"issl"}},
-    {"strcat", {"sss"}},
-    {"memcpy", {"pppl"}},
-    {"memmove", {"pppl"}},
-    {"memset", {"ppil"}},
-    {"memcmp", {"ippl"}},
-    {"atoi", {"is"}},
-    {"atof", {"ds"}},
-    // Process / misc
-    {"exit", {"vi"}},
-    {"rand", {"i"}},
-    {"srand", {"vi"}},
-    // Internal intrinsics
-    {"nol.sizeof", {"l"}},
-    {"__machine_asm", {"vs"}},  // inline-assembly stand-in
-    {"__syscall", {"li+"}},     // raw system call stand-in
-};
+/** Every name the table answers for: builtins and their twins. */
+const std::unordered_map<std::string, BuiltinName> &
+index()
+{
+    static const std::unordered_map<std::string, BuiltinName> names = [] {
+        std::unordered_map<std::string, BuiltinName> out;
+        for (const Builtin &row : kBuiltins) {
+            out.emplace(row.name, BuiltinName{&row, Twin::None});
+            if (row.uvaTwin != nullptr)
+                out.emplace(row.uvaTwin, BuiltinName{&row, Twin::Uva});
+            if (row.remoteIo())
+                out.emplace(row.remoteTwin(),
+                            BuiltinName{&row, Twin::Remote});
+        }
+        return out;
+    }();
+    return names;
+}
 
 } // namespace
 
-bool
-isBuiltin(const std::string &name)
+std::string
+Builtin::remoteTwin() const
 {
-    return kBuiltins.count(name) != 0;
+    return std::string(kRemoteIoPrefix) + name;
+}
+
+BuiltinName
+lookupBuiltin(const std::string &name)
+{
+    auto it = index().find(name);
+    return it == index().end() ? BuiltinName{} : it->second;
+}
+
+const Builtin *
+findBuiltin(const std::string &name)
+{
+    BuiltinName found = lookupBuiltin(name);
+    return found.twin == Twin::None ? found.row : nullptr;
 }
 
 ir::Function *
@@ -88,8 +128,8 @@ declareBuiltin(ir::Module &module, const std::string &name)
     if (ir::Function *existing = module.functionByName(name))
         return existing;
 
-    auto it = kBuiltins.find(name);
-    NOL_ASSERT(it != kBuiltins.end(), "unknown builtin %s", name.c_str());
+    const Builtin *row = findBuiltin(name);
+    NOL_ASSERT(row != nullptr, "unknown builtin %s", name.c_str());
 
     ir::TypeContext &types = module.types();
     auto decode = [&](char c) -> const ir::Type * {
@@ -107,7 +147,7 @@ declareBuiltin(ir::Module &module, const std::string &name)
         }
     };
 
-    const char *sig = it->second.sig;
+    const char *sig = row->sig;
     const ir::Type *ret = decode(sig[0]);
     std::vector<const ir::Type *> params;
     bool variadic = false;
@@ -121,6 +161,18 @@ declareBuiltin(ir::Module &module, const std::string &name)
     const ir::FunctionType *fn_type =
         types.functionTy(ret, std::move(params), variadic);
     ir::Function *fn = module.createFunction(name, fn_type, /*external=*/true);
+    fn->materializeArgs();
+    return fn;
+}
+
+ir::Function *
+declareTwin(ir::Module &module, const std::string &name,
+            const ir::Function *like)
+{
+    if (ir::Function *existing = module.functionByName(name))
+        return existing;
+    ir::Function *fn =
+        module.createFunction(name, like->functionType(), /*external=*/true);
     fn->materializeArgs();
     return fn;
 }

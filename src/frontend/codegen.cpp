@@ -1585,7 +1585,7 @@ class CodeGen
         if (expr.lhs->kind == ExprKind::Ident &&
             lookupVar(expr.lhs->name) == nullptr) {
             direct = module_->functionByName(expr.lhs->name);
-            if (direct == nullptr && isBuiltin(expr.lhs->name))
+            if (direct == nullptr && findBuiltin(expr.lhs->name))
                 direct = declareBuiltin(*module_, expr.lhs->name);
             if (direct == nullptr)
                 err(expr.line, "unknown function '" + expr.lhs->name + "'");
@@ -1732,7 +1732,7 @@ class CodeGen
                 lookupVar(expr.lhs->name) == nullptr) {
                 ir::Function *fn =
                     module_->functionByName(expr.lhs->name);
-                if (fn == nullptr && isBuiltin(expr.lhs->name))
+                if (fn == nullptr && findBuiltin(expr.lhs->name))
                     fn = declareBuiltin(*module_, expr.lhs->name);
                 if (fn != nullptr)
                     return {fn->functionType()->returnType(), false};

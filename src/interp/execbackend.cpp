@@ -3,6 +3,8 @@
 #include <cstring>
 
 #include "arch/endian.hpp"
+#include "frontend/builtins.hpp"
+#include "sim/costmodel.hpp"
 
 namespace nol::interp {
 
@@ -35,6 +37,20 @@ parseBackendKind(const char *name, BackendKind *out)
         return false;
     }
     return true;
+}
+
+void
+ExecBackend::chargeExternalCall(const ir::Function &callee)
+{
+    frontend::BuiltinName found = frontend::lookupBuiltin(callee.name());
+    uint64_t cost = kUnlistedCallCost;
+    if (found.row != nullptr && found.twin == frontend::Twin::None) {
+        cost = sim::scaledCost(found.row->cost,
+                               found.row->arith ? sim::CostKind::Arith
+                                                : sim::CostKind::Plain,
+                               machine_.spec());
+    }
+    machine_.advanceCompute(cost);
 }
 
 std::string

@@ -35,8 +35,14 @@ class ExecEnv
   public:
     virtual ~ExecEnv() = default;
 
-    /** Execute external call @p call with evaluated @p args. */
+    /**
+     * Execute @p call, which reaches external @p callee directly or
+     * through a function pointer the backend resolved, with evaluated
+     * @p args. Read the callee from @p callee, never from
+     * call.callee(): an indirect call has none.
+     */
     virtual RtVal callExternal(ExecBackend &interp,
+                               const ir::Function &callee,
                                const ir::Instruction &call,
                                std::vector<RtVal> &args) = 0;
 
@@ -183,6 +189,14 @@ class ExecBackend
         if (indirect_extra_cost_ > 0)
             machine_.advanceCompute(indirect_extra_cost_);
     }
+
+    /** Charge one call of external @p callee: its builtin row's base
+     *  cost, arith-scaled for math calls, or kUnlistedCallCost for a
+     *  name without a row of its own (u_* and r_* twins, offload
+     *  stubs, unknown externals). */
+    void chargeExternalCall(const ir::Function &callee);
+
+    static constexpr uint64_t kUnlistedCallCost = 25;
 
     sim::SimMachine &machine_;
     const ir::Module &module_;

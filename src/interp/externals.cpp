@@ -6,7 +6,6 @@
 #include <cstring>
 
 #include "frontend/builtins.hpp"
-#include "sim/costmodel.hpp"
 
 namespace nol::interp {
 
@@ -16,7 +15,7 @@ namespace {
 void
 chargeBytes(ExecBackend &interp, uint64_t bytes)
 {
-    interp.machine().advanceCompute(sim::perByteCost(bytes));
+    interp.machine().advanceCompute(frontend::perByteCost(bytes));
 }
 
 } // namespace
@@ -273,10 +272,11 @@ DefaultEnv::runScanf(ExecBackend &interp, const std::string &fmt,
 }
 
 RtVal
-DefaultEnv::callExternal(ExecBackend &interp, const ir::Instruction &call,
+DefaultEnv::callExternal(ExecBackend &interp, const ir::Function &callee,
+                         const ir::Instruction &call,
                          std::vector<RtVal> &args)
 {
-    const std::string &name = call.callee()->name();
+    const std::string &name = callee.name();
     sim::SimMachine &m = interp.machine();
 
     // --- Intrinsics ------------------------------------------------------

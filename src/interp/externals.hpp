@@ -26,7 +26,8 @@ class DefaultEnv : public ExecEnv
     /** Heap used by u_malloc/u_free (the UVA heap; set by the runtime). */
     void setUvaHeap(sim::HeapAllocator *heap) { uva_heap_ = heap; }
 
-    RtVal callExternal(ExecBackend &interp, const ir::Instruction &call,
+    RtVal callExternal(ExecBackend &interp, const ir::Function &callee,
+                       const ir::Instruction &call,
                        std::vector<RtVal> &args) override;
 
     /** Format @p fmt with @p args (printf engine), reading guest strings. */

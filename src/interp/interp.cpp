@@ -95,9 +95,8 @@ Interp::execCall(const ir::Instruction &inst, ir::Function *callee,
         args.push_back(evalValue(inst.operand(i), frame));
 
     if (callee->isExternal()) {
-        machine_.advanceCompute(
-            sim::builtinCallCost(callee->name(), machine_.spec()));
-        return env_.callExternal(*this, inst, args);
+        chargeExternalCall(*callee);
+        return env_.callExternal(*this, *callee, inst, args);
     }
     return execFunction(callee, args);
 }

@@ -5,6 +5,7 @@
 #include "codegen/nativeexec.hpp"
 #include "compiler/partitioner.hpp"
 #include "decision/engine.hpp"
+#include "frontend/builtins.hpp"
 #include "interp/externals.hpp"
 #include "interp/interp.hpp"
 #include "interp/loader.hpp"
@@ -196,13 +197,14 @@ class ServerEnv : public interp::DefaultEnv
     }
 
     RtVal
-    callExternal(interp::ExecBackend &interp, const ir::Instruction &call,
+    callExternal(interp::ExecBackend &interp, const ir::Function &callee,
+                 const ir::Instruction &call,
                  std::vector<RtVal> &args) override
     {
-        const std::string &name = call.callee()->name();
-        if (name.rfind(compiler::kRemoteIoPrefix, 0) == 0)
-            return remoteIo(interp, name.substr(2), call, args);
-        return DefaultEnv::callExternal(interp, call, args);
+        frontend::BuiltinName found = frontend::lookupBuiltin(callee.name());
+        if (found.twin == frontend::Twin::Remote)
+            return remoteIo(interp, found.row->name, args);
+        return DefaultEnv::callExternal(interp, callee, call, args);
     }
 
     void
@@ -277,9 +279,8 @@ class ServerEnv : public interp::DefaultEnv
 
     RtVal
     remoteIo(interp::ExecBackend &interp, const std::string &op,
-             const ir::Instruction &call, std::vector<RtVal> &args)
+             std::vector<RtVal> &args)
     {
-        (void)call;
         sim::SimMachine &mob = ctx_.mobile;
 
         // --- Output operations: batched one-way (cheap) ---------------
@@ -389,7 +390,8 @@ class ServerEnv : public interp::DefaultEnv
             return RtVal::ofInt(
                 static_cast<int64_t>(cursor(args[0].ptr()).pos));
         }
-        panic("unknown remote I/O operation r_%s", op.c_str());
+        panic("unknown remote I/O operation %s%s",
+              frontend::kRemoteIoPrefix, op.c_str());
     }
 
     void
@@ -420,13 +422,14 @@ class MobileEnv : public interp::DefaultEnv
     }
 
     RtVal
-    callExternal(interp::ExecBackend &interp, const ir::Instruction &call,
+    callExternal(interp::ExecBackend &interp, const ir::Function &callee,
+                 const ir::Instruction &call,
                  std::vector<RtVal> &args) override
     {
-        const std::string &name = call.callee()->name();
+        const std::string &name = callee.name();
         if (name.rfind(compiler::kOffloadStubPrefix, 0) == 0)
             return handleOffload(interp, name, args);
-        return DefaultEnv::callExternal(interp, call, args);
+        return DefaultEnv::callExternal(interp, callee, call, args);
     }
 
   private:

@@ -3,8 +3,9 @@
  * Abstract instruction cost model. Every IR instruction costs a small
  * number of "cost units"; a machine's ArchSpec converts units to
  * simulated nanoseconds (the mobile spec converts ~5.5x slower than the
- * server spec, matching the paper's Table 1 performance gap). External
- * (builtin) calls carry base costs plus per-byte costs where relevant.
+ * server spec, matching the paper's Table 1 performance gap). Builtin
+ * calls take their base costs from the builtin table
+ * (frontend/builtins.hpp) and are charged through the same rule.
  *
  * The charge rule (scaledCost) is defined here once: the interpreter,
  * the native-C backend's charge replay and the C emitter's charge
@@ -16,7 +17,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
 
 #include "arch/archspec.hpp"
 #include "ir/instruction.hpp"
@@ -89,12 +89,6 @@ costKind(ir::Opcode op)
     }
 }
 
-/** Base cost units of a builtin call (excluding per-byte parts). */
-uint64_t externalBaseCost(const std::string &name);
-
-/** True if builtin @p name is a math-library call (arith scaling). */
-bool isMathBuiltin(const std::string &name);
-
 /**
  * The charge rule: cost units of one occurrence of an instruction of
  * base @p cost and @p kind on @p spec. A scaled cost rounds down but
@@ -114,24 +108,6 @@ scaledCost(uint64_t cost, CostKind kind, const arch::ArchSpec &spec)
             1, static_cast<uint64_t>(static_cast<double>(cost) * scale));
     }
     return cost;
-}
-
-/** Cost units of one call of builtin @p name on @p spec (excluding
- *  per-byte parts); math-library calls are arith-scaled. */
-inline uint64_t
-builtinCallCost(const std::string &name, const arch::ArchSpec &spec)
-{
-    return scaledCost(externalBaseCost(name),
-                      isMathBuiltin(name) ? CostKind::Arith
-                                          : CostKind::Plain,
-                      spec);
-}
-
-/** Additional cost units for @p bytes moved by a builtin (memcpy...). */
-constexpr uint64_t
-perByteCost(uint64_t bytes)
-{
-    return bytes / 8;
 }
 
 } // namespace nol::sim

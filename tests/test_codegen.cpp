@@ -353,3 +353,119 @@ TEST(CodegenOracleFleet, MixedBackendFleetSharesOneTimeline)
                         mixed_fleet.clients[i].report);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Console I/O reached only through a function pointer
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/**
+ * A hot function reaching console I/O only through a function pointer,
+ * next to a clean hot function (crunch) that does offload. The remote
+ * I/O rewrite only retargets direct calls, so the function filter must
+ * keep the pointer user on the device.
+ */
+struct FnPtrIoCase {
+    const char *builtin;
+    const char *hotFn;
+    const char *source;
+};
+
+const FnPtrIoCase kFnPtrIoCases[] = {
+    {"getchar", "sample", R"(
+        typedef int (*ReadFn)();
+        ReadFn reader;
+        long crunch(int n) {
+            long acc = 0;
+            for (int i = 0; i < n * 4000; i++) acc += (i ^ (i >> 3)) % 11;
+            return acc;
+        }
+        long sample(int n) {
+            long acc = 0;
+            for (int i = 0; i < n * 4000; i++) {
+                acc += (i * 7) % 13;
+                if (i % 2000 == 0) acc += reader();
+            }
+            return acc;
+        }
+        int main() {
+            int first = getchar();
+            reader = getchar;
+            long a = crunch(40);
+            long b = sample(40);
+            printf("%d %ld %ld\n", first, a, b);
+            return 0;
+        }
+    )"},
+    {"putchar", "emit", R"(
+        typedef int (*WriteFn)(int);
+        WriteFn writer;
+        long crunch(int n) {
+            long acc = 0;
+            for (int i = 0; i < n * 4000; i++) acc += (i ^ (i >> 3)) % 11;
+            return acc;
+        }
+        long emit(int n) {
+            long acc = 0;
+            for (int i = 0; i < n * 4000; i++) {
+                acc += (i * 7) % 13;
+                if (i % 40000 == 0) writer(65 + i / 40000);
+            }
+            return acc;
+        }
+        int main() {
+            putchar(60);
+            writer = putchar;
+            long b = emit(40);
+            putchar(62);
+            long a = crunch(40);
+            printf(" %ld %ld\n", a, b);
+            return 0;
+        }
+    )"},
+};
+
+} // namespace
+
+TEST(FunctionPointerIo, StaysLocalAndPrintsTheLocalConsole)
+{
+    ASSERT_TRUE(codegen::toolchainAvailable());
+    std::string text(200, 'a');
+    for (size_t i = 0; i < text.size(); ++i)
+        text[i] = static_cast<char>('a' + (i * 7) % 26);
+
+    for (const FnPtrIoCase &c : kFnPtrIoCases) {
+        SCOPED_TRACE(c.builtin);
+        core::CompileRequest req;
+        req.name = c.hotFn;
+        req.source = c.source;
+        req.profilingInput.stdinText = text;
+        core::Program prog = core::Program::compile(req);
+
+        const compiler::Candidate *hot =
+            prog.compiled().selection.byName(c.hotFn);
+        ASSERT_NE(hot, nullptr);
+        EXPECT_TRUE(hot->machineSpecific);
+        EXPECT_NE(hot->filterReason.find(c.builtin), std::string::npos)
+            << hot->filterReason;
+        EXPECT_EQ(prog.targets(), std::vector<std::string>{"crunch"});
+
+        RunInput input;
+        input.stdinText = text;
+        std::string local = prog.runLocal(input).console;
+        EXPECT_FALSE(local.empty());
+        for (bool slow : {false, true}) {
+            for (interp::BackendKind backend :
+                 {interp::BackendKind::Interpreter,
+                  interp::BackendKind::NativeC}) {
+                SCOPED_TRACE(std::string(slow ? "802.11n " : "802.11ac ") +
+                             interp::backendKindName(backend));
+                RunReport report =
+                    prog.run(backendConfig(backend, slow), input);
+                EXPECT_GT(report.offloads, 0u);
+                EXPECT_EQ(report.console, local);
+            }
+        }
+    }
+}

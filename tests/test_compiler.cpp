@@ -149,7 +149,6 @@ TEST(Filter, RemoteIoKeepsPrintfOffloadable)
 
     FilterResult with_rio = runFunctionFilter(*mod, {true});
     EXPECT_FALSE(with_rio.isMachineSpecific(mod->functionByName("work")));
-    EXPECT_TRUE(with_rio.usesRemoteIo(mod->functionByName("work")));
 
     FilterResult without_rio = runFunctionFilter(*mod, {false});
     EXPECT_TRUE(without_rio.isMachineSpecific(mod->functionByName("work")));

@@ -3,12 +3,14 @@
  * Property tests for the open-loop traffic stack (src/traffic): the
  * trace generator's determinism and distributional shape, and the
  * end-to-end determinism of a full open-loop run through the
- * admission-policy layer — same seed, byte-identical TrafficReport.
+ * admission-policy layer — same seed, byte-identical TrafficReport,
+ * under either execution backend.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "codegen/artifact.hpp"
 #include "net/simnetwork.hpp"
 #include "traffic/mix.hpp"
 
@@ -164,6 +166,15 @@ TEST(Traffic, OpenLoopReportByteIdenticalAcrossRuns)
     TrafficReport second = runOpenLoop(trace, mix.programs, admission);
     EXPECT_EQ(serializeTrafficReport(first),
               serializeTrafficReport(second));
+    // The native-C backend only moves host time, never the report.
+    if (codegen::toolchainAvailable()) {
+        std::vector<TrafficProgram> native = mix.programs;
+        for (TrafficProgram &program : native)
+            program.config.backend = interp::BackendKind::NativeC;
+        EXPECT_EQ(serializeTrafficReport(first),
+                  serializeTrafficReport(
+                      runOpenLoop(trace, native, admission)));
+    }
     EXPECT_EQ(first.arrivals, 24u);
     EXPECT_EQ(first.fleet.clients.size(), 24u);
     EXPECT_GT(first.admissionWaits, 0u);
