@@ -48,53 +48,42 @@ runConfig(const core::Program &program, const workloads::WorkloadSpec &spec,
     return program.run(config, spec.evalInput);
 }
 
+runtime::SystemConfig
+sweepConfig(const workloads::WorkloadSpec &spec)
+{
+    runtime::SystemConfig config; // 802.11ac by default
+    config.memScale = spec.memScale;
+    return config;
+}
+
 std::vector<WorkloadRuns>
-runSweep(const std::vector<std::string> &ids, bool verbose)
+runSweep()
 {
     std::vector<WorkloadRuns> out;
-    for (const std::string &id : ids) {
-        const workloads::WorkloadSpec *spec = workloads::workloadById(id);
-        NOL_ASSERT(spec != nullptr, "unknown workload %s", id.c_str());
-        if (verbose) {
-            std::fprintf(stderr, "  [sweep] %s ...\n", id.c_str());
-        }
+    for (const workloads::WorkloadSpec &spec : workloads::allWorkloads()) {
+        std::fprintf(stderr, "  [sweep] %s ...\n", spec.id.c_str());
         WorkloadRuns runs;
-        runs.spec = spec;
-        runs.program = std::make_shared<core::Program>(
-            compileWorkload(*spec));
+        runs.spec = &spec;
+        runs.program =
+            std::make_shared<core::Program>(compileWorkload(spec));
 
-        runtime::SystemConfig local_cfg;
+        runtime::SystemConfig local_cfg = sweepConfig(spec);
         local_cfg.forceLocal = true;
-        local_cfg.memScale = spec->memScale;
-        runs.local = runConfig(*runs.program, *spec, local_cfg);
+        runs.local = runConfig(*runs.program, spec, local_cfg);
 
-        runtime::SystemConfig slow_cfg;
+        runtime::SystemConfig slow_cfg = sweepConfig(spec);
         slow_cfg.network = net::makeWifi80211n();
-        slow_cfg.memScale = spec->memScale;
-        runs.slow = runConfig(*runs.program, *spec, slow_cfg);
+        runs.slow = runConfig(*runs.program, spec, slow_cfg);
 
-        runtime::SystemConfig fast_cfg;
-        fast_cfg.network = net::makeWifi80211ac();
-        fast_cfg.memScale = spec->memScale;
-        runs.fast = runConfig(*runs.program, *spec, fast_cfg);
+        runs.fast = runConfig(*runs.program, spec, sweepConfig(spec));
 
-        runtime::SystemConfig ideal_cfg;
+        runtime::SystemConfig ideal_cfg = sweepConfig(spec);
         ideal_cfg.idealOffload = true;
-        ideal_cfg.memScale = spec->memScale;
-        runs.ideal = runConfig(*runs.program, *spec, ideal_cfg);
+        runs.ideal = runConfig(*runs.program, spec, ideal_cfg);
 
         out.push_back(std::move(runs));
     }
     return out;
-}
-
-std::vector<WorkloadRuns>
-runFullSweep(bool verbose)
-{
-    std::vector<std::string> ids;
-    for (const workloads::WorkloadSpec &spec : workloads::allWorkloads())
-        ids.push_back(spec.id);
-    return runSweep(ids, verbose);
 }
 
 LatencySummary

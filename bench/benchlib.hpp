@@ -8,7 +8,6 @@
 #define NOL_BENCH_BENCHLIB_HPP
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/nativeoffloader.hpp"
@@ -43,12 +42,15 @@ runtime::RunReport runConfig(const core::Program &program,
                              const workloads::WorkloadSpec &spec,
                              const runtime::SystemConfig &config);
 
-/** The standard four-configuration sweep over all 17 workloads. */
-std::vector<WorkloadRuns> runFullSweep(bool verbose = true);
+/**
+ * The sweep's 802.11ac configuration of @p spec; the other three sweep
+ * configurations and every ablation change one setting of it.
+ */
+runtime::SystemConfig sweepConfig(const workloads::WorkloadSpec &spec);
 
-/** Sweep over a named subset. */
-std::vector<WorkloadRuns> runSweep(const std::vector<std::string> &ids,
-                                   bool verbose = true);
+/** The four-configuration sweep over all 17 workloads, in id order;
+ *  progress goes to stderr. */
+std::vector<WorkloadRuns> runSweep();
 
 /** Geometric mean of @p values (must be positive). */
 double geomean(const std::vector<double> &values);

@@ -11,7 +11,6 @@ makeWifi80211n()
     spec.latencyUs = 1500.0;
     spec.receiveMw = 1700.0; // the paper's Fig. 8(c) slow-network plateau
     spec.transmitMw = 3800.0;
-    spec.remoteIoServiceMw = 1700.0;
     return spec;
 }
 
@@ -24,7 +23,6 @@ makeWifi80211ac()
     spec.latencyUs = 1500.0;
     spec.receiveMw = 2000.0;
     spec.transmitMw = 4500.0;
-    spec.remoteIoServiceMw = 2000.0;
     return spec;
 }
 
@@ -46,7 +44,6 @@ makeLteCloud()
     spec.latencyUs = 60000.0; // 60 ms WAN round trips
     spec.receiveMw = 2500.0;  // cellular radio is hungrier than WiFi
     spec.transmitMw = 5000.0;
-    spec.remoteIoServiceMw = 2500.0;
     return spec;
 }
 

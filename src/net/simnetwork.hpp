@@ -29,7 +29,6 @@ struct NetworkSpec {
     double latencyUs = 300.0;     ///< per-message latency
     double receiveMw = 2000.0;    ///< mobile radio receive power
     double transmitMw = 3500.0;   ///< mobile radio transmit power
-    double remoteIoServiceMw = 2000.0; ///< sustained remote-I/O handling
 };
 
 /** 802.11n, the paper's "slow" environment (max 144 Mbps). */

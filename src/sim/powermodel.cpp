@@ -36,13 +36,14 @@ PowerModel::setRate(PowerState state, double milliwatts)
 }
 
 double
-PowerModel::averagePower(double from_ns, double to_ns) const
+averagePower(const std::vector<PowerSegment> &timeline, double from_ns,
+             double to_ns, double idle_mw)
 {
     if (to_ns <= from_ns)
-        return rate(PowerState::Idle);
+        return idle_mw;
     double energy = 0; // mW * ns
     double covered = 0;
-    for (const PowerSegment &seg : timeline_) {
+    for (const PowerSegment &seg : timeline) {
         double lo = std::max(seg.startNs, from_ns);
         double hi = std::min(seg.endNs, to_ns);
         if (hi > lo) {
@@ -52,7 +53,7 @@ PowerModel::averagePower(double from_ns, double to_ns) const
     }
     double gap = (to_ns - from_ns) - covered;
     if (gap > 0)
-        energy += rate(PowerState::Idle) * gap;
+        energy += idle_mw * gap;
     return energy / (to_ns - from_ns);
 }
 

@@ -35,6 +35,13 @@ struct PowerSegment {
     double milliwatts = 0;
 };
 
+/**
+ * Average power (mW) of @p timeline over [from_ns, to_ns]; time no
+ * segment covers counts at @p idle_mw.
+ */
+double averagePower(const std::vector<PowerSegment> &timeline,
+                    double from_ns, double to_ns, double idle_mw);
+
 /** Integrates power over simulated time and records the trace. */
 class PowerModel
 {
@@ -126,12 +133,6 @@ class PowerModel
 
     /** Recorded trace for Fig. 8-style plots. */
     const std::vector<PowerSegment> &timeline() const { return timeline_; }
-
-    /**
-     * Average power (mW) over [from_ns, to_ns], sampling the timeline;
-     * gaps count as idle.
-     */
-    double averagePower(double from_ns, double to_ns) const;
 
     /** Total simulated seconds spent in @p state. */
     double secondsInState(PowerState state) const;

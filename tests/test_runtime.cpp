@@ -245,6 +245,28 @@ TEST(Offload, CopyOnDemandServicesFaults)
     EXPECT_EQ(report.console, local.console);
 }
 
+TEST(Offload, SendAllShipsEverythingUpFront)
+{
+    // The conservative static partitioner's strategy (paper Sec. 6):
+    // every mobile page goes out with the prefetch, none on demand.
+    compiler::CompiledProgram prog = compileHeavy();
+    SystemConfig cfg;
+    cfg.copyOnDemand = false;
+    RunReport send_all = OffloadSystem(prog, cfg).run(heavyInput());
+    RunReport with_cod = OffloadSystem(prog, SystemConfig{}).run(heavyInput());
+    ASSERT_GT(with_cod.demandFaults, 0u); // prefetch alone misses a page
+    EXPECT_GT(send_all.offloads, 0u);
+    EXPECT_EQ(send_all.demandFaults, 0u);
+    EXPECT_EQ(send_all.bytesByCategory["copy-on-demand"], 0u);
+    EXPECT_GE(send_all.prefetchPagesSent, with_cod.prefetchPagesSent);
+
+    SystemConfig local_cfg;
+    local_cfg.forceLocal = true;
+    RunReport local = OffloadSystem(prog, local_cfg).run(heavyInput());
+    EXPECT_EQ(send_all.exitValue, local.exitValue);
+    EXPECT_EQ(send_all.console, local.console);
+}
+
 TEST(Offload, PrefetchReducesDemandFaults)
 {
     compiler::CompiledProgram prog = compileHeavy();

@@ -175,7 +175,9 @@ TEST(PowerModelTest, AveragePowerWindows)
     power.setRate(PowerState::Idle, 0);
     power.accumulate(0, 100, PowerState::Compute);
     // Window twice as long as the active segment → half the power.
-    EXPECT_NEAR(power.averagePower(0, 200), 1000, 1e-9);
+    EXPECT_NEAR(averagePower(power.timeline(), 0, 200,
+                             power.rate(PowerState::Idle)),
+                1000, 1e-9);
 }
 
 TEST(PowerModelTest, SlowNetworkReceiveRateConfigurable)
