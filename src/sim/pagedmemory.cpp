@@ -47,7 +47,7 @@ PagedMemory::readSpan(uint64_t addr, uint64_t size, uint8_t *out)
         Page *page = (cached_num_[way] == page_num) ? cached_page_[way]
                                                     : lookupSlow(page_num);
         if (touch_observer_ != nullptr)
-            touch_observer_(page_num, /*is_write=*/false);
+            touch_observer_(page_num);
         std::memcpy(out, page->data.get() + offset, chunk);
         addr += chunk;
         out += chunk;
@@ -66,7 +66,7 @@ PagedMemory::writeSpan(uint64_t addr, uint64_t size, const uint8_t *src)
         Page *page = (cached_num_[way] == page_num) ? cached_page_[way]
                                                     : lookupSlow(page_num);
         if (touch_observer_ != nullptr)
-            touch_observer_(page_num, /*is_write=*/true);
+            touch_observer_(page_num);
         page->dirty = true;
         std::memcpy(page->data.get() + offset, src, chunk);
         addr += chunk;

@@ -101,9 +101,8 @@ class PagedMemory
      */
     using FaultHandler = std::function<bool(uint64_t page_num)>;
 
-    /** Observer invoked on every access (profiling hooks). */
-    using TouchObserver =
-        std::function<void(uint64_t page_num, bool is_write)>;
+    /** Observer invoked with the page of every access (profiling). */
+    using TouchObserver = std::function<void(uint64_t page_num)>;
 
     /** @param auto_zero materialize untouched pages as zero-fill. */
     explicit PagedMemory(bool auto_zero = true) : auto_zero_(auto_zero)
@@ -140,7 +139,7 @@ class PagedMemory
                                    ? cached_page_[way]
                                    : lookupSlow(page_num);
             if (touch_observer_ != nullptr)
-                touch_observer_(page_num, /*is_write=*/false);
+                touch_observer_(page_num);
             std::memcpy(out, page->data.get() + offset, size);
             return;
         }
@@ -159,7 +158,7 @@ class PagedMemory
                              ? cached_page_[way]
                              : lookupSlow(page_num);
             if (touch_observer_ != nullptr)
-                touch_observer_(page_num, /*is_write=*/true);
+                touch_observer_(page_num);
             page->dirty = true;
             std::memcpy(page->data.get() + offset, src, size);
             return;
