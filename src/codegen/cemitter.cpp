@@ -511,7 +511,9 @@ Emitter::emitInst(const ir::Instruction *inst, size_t fn_id)
              exprI(inst->operand(1)).c_str());
         // Arithmetic runs on uint64 (defined wrap) and the result is
         // sign-extended to the type width — bitwise identical to the
-        // interpreter's int64 arithmetic on canonical values.
+        // interpreter's int64 arithmetic on canonical values. Signed
+        // division by -1 negates, so INT64_MIN / -1 wraps instead of
+        // trapping.
         switch (inst->op()) {
           case Opcode::Add:
             line("    %s.i = nol_sext((uint64_t)ba + (uint64_t)bb, %u); }",
@@ -527,7 +529,8 @@ Emitter::emitInst(const ir::Instruction *inst, size_t fn_id)
             break;
           case Opcode::SDiv:
             line("    if (bb == 0) ctx->trap(ctx, 0, %zu);", fn_id);
-            line("    %s.i = nol_sext((uint64_t)(ba / bb), %u); }",
+            line("    %s.i = nol_sext(bb == -1 ? 0 - (uint64_t)ba : "
+                 "(uint64_t)(ba / bb), %u); }",
                  v.c_str(), width);
             break;
           case Opcode::UDiv:
@@ -540,7 +543,8 @@ Emitter::emitInst(const ir::Instruction *inst, size_t fn_id)
             break;
           case Opcode::SRem:
             line("    if (bb == 0) ctx->trap(ctx, 1, %zu);", fn_id);
-            line("    %s.i = nol_sext((uint64_t)(ba %% bb), %u); }",
+            line("    %s.i = nol_sext(bb == -1 ? 0 : (uint64_t)(ba %% bb), "
+                 "%u); }",
                  v.c_str(), width);
             break;
           case Opcode::URem:

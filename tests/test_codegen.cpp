@@ -145,42 +145,42 @@ namespace {
  * digests the failing test prints, and says why.
  */
 const std::map<std::string, std::string> kGeneratedCGolden = {
-    {"164.gzip mobile", "22e028faec0b66e8"},
+    {"164.gzip mobile", "c4216991a0a33c10"},
     {"164.gzip server", "a06bff5137225c67"},
-    {"175.vpr mobile", "868ff3b7b452cc90"},
-    {"175.vpr server", "ec603ddb75447426"},
-    {"177.mesa mobile", "937dae0fd98fd678"},
-    {"177.mesa server", "58dc6b249ad1b961"},
-    {"179.art mobile", "dec2ee7a68c216d8"},
+    {"175.vpr mobile", "ad4a63be255a2e47"},
+    {"175.vpr server", "2ad7a6b8bf061926"},
+    {"177.mesa mobile", "b7d9f8c11013bbb1"},
+    {"177.mesa server", "9dfd5470df801658"},
+    {"179.art mobile", "382dd81d2e48504c"},
     {"179.art server", "96451715b4ba8891"},
-    {"183.equake mobile", "0d204c672d87cd0e"},
-    {"183.equake server", "b06777a898934836"},
-    {"188.ammp mobile", "aaea08620e1237b4"},
+    {"183.equake mobile", "0e8e9795c9b53db6"},
+    {"183.equake server", "cc964281b9177db3"},
+    {"188.ammp mobile", "35e55c9ad313937b"},
     {"188.ammp server", "be026f39d37356e3"},
-    {"300.twolf mobile", "e02de73f3db6388d"},
-    {"300.twolf server", "bf41821581419610"},
-    {"401.bzip2 mobile", "5a6e63681da79178"},
+    {"300.twolf mobile", "fb2bab3e1f0436e2"},
+    {"300.twolf server", "f56bbeabd46e8bec"},
+    {"401.bzip2 mobile", "59323a117638649b"},
     {"401.bzip2 server", "9e001950cdc460ac"},
-    {"429.mcf mobile", "39e83334a89a69e3"},
-    {"429.mcf server", "2474dffef71e7ffd"},
-    {"433.milc mobile", "78ffb0d1a34d025b"},
-    {"433.milc server", "6f7fa9f0ea99c7bb"},
-    {"445.gobmk mobile", "96e44f174a8070c3"},
-    {"445.gobmk server", "2fc30c21460da69a"},
-    {"456.hmmer mobile", "6c67ede80ca7bf16"},
-    {"456.hmmer server", "3fd3b522d1a07da6"},
-    {"458.sjeng mobile", "5d84616cf8c79e67"},
-    {"458.sjeng server", "82de9b081c6b1724"},
-    {"462.libquantum mobile", "a53359f9647d4be5"},
-    {"462.libquantum server", "74a9017a06eeca78"},
-    {"464.h264ref mobile", "11a9c31aea6d5b7b"},
-    {"464.h264ref server", "a79062e773f0ee89"},
-    {"470.lbm mobile", "99897ea484a071bc"},
-    {"470.lbm server", "1142703c7e2ce5d5"},
-    {"482.sphinx3 mobile", "3af3bf392e328cbd"},
-    {"482.sphinx3 server", "be8f5171e1b8f3b4"},
-    {"chess mobile", "fa986ba260ededd8"},
-    {"chess server", "1133941e55f627fc"},
+    {"429.mcf mobile", "33542f9d2d07f54f"},
+    {"429.mcf server", "628ce6fe2e829344"},
+    {"433.milc mobile", "afcffb802d872e27"},
+    {"433.milc server", "f2ed6ed8762aa946"},
+    {"445.gobmk mobile", "befdc818fa019d39"},
+    {"445.gobmk server", "512dd115db862bc9"},
+    {"456.hmmer mobile", "a1387864409d8be0"},
+    {"456.hmmer server", "f03088ae60579449"},
+    {"458.sjeng mobile", "df8fc1568326d7de"},
+    {"458.sjeng server", "abf87fbddbf5c6d4"},
+    {"462.libquantum mobile", "a44520d6ec8fee26"},
+    {"462.libquantum server", "7aa546e1ac59627c"},
+    {"464.h264ref mobile", "06740a334bdc2631"},
+    {"464.h264ref server", "0f3cb175677ba75a"},
+    {"470.lbm mobile", "dcfffc985fb66928"},
+    {"470.lbm server", "008b1cb6106c7d38"},
+    {"482.sphinx3 mobile", "95a5ea9a9c5ea637"},
+    {"482.sphinx3 server", "6622ee78531b0495"},
+    {"chess mobile", "e425dfb16c927953"},
+    {"chess server", "1fb3f2a2c8dcb7f3"},
 };
 
 } // namespace
@@ -211,6 +211,35 @@ TEST(CodegenLowering, GeneratedCMatchesGoldenDigests)
                       kGeneratedCGolden.at(key));
         }
     }
+}
+
+TEST(CodegenLowering, Int64MinByMinusOneWrapsOnBothBackends)
+{
+    ASSERT_TRUE(codegen::toolchainAvailable());
+    // The profiling input divides too, so Program::compile runs it.
+    const std::string input = "-9223372036854775808 -1";
+    core::CompileRequest req;
+    req.name = "divwrap";
+    req.source = R"(
+        int main() {
+            long a; long b;
+            scanf("%ld %ld", &a, &b);
+            printf("%ld %ld\n", a / b, a % b);
+            return 0;
+        }
+    )";
+    req.profilingInput.stdinText = input;
+    core::Program prog = core::Program::compile(req);
+    EXPECT_EQ(prog.compiled().profile.exitValue, 0);
+
+    RunInput run_input;
+    run_input.stdinText = input;
+    RunReport interp_report = prog.run(
+        backendConfig(interp::BackendKind::Interpreter, false), run_input);
+    RunReport native_report = prog.run(
+        backendConfig(interp::BackendKind::NativeC, false), run_input);
+    EXPECT_EQ(interp_report.console, "-9223372036854775808 0\n");
+    expectIdentical(interp_report, native_report);
 }
 
 // ---------------------------------------------------------------------------
