@@ -86,16 +86,6 @@ runSweep()
     return out;
 }
 
-LatencySummary
-fleetLatencySummary(const runtime::FleetReport &fleet)
-{
-    std::vector<double> latencies;
-    latencies.reserve(fleet.clients.size());
-    for (const runtime::FleetClientResult &client : fleet.clients)
-        latencies.push_back(client.latencySeconds);
-    return summarizeLatencies(std::move(latencies));
-}
-
 double
 geomean(const std::vector<double> &values)
 {

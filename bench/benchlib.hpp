@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/nativeoffloader.hpp"
-#include "support/stats.hpp"
 #include "workloads/workloads.hpp"
 
 namespace nol::bench {
@@ -54,13 +53,6 @@ std::vector<WorkloadRuns> runSweep();
 
 /** Geometric mean of @p values (must be positive). */
 double geomean(const std::vector<double> &values);
-
-/**
- * Per-client latency quantiles of a fleet run via the shared
- * nearest-rank helper (support/stats.hpp) — the one percentile
- * definition every bench table and the server itself agree on.
- */
-LatencySummary fleetLatencySummary(const runtime::FleetReport &fleet);
 
 } // namespace nol::bench
 

@@ -411,24 +411,6 @@ PointsToResult::pointsTo(const ir::Value *v) const
     return it == pts_.end() ? empty_ : it->second;
 }
 
-const PtsSet &
-PointsToResult::contents(const MemObject &obj) const
-{
-    auto it = contents_.find(obj);
-    return it == contents_.end() ? empty_ : it->second;
-}
-
-PtsSet
-PointsToResult::contentsOfAllSlots(const MemObject &obj) const
-{
-    PtsSet out;
-    MemObject lo = obj.base();
-    for (auto it = contents_.lower_bound(lo);
-         it != contents_.end() && it->first.sameBase(lo); ++it)
-        out.insert(it->second.begin(), it->second.end());
-    return out;
-}
-
 PointsToResult::CalleeSet
 PointsToResult::indirectCallees(const ir::Instruction *site) const
 {

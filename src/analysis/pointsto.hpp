@@ -129,7 +129,7 @@ struct PointsToOptions {
     bool fieldSensitive = true;
 };
 
-/** Solver statistics (reported by bench_analysis and nol-verify). */
+/** Solver statistics (reported by bench_extensions). */
 struct PointsToStats {
     size_t nodes = 0;       ///< values with a (possibly empty) set
     size_t objects = 0;     ///< distinct abstract objects (incl. fields)
@@ -147,14 +147,6 @@ class PointsToResult
   public:
     /** May-point-to set of @p v (empty for untracked values). */
     const PtsSet &pointsTo(const ir::Value *v) const;
-
-    /** May-point-to set of the pointers stored inside @p obj (the
-     *  exact slot only — see contentsOfAllSlots for the sound read). */
-    const PtsSet &contents(const MemObject &obj) const;
-
-    /** Union of contents over every slot of @p obj's base object —
-     *  what a load through an unknown offset may observe. */
-    PtsSet contentsOfAllSlots(const MemObject &obj) const;
 
     /** Every object with recorded contents (escape analysis walks
      *  this to find stack slots whose address was stored somewhere). */

@@ -139,17 +139,4 @@ makeMips32be()
     return spec;
 }
 
-const char *
-isaName(Isa isa)
-{
-    switch (isa) {
-      case Isa::Arm32: return "arm32";
-      case Isa::Arm64: return "arm64";
-      case Isa::Ia32: return "ia32";
-      case Isa::X86_64: return "x86_64";
-      case Isa::Mips32be: return "mips32be";
-    }
-    return "?";
-}
-
 } // namespace nol::arch

@@ -124,9 +124,6 @@ ArchSpec makeArm64();
 /** Big-endian 32-bit MIPS, for endianness-translation tests. */
 ArchSpec makeMips32be();
 
-/** Short name of an ISA ("arm32", "x86_64", ...). */
-const char *isaName(Isa isa);
-
 } // namespace nol::arch
 
 #endif // NOL_ARCH_ARCHSPEC_HPP

@@ -46,13 +46,13 @@ struct UnifyStats {
     size_t totalGlobals = 0;
     /** Size of the call-graph-closure referenced-global set (the
      *  paper's conservative Sec. 3.2 algorithm) — the baseline the
-     *  points-to refinement is measured against in bench_analysis. */
+     *  points-to refinement is measured against in bench_extensions. */
     size_t uvaGlobalsConservative = 0;
     /** Static UVA page footprint (loader packing replayed over the
      *  marked globals). Every page shaved here is a page the fleet
      *  never prefetches; the field-insensitive baseline comes from an
-     *  oracle compile with fieldSensitive off (nol-verify --stats,
-     *  bench_analysis). */
+     *  oracle compile with fieldSensitive off (bench_extensions and
+     *  the FieldSensitive tests). */
     size_t uvaPages = 0;
     /** Struct globals whose UVA mark was limited to a field subset. */
     size_t uvaFieldLimitedGlobals = 0;

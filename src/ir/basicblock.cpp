@@ -20,33 +20,6 @@ BasicBlock::insertAt(size_t idx, std::unique_ptr<Instruction> inst)
     return it->get();
 }
 
-void
-BasicBlock::erase(size_t idx)
-{
-    NOL_ASSERT(idx < insts_.size(), "erase position %zu out of range", idx);
-    insts_.erase(insts_.begin() + static_cast<ptrdiff_t>(idx));
-}
-
-std::unique_ptr<Instruction>
-BasicBlock::take(size_t idx)
-{
-    NOL_ASSERT(idx < insts_.size(), "take position %zu out of range", idx);
-    std::unique_ptr<Instruction> inst = std::move(insts_[idx]);
-    insts_.erase(insts_.begin() + static_cast<ptrdiff_t>(idx));
-    inst->setParent(nullptr);
-    return inst;
-}
-
-int
-BasicBlock::indexOf(const Instruction *inst) const
-{
-    for (size_t i = 0; i < insts_.size(); ++i) {
-        if (insts_[i].get() == inst)
-            return static_cast<int>(i);
-    }
-    return -1;
-}
-
 Instruction *
 BasicBlock::terminator() const
 {

@@ -50,15 +50,6 @@ class BasicBlock
     /** Insert @p inst before position @p idx. */
     Instruction *insertAt(size_t idx, std::unique_ptr<Instruction> inst);
 
-    /** Remove and destroy the instruction at @p idx. */
-    void erase(size_t idx);
-
-    /** Remove the instruction at @p idx without destroying it. */
-    std::unique_ptr<Instruction> take(size_t idx);
-
-    /** Index of @p inst within this block, or -1. */
-    int indexOf(const Instruction *inst) const;
-
     /** The terminator, or nullptr if the block is still open. */
     Instruction *terminator() const;
 

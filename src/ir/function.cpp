@@ -66,19 +66,4 @@ Function::loopByName(const std::string &name) const
     return nullptr;
 }
 
-size_t
-Function::instructionCount() const
-{
-    size_t count = 0;
-    for (const auto &bb : blocks_)
-        count += bb->size();
-    return count;
-}
-
-std::string
-Function::freshName(const std::string &hint)
-{
-    return hint + std::to_string(next_name_++);
-}
-
 } // namespace nol::ir

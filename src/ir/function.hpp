@@ -119,13 +119,6 @@ class Function : public Value
     /** Loop whose name is @p name, or nullptr. */
     const LoopMeta *loopByName(const std::string &name) const;
 
-    // --- Misc -------------------------------------------------------------
-    /** Total instruction count over all blocks. */
-    size_t instructionCount() const;
-
-    /** Fresh value name unique within this function ("t42"). */
-    std::string freshName(const std::string &hint = "t");
-
   private:
     const FunctionType *fn_type_;
     Module *parent_;
@@ -133,7 +126,6 @@ class Function : public Value
     std::vector<std::unique_ptr<Argument>> args_;
     std::vector<std::unique_ptr<BasicBlock>> blocks_;
     std::vector<LoopMeta> loops_;
-    unsigned next_name_ = 0;
 };
 
 } // namespace nol::ir

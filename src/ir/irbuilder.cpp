@@ -140,18 +140,6 @@ IRBuilder::callIndirect(Value *fn_ptr, const FunctionType *fn_type,
 }
 
 Instruction *
-IRBuilder::select(Value *cond, Value *if_true, Value *if_false,
-                  const std::string &name)
-{
-    auto inst =
-        std::make_unique<Instruction>(Opcode::Select, if_true->type(), name);
-    inst->addOperand(cond);
-    inst->addOperand(if_true);
-    inst->addOperand(if_false);
-    return emit(std::move(inst));
-}
-
-Instruction *
 IRBuilder::br(BasicBlock *dest)
 {
     auto inst = std::make_unique<Instruction>(Opcode::Br, types().voidTy(), "");

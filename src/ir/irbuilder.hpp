@@ -62,10 +62,6 @@ class IRBuilder
                               std::vector<Value *> args,
                               const std::string &name = "");
 
-    // --- Misc ---------------------------------------------------------------
-    Instruction *select(Value *cond, Value *if_true, Value *if_false,
-                        const std::string &name = "");
-
     // --- Terminators -----------------------------------------------------------
     Instruction *br(BasicBlock *dest);
     Instruction *condBr(Value *cond, BasicBlock *if_true,

@@ -49,18 +49,6 @@ makeLteCloud()
 
 // --- Fault injection -------------------------------------------------------
 
-const char *
-faultKindName(FaultKind kind)
-{
-    switch (kind) {
-      case FaultKind::Drop: return "drop";
-      case FaultKind::LatencySpike: return "latency-spike";
-      case FaultKind::Disconnect: return "disconnect";
-      case FaultKind::Reconnect: return "reconnect";
-    }
-    return "?";
-}
-
 FaultPlan
 FaultPlan::fromSeed(uint64_t sweep_seed)
 {

@@ -65,9 +65,6 @@ enum class FaultKind {
     Reconnect,    ///< link healed before this attempt
 };
 
-/** Printable fault-kind name. */
-const char *faultKindName(FaultKind kind);
-
 /** One injected fault, keyed by the global attempt counter. */
 struct FaultEvent {
     uint64_t attempt = 0; ///< 1-based attempt index when it fired

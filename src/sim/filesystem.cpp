@@ -11,12 +11,6 @@ SimFileSystem::putFile(const std::string &path, std::string contents)
     files_[path] = std::move(contents);
 }
 
-bool
-SimFileSystem::exists(const std::string &path) const
-{
-    return files_.count(path) != 0;
-}
-
 const std::string &
 SimFileSystem::contents(const std::string &path) const
 {

@@ -31,9 +31,6 @@ class SimFileSystem
     /** Create/overwrite a file with @p contents. */
     void putFile(const std::string &path, std::string contents);
 
-    /** True if @p path exists. */
-    bool exists(const std::string &path) const;
-
     /** Contents of @p path (empty if absent). */
     const std::string &contents(const std::string &path) const;
 

@@ -126,13 +126,6 @@ PagedMemory::pageDigest(uint64_t page_num) const
 }
 
 void
-PagedMemory::dropPage(uint64_t page_num)
-{
-    invalidateCache();
-    pages_.erase(page_num);
-}
-
-void
 PagedMemory::clear()
 {
     invalidateCache();

@@ -185,9 +185,6 @@ class PagedMemory
     /** Content digest of a present page. */
     PageDigest pageDigest(uint64_t page_num) const;
 
-    /** Drop a page entirely (used to reset the server between tasks). */
-    void dropPage(uint64_t page_num);
-
     /** Drop every page. */
     void clear();
 
@@ -218,8 +215,7 @@ class PagedMemory
      * translation cache. Does NOT fire the touch observer or set the
      * dirty bit — callers do, so cache hits and misses behave the same.
      * unordered_map nodes are pointer-stable across inserts, so the
-     * cached Page* entries only need invalidating on
-     * dropPage()/clear().
+     * cached Page* entries only need invalidating on clear().
      */
     Page *lookupSlow(uint64_t page_num);
 

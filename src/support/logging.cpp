@@ -7,7 +7,8 @@ namespace nol {
 
 namespace {
 
-LogLevel g_level = LogLevel::Info;
+/** logMessage() drops anything below this level. */
+constexpr LogLevel kMinLevel = LogLevel::Info;
 
 const char *
 levelName(LogLevel level)
@@ -48,33 +49,11 @@ strformat(const char *fmt, ...)
 }
 
 void
-setLogLevel(LogLevel level)
-{
-    g_level = level;
-}
-
-LogLevel
-logLevel()
-{
-    return g_level;
-}
-
-void
 logMessage(LogLevel level, const std::string &msg)
 {
-    if (static_cast<int>(level) < static_cast<int>(g_level))
+    if (static_cast<int>(level) < static_cast<int>(kMinLevel))
         return;
     std::fprintf(stderr, "[%s] %s\n", levelName(level), msg.c_str());
-}
-
-void
-inform(const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vstrformat(fmt, ap);
-    va_end(ap);
-    logMessage(LogLevel::Info, msg);
 }
 
 void

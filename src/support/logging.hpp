@@ -1,8 +1,8 @@
 /**
  * @file
- * Status-message and error-termination helpers in the spirit of
- * gem5's base/logging.hh: inform() for status, warn() for suspicious
- * conditions, fatal() for user errors and panic() for internal bugs.
+ * Warning and error-termination helpers in the spirit of gem5's
+ * base/logging.hh: warn() for suspicious conditions, fatal() for user
+ * errors and panic() for internal bugs.
  */
 #ifndef NOL_SUPPORT_LOGGING_HPP
 #define NOL_SUPPORT_LOGGING_HPP
@@ -47,17 +47,8 @@ std::string strformat(const char *fmt, ...) __attribute__((format(printf, 1, 2))
 /** printf-style formatting from a va_list. */
 std::string vstrformat(const char *fmt, va_list ap);
 
-/** Set the minimum level that log() actually prints. Default: Info. */
-void setLogLevel(LogLevel level);
-
-/** Current minimum printed level. */
-LogLevel logLevel();
-
-/** Emit a message to stderr if @p level passes the threshold. */
+/** Emit a message to stderr unless @p level is Debug. */
 void logMessage(LogLevel level, const std::string &msg);
-
-/** Informative status message; never indicates misbehaviour. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Something looks off but execution can continue. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));

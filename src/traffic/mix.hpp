@@ -1,7 +1,7 @@
 /**
  * @file
  * The built-in synthetic job mix the open-loop stress stack (the
- * tier-2 stress test, bench/bench_traffic and tools/nol-traffic)
+ * tier-2 stress test, bench/bench_extensions and tools/nol-traffic)
  * drives through the server. Three compute-bound job classes with
  * ~10x-apart service demands, compiled as *separate* programs so each
  * carries its own compile-time profile — the decision engine's seeded

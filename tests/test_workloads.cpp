@@ -213,10 +213,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(FieldSensitiveSweep, UvaSubsetAndIdenticalOutputsOnAllWorkloads)
 {
-    // The differential-oracle contract over the whole suite: the
-    // field-sensitive UVA set is contained in the insensitive one,
+    // The differential-oracle contract over the whole suite and chess:
+    // the field-sensitive UVA set is contained in the insensitive one,
     // target selection is unchanged, and execution is bit-identical.
-    for (const WorkloadSpec &spec : allWorkloads()) {
+    std::vector<WorkloadSpec> specs = allWorkloads();
+    specs.push_back(makeChess(3));
+    for (const WorkloadSpec &spec : specs) {
         core::Program sens = compileWorkload(spec, true);
         core::Program flat = compileWorkload(spec, false);
 

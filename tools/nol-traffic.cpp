@@ -3,8 +3,8 @@
  * Command-line front end for the open-loop traffic stack: generate a
  * seed-deterministic trace over the built-in three-class mix, drive it
  * through one admission policy, and print the TrafficReport (and,
- * optionally, the raw trace). Exists so load points can be explored
- * interactively without recompiling bench_traffic.
+ * optionally, the raw trace). Explores the load points and mixes that
+ * bench_extensions does not run.
  *
  *   nol-traffic [--arrivals N] [--rate R] [--policy fifo|priority|
  *               spjf|fair] [--process poisson|diurnal] [--seed S]
@@ -18,13 +18,15 @@
  * compiled native-C backend — simulated metrics are bit-identical to
  * the interpreter, only host wall-clock changes.
  */
+#include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "net/simnetwork.hpp"
-#include "support/logging.hpp"
 #include "traffic/mix.hpp"
 
 using namespace nol;
@@ -44,6 +46,33 @@ usage(const char *argv0)
         "[--backend interp|native] [--dump-trace]\n",
         argv0);
     std::exit(2);
+}
+
+/** True if all of @p text is a decimal integer no greater than @p max. */
+bool
+parseUnsigned(const char *text, uint64_t max, uint64_t *out)
+{
+    if (!std::isdigit(static_cast<unsigned char>(text[0])))
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long value = std::strtoull(text, &end, 10);
+    if (*end != '\0' || errno == ERANGE || value > max)
+        return false;
+    *out = value;
+    return true;
+}
+
+/** True if all of @p text is a finite number. */
+bool
+parseFinite(const char *text, double *out)
+{
+    char *end = nullptr;
+    double value = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(value))
+        return false;
+    *out = value;
+    return true;
 }
 
 } // namespace
@@ -69,21 +98,35 @@ main(int argc, char **argv)
                 usage(argv[0]);
             return argv[++i];
         };
+        // Malformed values end in the usage text, never in a panic
+        // deep inside the simulation.
+        auto count = [&]() {
+            uint64_t n = 0;
+            if (!parseUnsigned(value(), UINT32_MAX, &n) || n == 0)
+                usage(argv[0]);
+            return static_cast<uint32_t>(n);
+        };
+        auto real = [&](double lo, double hi) {
+            double x = 0;
+            if (!parseFinite(value(), &x) || x < lo || x > hi)
+                usage(argv[0]);
+            return x;
+        };
         if (arg == "--arrivals")
-            trace_config.arrivals =
-                static_cast<uint32_t>(std::atoi(value()));
-        else if (arg == "--rate")
-            trace_config.ratePerSecond = std::atof(value());
-        else if (arg == "--seed")
-            trace_config.seed =
-                static_cast<uint64_t>(std::strtoull(value(), nullptr, 10));
-        else if (arg == "--churn")
-            trace_config.churnFraction = std::atof(value());
+            trace_config.arrivals = count();
+        else if (arg == "--rate") {
+            trace_config.ratePerSecond = real(0, HUGE_VAL);
+            if (trace_config.ratePerSecond == 0)
+                usage(argv[0]);
+        } else if (arg == "--seed") {
+            if (!parseUnsigned(value(), UINT64_MAX, &trace_config.seed))
+                usage(argv[0]);
+        } else if (arg == "--churn")
+            trace_config.churnFraction = real(0, 1);
         else if (arg == "--alpha")
-            trace_config.mixAlpha = std::atof(value());
+            trace_config.mixAlpha = real(-HUGE_VAL, HUGE_VAL);
         else if (arg == "--slots")
-            admission.maxConcurrentSessions =
-                static_cast<uint32_t>(std::atoi(value()));
+            admission.maxConcurrentSessions = count();
         else if (arg == "--autoscale")
             admission.autoscale = true;
         else if (arg == "--network")
@@ -120,14 +163,14 @@ main(int argc, char **argv)
         } else
             usage(argv[0]);
     }
-    NOL_ASSERT(trace_config.arrivals > 0, "need at least one arrival");
-    NOL_ASSERT(trace_config.ratePerSecond > 0, "rate must be positive");
+    if (network_name != "802.11n" && network_name != "802.11ac")
+        usage(argv[0]);
+    if (mix_name != "builtin" && mix_name != "suite")
+        usage(argv[0]);
 
     net::NetworkSpec network = network_name == "802.11n"
                                    ? net::makeWifi80211n()
                                    : net::makeWifi80211ac();
-    if (mix_name != "builtin" && mix_name != "suite")
-        usage(argv[0]);
     BuiltinMix mix = mix_name == "suite" ? makeSuiteMix(network, backend)
                                          : makeBuiltinMix(network, backend);
     Trace trace = generateTrace(trace_config, mix.programs.size());

@@ -14,10 +14,6 @@
  *                          repair self-test: the verify→repair fixpoint
  *                          must drive every broken pair to 0
  *                          diagnostics within the iteration cap
- *   nol-verify --stats     JSON points-to / UVA precision report per
- *                          workload (field-sensitive vs the insensitive
- *                          oracle); fails if the sensitive UVA global
- *                          set is not a subset of the insensitive one
  *   nol-verify --backend   backend smoke: verify each workload, then
  *                          run it under both execution backends
  *                          (interpreter and native-C) and compare the
@@ -27,19 +23,16 @@
  */
 #include <cstdio>
 #include <cstring>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "analysis/corpus.hpp"
-#include "analysis/pointsto.hpp"
 #include "codegen/artifact.hpp"
 #include "core/nativeoffloader.hpp"
 #include "workloads/workloads.hpp"
 
 namespace {
 
-using nol::core::CompileRequest;
 using nol::core::Program;
 using nol::support::DiagSeverity;
 using nol::support::Diagnostic;
@@ -119,90 +112,6 @@ runCorpusRepairSelfTest(bool verbose)
     return failures == 0 ? 0 : 1;
 }
 
-/** Names of the UVA-marked globals in @p module. */
-std::set<std::string>
-uvaGlobalNames(const nol::ir::Module &module)
-{
-    std::set<std::string> names;
-    for (const auto &gv : module.globals())
-        if (gv->inUva())
-            names.insert(gv->name());
-    return names;
-}
-
-void
-printPointsToStatsJson(const nol::analysis::PointsToStats &s)
-{
-    std::printf("{\"nodes\": %zu, \"objects\": %zu, "
-                "\"baseObjects\": %zu, \"fieldSlots\": %zu, "
-                "\"totalEdges\": %zu, \"maxSetSize\": %zu, "
-                "\"iterations\": %zu}",
-                s.nodes, s.objects, s.baseObjects, s.fieldSlots,
-                s.totalEdges, s.maxSetSize, s.iterations);
-}
-
-/**
- * Compile @p spec twice (field-sensitive and the insensitive oracle,
- * which supplies every *Insensitive count), emit one JSON object of
- * precision stats, and check the subset property the differential
- * oracle guarantees: every UVA global the sensitive analysis marks
- * must also be marked by the insensitive one.
- * Returns 0 on success, 1 on a subset violation.
- */
-int
-statsWorkload(const nol::workloads::WorkloadSpec &spec, bool last)
-{
-    CompileRequest req = nol::workloads::evaluationRequest(spec);
-    Program sensitive = Program::compile(req);
-    req.fieldSensitiveAnalysis = false;
-    Program insensitive = Program::compile(req);
-
-    const auto &unify = sensitive.compiled().unifyStats;
-    const auto &partition = sensitive.compiled().partition;
-    const auto &flat_unify = insensitive.compiled().unifyStats;
-    const auto &flat_partition = insensitive.compiled().partition;
-    std::set<std::string> uva_sensitive =
-        uvaGlobalNames(*partition.mobileModule);
-    std::set<std::string> uva_insensitive =
-        uvaGlobalNames(*flat_partition.mobileModule);
-    bool subset = true;
-    for (const std::string &name : uva_sensitive)
-        if (uva_insensitive.count(name) == 0)
-            subset = false;
-
-    nol::analysis::PointsToStats pts_sensitive =
-        nol::analysis::analyzePointsTo(*partition.serverModule,
-                                       {.fieldSensitive = true})
-            .stats();
-    nol::analysis::PointsToStats pts_insensitive =
-        nol::analysis::analyzePointsTo(*partition.serverModule,
-                                       {.fieldSensitive = false})
-            .stats();
-
-    std::printf("  {\"workload\": \"%s\",\n   \"pointsTo\": ",
-                spec.id.c_str());
-    printPointsToStatsJson(pts_sensitive);
-    std::printf(",\n   \"pointsToInsensitive\": ");
-    printPointsToStatsJson(pts_insensitive);
-    std::printf(",\n   \"uva\": {\"globals\": %zu, "
-                "\"globalsInsensitive\": %zu, \"pages\": %zu, "
-                "\"pagesInsensitive\": %zu, "
-                "\"fieldLimitedGlobals\": %zu, "
-                "\"subsetOfInsensitive\": %s},\n",
-                unify.uvaGlobals, flat_unify.uvaGlobals, unify.uvaPages,
-                flat_unify.uvaPages, unify.uvaFieldLimitedGlobals,
-                subset ? "true" : "false");
-    std::printf("   \"fptrMap\": %zu, \"fptrMapInsensitive\": %zu}%s\n",
-                partition.fptrMap.size(), flat_partition.fptrMap.size(),
-                last ? "" : ",");
-    if (!subset)
-        std::fprintf(stderr,
-                     "%s: field-sensitive UVA set is NOT a subset of "
-                     "the insensitive oracle\n",
-                     spec.id.c_str());
-    return subset ? 0 : 1;
-}
-
 /**
  * Backend smoke for one workload: the partition must verify clean,
  * then an interpreted and a native-C run of the evaluation input must
@@ -250,7 +159,6 @@ main(int argc, char **argv)
     bool verbose = false;
     bool corpus = false;
     bool repair = false;
-    bool stats = false;
     bool backend = false;
     std::vector<std::string> ids;
     for (int i = 1; i < argc; ++i) {
@@ -260,8 +168,6 @@ main(int argc, char **argv)
             corpus = true;
         else if (std::strcmp(argv[i], "--repair") == 0)
             repair = true;
-        else if (std::strcmp(argv[i], "--stats") == 0)
-            stats = true;
         else if (std::strcmp(argv[i], "--backend") == 0)
             backend = true;
         else
@@ -313,20 +219,6 @@ main(int argc, char **argv)
         }
         std::printf("all %zu workloads bit-identical across backends\n",
                     specs.size());
-        return 0;
-    }
-    if (stats) {
-        std::printf("[\n");
-        for (size_t i = 0; i < specs.size(); ++i)
-            failures += statsWorkload(specs[i], i + 1 == specs.size());
-        std::printf("]\n");
-        if (failures != 0) {
-            std::fprintf(stderr,
-                         "nol-verify: %d of %zu workloads violated the "
-                         "subset property\n",
-                         failures, specs.size());
-            return 1;
-        }
         return 0;
     }
     for (const auto &spec : specs)
