@@ -246,11 +246,6 @@ class PointsToSolver
             }
             return grew;
           }
-          case Op::Select: {
-            bool grew = addAll(pts(&inst), pts(inst.operand(1)));
-            grew |= addAll(pts(&inst), pts(inst.operand(2)));
-            return grew;
-          }
           case Op::Call:
             return transferCall(inst, inst.callee(), /*first_arg=*/0);
           case Op::CallIndirect:

@@ -85,9 +85,6 @@ struct ArchSpec {
     /** Base virtual address of this machine's default stack region. */
     uint64_t stackBase = 0xc000'0000ull;
 
-    /** Size of the stack region in bytes. */
-    uint64_t stackSize = 8ull << 20;
-
     /** Alignment of @p kind on this architecture. */
     uint32_t
     alignOf(ScalarKind kind) const

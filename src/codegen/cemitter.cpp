@@ -14,6 +14,7 @@
 #include "support/logging.hpp"
 #include "ir/type.hpp"
 #include "ir/value.hpp"
+#include "ir/verifier.hpp"
 #include "sim/costmodel.hpp"
 #include "support/logging.hpp"
 
@@ -344,6 +345,8 @@ Emitter::run()
 void
 Emitter::emitFunction(const ir::Function *fn, size_t fn_id)
 {
+    // The C below reads a value only where its definition has run.
+    ir::assertRunnable(*fn);
     instIdx_.clear();
     allocaIdx_.clear();
     blockIdx_.clear();
@@ -782,14 +785,6 @@ Emitter::emitInst(const ir::Instruction *inst, size_t fn_id)
                  var(inst).c_str(), tgt.c_str(), site, n);
         break;
       }
-      case Opcode::Select:
-        // The C conditional evaluates only the chosen arm, matching
-        // the interpreter's lazy operand evaluation.
-        line("  %s = ((%s) != 0) ? (%s) : (%s);", var(inst).c_str(),
-             exprI(inst->operand(0)).c_str(),
-             exprWhole(inst->operand(1)).c_str(),
-             exprWhole(inst->operand(2)).c_str());
-        break;
       case Opcode::MachineAsm: {
         flushCharges(fn_id);
         size_t site = lowered_.asmSites.size();

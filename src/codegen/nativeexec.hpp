@@ -47,11 +47,6 @@ class NativeExec final : public interp::ExecBackend
     interp::RtVal call(ir::Function *fn,
                        const std::vector<interp::RtVal> &args) override;
 
-    interp::BackendKind kind() const override
-    {
-        return interp::BackendKind::NativeC;
-    }
-
   private:
     interp::RtVal invoke(NolFn fn_ptr, const ir::Function *fn,
                          const std::vector<interp::RtVal> &args);

@@ -22,8 +22,8 @@ namespace nol::compiler {
 
 /** Compile-time configuration. */
 struct CompileOptions {
-    arch::ArchSpec mobileSpec;
-    arch::ArchSpec serverSpec;
+    arch::ArchSpec mobileSpec; ///< defaults to the paper's ARM device
+    arch::ArchSpec serverSpec; ///< defaults to the paper's x86 server
     /** Bandwidth the static estimate assumes, in Mbps (Equation 1's
      *  BW); its speed ratio R is derived from the two specs. */
     double staticBandwidthMbps = 80.0;

@@ -4,26 +4,12 @@
 
 namespace nol::core {
 
-CompileRequest::CompileRequest()
-    : mobileSpec(arch::makeArm32()), serverSpec(arch::makeX86_64())
-{
-}
-
 Program
 Program::compile(const CompileRequest &request)
 {
     auto module = frontend::compileSource(request.source, request.name);
-
-    compiler::CompileOptions options;
-    options.mobileSpec = request.mobileSpec;
-    options.serverSpec = request.serverSpec;
-    options.filter = request.filter;
-    options.profilingInput = request.profilingInput;
-    options.staticBandwidthMbps = request.staticBandwidthMbps;
-    options.fieldSensitiveAnalysis = request.fieldSensitiveAnalysis;
-
     auto compiled = std::make_shared<compiler::CompiledProgram>(
-        compiler::compileForOffload(std::move(module), options));
+        compiler::compileForOffload(std::move(module), request));
     return Program(std::move(compiled));
 }
 

@@ -34,23 +34,9 @@
 namespace nol::core {
 
 /** Everything needed to compile a program for offloading. */
-struct CompileRequest {
+struct CompileRequest : compiler::CompileOptions {
     std::string name = "app";
     std::string source;
-    profile::ProfileInput profilingInput;
-    arch::ArchSpec mobileSpec;  ///< defaults to the paper's ARM device
-    arch::ArchSpec serverSpec;  ///< defaults to the paper's x86 server
-    compiler::FilterConfig filter;
-    /** Bandwidth assumed by the *static* estimator, in Mbps (paper
-     *  Table 3 uses 80). This should be pre-scaled consistently with
-     *  the runtime memScale when workloads are scaled. */
-    double staticBandwidthMbps = 80.0;
-    /** Compile with the field-sensitive points-to solver (default);
-     *  false selects the legacy field-insensitive pipeline — kept as
-     *  the differential oracle for A/B precision studies. */
-    bool fieldSensitiveAnalysis = true;
-
-    CompileRequest();
 };
 
 /** A compiled, offloading-enabled program. */

@@ -1658,7 +1658,11 @@ class CodeGen
     {
         switch (expr.kind) {
           case ExprKind::IntLit:
-            return {expr.charLike ? types().i8() : types().i32(), false};
+            if (expr.charLike)
+                return {types().i8(), false};
+            if (expr.intValue > 0x7fffffffll || expr.intValue < -0x80000000ll)
+                return {types().i64(), false};
+            return {types().i32(), false};
           case ExprKind::FloatLit:
             return {types().f64(), false};
           case ExprKind::StringLit:
@@ -1696,6 +1700,13 @@ class CodeGen
               }
               case Tok::Bang:
                 return {types().i32(), false};
+              case Tok::Minus:
+              case Tok::Tilde: {
+                QualType inner = typeOfExpr(*expr.lhs);
+                if (inner.ty->isFloat())
+                    return inner;
+                return commonType(inner, inner, expr.line);
+              }
               default:
                 return typeOfExpr(*expr.lhs);
             }

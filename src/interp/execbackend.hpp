@@ -74,9 +74,6 @@ class ExecBackend
     /** Run @p fn with @p args; returns its return value. */
     virtual RtVal call(ir::Function *fn, const std::vector<RtVal> &args) = 0;
 
-    /** Which engine this is. */
-    virtual BackendKind kind() const = 0;
-
     // --- Configuration ------------------------------------------------
     /** Cost charged on top of each indirect call (fn-ptr translation). */
     void setIndirectCallExtraCost(uint64_t cost)
@@ -86,8 +83,6 @@ class ExecBackend
 
     // --- Accessors (used by ExecEnv implementations) ---------------------
     sim::SimMachine &machine() { return machine_; }
-    const ir::Module &module() const { return module_; }
-    const ProgramImage &image() const { return image_; }
     const ir::DataLayout &layout() const { return dl_; }
 
     /** Effective pointer size in bytes (unified or native). */
@@ -104,9 +99,6 @@ class ExecBackend
     {
         return indirect_calls_ * indirect_extra_cost_;
     }
-
-    /** Current guest call depth. */
-    int depth() const { return depth_; }
 
     // --- Guest memory helpers -----------------------------------------
     /** NUL-terminated string at @p addr (bounded at 1 MiB). */

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 
 #include "arch/endian.hpp"
+#include "ir/verifier.hpp"
 #include "sim/costmodel.hpp"
 
 namespace nol::interp {
@@ -25,18 +25,15 @@ struct Op {
     uint8_t cost = 0;     ///< base cost units, scaled when charged
     uint8_t costKind = 0; ///< sim::CostKind of the charge
     /** Load/Store: Access. FP result: 1 if f32. Call: 1 if it has a
-     *  result. Ret: 1 if it returns a value. Unreachable: 1 if the
-     *  block fell through without a terminator. */
+     *  result. Ret: 1 if it returns a value. */
     uint8_t aux = 0;
-    bool checked = false; ///< reads or defines a slot with a defined bit
     uint32_t width = 0;   ///< integer width in bits of the result (of the
                           ///< operands for ICmp); access bytes of Load/Store
     uint32_t dst = 0;     ///< result slot
     /** Operand slots, in operand order. Alloca: a is the alloca index,
      *  b the alignment. Br/CondBr: b and c are successor blocks.
-     *  Switch: b is the default block, c the case count. Fall-through:
-     *  b is the block. Calls: b is the argument count, c the target
-     *  slot of an indirect call. */
+     *  Switch: b is the default block, c the case count. Calls: b is
+     *  the argument count, c the target slot of an indirect call. */
     uint32_t a = 0, b = 0, c = 0;
     /** Alloca: size. FieldAddr: offset. IndexAddr: stride. ZExt and
      *  integer Load/Store: source width in bits. IntToPtr and pointer
@@ -59,19 +56,6 @@ struct Block {
     static constexpr int32_t kNoEdge = -2;
 };
 
-/** An operand whose definition does not dominate it. */
-struct CheckedUse {
-    uint32_t operand = 0; ///< operand index in the instruction
-    uint32_t slot = 0;
-    const ir::Value *value = nullptr;
-};
-
-/** What a checked op verifies and records. */
-struct Checks {
-    std::vector<CheckedUse> uses;
-    bool defines = false; ///< its result slot carries a defined bit
-};
-
 /** Bit width of an integer type. */
 uint32_t
 intWidth(const ir::Type *type)
@@ -87,132 +71,26 @@ isF32(const ir::Type *type)
            static_cast<const ir::FloatType *>(type)->bits() == 32;
 }
 
-/** True if executing @p inst writes a result the frame can read. */
-bool
-definesValue(const ir::Instruction &inst)
-{
-    switch (inst.op()) {
-      case Opcode::Store:
-      case Opcode::MachineAsm:
-      case Opcode::Br:
-      case Opcode::CondBr:
-      case Opcode::Switch:
-      case Opcode::Ret:
-      case Opcode::Unreachable:
-        return false;
-      case Opcode::Call:
-      case Opcode::CallIndirect:
-        return !inst.type()->isVoid();
-      default:
-        return true;
-    }
-}
-
-/** Index of the first terminator in @p bb, or bb.size() if none. */
-size_t
-firstTerminator(const ir::BasicBlock &bb)
-{
-    for (size_t i = 0; i < bb.size(); ++i) {
-        if (ir::isTerminator(bb.inst(i)->op()))
-            return i;
-    }
-    return bb.size();
-}
-
-/**
- * Immediate dominator of every block (Cooper, Harvey and Kennedy,
- * "A Simple, Fast Dominance Algorithm"); -1 for unreachable blocks.
- * Block 0 is the entry and its own idom.
- */
-std::vector<int32_t>
-immediateDominators(const std::vector<std::vector<uint32_t>> &succs)
-{
-    size_t n = succs.size();
-    std::vector<int32_t> post(n, -1);
-    std::vector<uint32_t> order; // postorder
-    std::vector<std::pair<uint32_t, size_t>> stack{{0, 0}};
-    std::vector<bool> seen(n, false);
-    seen[0] = true;
-    while (!stack.empty()) {
-        auto &[b, next] = stack.back();
-        if (next < succs[b].size()) {
-            uint32_t s = succs[b][next++];
-            if (!seen[s]) {
-                seen[s] = true;
-                stack.push_back({s, 0});
-            }
-            continue;
-        }
-        post[b] = static_cast<int32_t>(order.size());
-        order.push_back(b);
-        stack.pop_back();
-    }
-    std::vector<std::vector<uint32_t>> preds(n);
-    for (uint32_t b = 0; b < n; ++b) {
-        if (!seen[b])
-            continue;
-        for (uint32_t s : succs[b])
-            preds[s].push_back(b);
-    }
-    std::vector<int32_t> idom(n, -1);
-    idom[0] = 0;
-    for (bool changed = true; changed;) {
-        changed = false;
-        for (auto it = order.rbegin(); it != order.rend(); ++it) {
-            uint32_t b = *it;
-            if (b == 0)
-                continue;
-            int32_t best = -1;
-            for (uint32_t p : preds[b]) {
-                if (idom[p] < 0)
-                    continue;
-                if (best < 0) {
-                    best = static_cast<int32_t>(p);
-                    continue;
-                }
-                int32_t x = static_cast<int32_t>(p), y = best;
-                while (x != y) {
-                    while (post[x] < post[y])
-                        x = idom[x];
-                    while (post[y] < post[x])
-                        y = idom[y];
-                }
-                best = x;
-            }
-            if (idom[b] != best) {
-                idom[b] = best;
-                changed = true;
-            }
-        }
-    }
-    return idom;
-}
-
 } // namespace
 
 /** One function, decoded once per interpreter. */
 struct Interp::Decoded {
     std::vector<Op> ops;
     std::vector<Block> blocks;
-    /** Frame layout: arguments, results, values nothing writes, then
-     *  constants (copied in at each call). */
+    /** Frame layout: arguments, results, then constants (copied in at
+     *  each call). */
     uint32_t numSlots = 0;
     uint32_t firstConstant = 0;
     std::vector<RtVal> constants;
     uint32_t numAllocas = 0;
     std::vector<uint32_t> argSlots; ///< call argument lists
     std::vector<std::pair<int64_t, uint32_t>> cases; ///< value, block
-    /** By op index, the ops that read a value whose definition does
-     *  not dominate the read, or write such a value; empty for every
-     *  function the frontend emits. */
-    std::map<size_t, Checks> checks;
 };
 
 /** Per-call-depth frame storage, reused by every call at that depth. */
 struct Interp::Frame {
     std::vector<RtVal> slots;
     std::vector<uint64_t> allocas; ///< 0 until the alloca first runs
-    std::vector<uint8_t> defined;  ///< only with Decoded::checks
 };
 
 Interp::Interp(sim::SimMachine &machine, const ir::Module &module,
@@ -235,10 +113,11 @@ Interp::decoded(ir::Function *fn)
 std::unique_ptr<Interp::Decoded>
 Interp::decode(ir::Function &fn) const
 {
+    // Every use is defined, so no slot needs checking at run time.
+    ir::assertRunnable(fn);
     auto out = std::make_unique<Decoded>();
     Decoded &d = *out;
 
-    // Blocks and the CFG their first terminators span.
     std::unordered_map<const ir::BasicBlock *, uint32_t> block_index;
     for (size_t i = 0; i < fn.blocks().size(); ++i)
         block_index[fn.blocks()[i].get()] = static_cast<uint32_t>(i);
@@ -248,56 +127,17 @@ Interp::decode(ir::Function &fn) const
                    fn.name().c_str());
         return it->second;
     };
-    size_t nblocks = fn.blocks().size();
-    std::vector<std::vector<uint32_t>> succs(nblocks);
-    std::vector<size_t> ends(nblocks);
-    for (size_t i = 0; i < nblocks; ++i) {
-        const ir::BasicBlock &bb = *fn.blocks()[i];
-        ends[i] = firstTerminator(bb);
-        if (ends[i] < bb.size()) {
-            for (const ir::BasicBlock *s : bb.inst(ends[i])->successors())
-                succs[i].push_back(blockOf(s));
-        }
-    }
-    std::vector<int32_t> idom = immediateDominators(succs);
 
-    // Slots: arguments, then each executed result in block order, then
-    // the values read but never written (another function's value, or
-    // the result of an instruction that does not run or defines
-    // nothing), then constants.
-    struct Def {
-        uint32_t slot;
-        uint32_t block;
-        size_t index;
-        bool written;
-    };
-    std::unordered_map<const ir::Value *, Def> defs;
+    // Slots: arguments, then each result in block order, then
+    // constants.
+    std::unordered_map<const ir::Value *, uint32_t> value_slot;
     uint32_t next_slot = 0;
     for (size_t i = 0; i < fn.numArgs(); ++i)
-        defs[fn.arg(i)] = {next_slot++, 0, 0, true};
-    uint32_t first_result = next_slot;
-    auto executed = [&](size_t b) {
-        const ir::BasicBlock &bb = *fn.blocks()[b];
-        return std::min(ends[b] + 1, bb.size());
-    };
-    for (size_t b = 0; b < nblocks; ++b) {
-        const ir::BasicBlock &bb = *fn.blocks()[b];
-        for (size_t i = 0; i < executed(b); ++i) {
-            if (definesValue(*bb.inst(i))) {
-                defs[bb.inst(i)] = {next_slot++, static_cast<uint32_t>(b),
-                                    i, true};
-            }
-        }
-    }
-    for (size_t b = 0; b < nblocks; ++b) {
-        const ir::BasicBlock &bb = *fn.blocks()[b];
-        for (size_t i = 0; i < executed(b); ++i) {
-            for (const ir::Value *v : bb.inst(i)->operands()) {
-                bool local = v->valueKind() == ir::Value::Kind::Argument ||
-                             v->valueKind() == ir::Value::Kind::Instruction;
-                if (local && defs.count(v) == 0)
-                    defs[v] = {next_slot++, 0, 0, false};
-            }
+        value_slot[fn.arg(i)] = next_slot++;
+    for (const auto &bb : fn.blocks()) {
+        for (const auto &inst : bb->insts()) {
+            if (!inst->type()->isVoid())
+                value_slot[inst.get()] = next_slot++;
         }
     }
     d.firstConstant = next_slot;
@@ -312,22 +152,7 @@ Interp::decode(ir::Function &fn) const
         }
         return it->second;
     };
-    auto dominates = [&](uint32_t def_block, uint32_t use_block) {
-        for (int32_t b = static_cast<int32_t>(use_block);;) {
-            if (b == static_cast<int32_t>(def_block))
-                return true;
-            if (b == 0)
-                return false;
-            b = idom[b];
-        }
-    };
-    // A result read where its definition may not have run carries a
-    // defined bit.
-    std::vector<bool> tracked(d.firstConstant, false);
-    // Slot of operand @p v of the instruction at (@p block, @p index);
-    // @p safe is cleared when @p v may be undefined at that point.
-    auto operandSlot = [&](const ir::Value *v, uint32_t block, size_t index,
-                           bool &safe) -> uint32_t {
+    auto slotOf = [&](const ir::Value *v) -> uint32_t {
         switch (v->valueKind()) {
           case ir::Value::Kind::ConstInt:
             return constantSlot(v, RtVal::ofInt(
@@ -347,59 +172,31 @@ Interp::decode(ir::Function &fn) const
           case ir::Value::Kind::Instruction:
             break;
         }
-        const Def &def = defs.at(v);
-        if (def.slot < first_result || idom[block] < 0)
-            return def.slot; // arguments; uses that never run
-        bool ok = def.written && (def.block == block
-                                      ? def.index < index
-                                      : dominates(def.block, block));
-        if (!ok) {
-            safe = false;
-            tracked[def.slot] = true;
-        }
-        return def.slot;
+        return value_slot.at(v);
     };
 
     uint32_t ptr_bits = ptrSize() * 8;
-    std::vector<int32_t> def_op(d.firstConstant, -1);
-    for (size_t b = 0; b < nblocks; ++b) {
-        const ir::BasicBlock &bb = *fn.blocks()[b];
+    for (const auto &bb : fn.blocks()) {
         Block blk;
         blk.first = static_cast<uint32_t>(d.ops.size());
-        blk.bb = &bb;
+        blk.bb = bb.get();
         d.blocks.push_back(blk);
-        uint32_t bi = static_cast<uint32_t>(b);
-        for (size_t i = 0; i < executed(b); ++i) {
-            const ir::Instruction &inst = *bb.inst(i);
+        for (const auto &inst_ptr : bb->insts()) {
+            const ir::Instruction &inst = *inst_ptr;
             Op op;
             op.op = inst.op();
             op.cost = static_cast<uint8_t>(sim::opcodeCost(inst.op()));
             op.costKind = static_cast<uint8_t>(sim::costKind(inst.op()));
             op.inst = &inst;
-            bool safe = true;
-            std::vector<CheckedUse> unsafe;
-            auto slotOf = [&](size_t operand) {
-                bool ok = true;
-                uint32_t s = operandSlot(inst.operand(operand), bi, i, ok);
-                if (!ok) {
-                    safe = false;
-                    unsafe.push_back({static_cast<uint32_t>(operand), s,
-                                      inst.operand(operand)});
-                }
-                return s;
-            };
-            auto it = defs.find(&inst);
-            if (it != defs.end()) {
-                op.dst = it->second.slot;
-                def_op[op.dst] = static_cast<int32_t>(d.ops.size());
-            }
             const ir::Type *ty = inst.type();
+            if (!ty->isVoid())
+                op.dst = value_slot.at(&inst);
             bool is_call = inst.op() == Opcode::Call ||
                            inst.op() == Opcode::CallIndirect;
             if (!is_call && inst.op() != Opcode::MachineAsm) {
                 uint32_t *fields[] = {&op.a, &op.b, &op.c};
                 for (size_t k = 0; k < inst.numOperands() && k < 3; ++k)
-                    *fields[k] = slotOf(k);
+                    *fields[k] = slotOf(inst.operand(k));
             }
             if (ty->isInt())
                 op.width = intWidth(ty);
@@ -458,11 +255,11 @@ Interp::decode(ir::Function &fn) const
               case Opcode::CallIndirect: {
                 size_t first_arg = inst.op() == Opcode::CallIndirect ? 1 : 0;
                 if (first_arg == 1)
-                    op.c = slotOf(0);
+                    op.c = slotOf(inst.operand(0));
                 op.imm = d.argSlots.size();
                 op.b = static_cast<uint32_t>(inst.numOperands() - first_arg);
                 for (size_t k = first_arg; k < inst.numOperands(); ++k)
-                    d.argSlots.push_back(slotOf(k));
+                    d.argSlots.push_back(slotOf(inst.operand(k)));
                 op.aux = ty->isVoid() ? 0 : 1;
                 break;
               }
@@ -488,26 +285,8 @@ Interp::decode(ir::Function &fn) const
               default:
                 break;
             }
-            if (!safe) {
-                op.checked = true;
-                d.checks[d.ops.size()].uses = std::move(unsafe);
-            }
             d.ops.push_back(op);
         }
-        if (ends[b] == bb.size()) {
-            Op fall;
-            fall.aux = 1;
-            fall.b = bi;
-            d.ops.push_back(fall);
-        }
-    }
-
-    // The op that writes a tracked result sets its defined bit.
-    for (size_t slot = 0; slot < tracked.size(); ++slot) {
-        if (!tracked[slot] || def_op[slot] < 0)
-            continue;
-        d.ops[def_op[slot]].checked = true;
-        d.checks[def_op[slot]].defines = true;
     }
     d.numSlots = d.firstConstant + static_cast<uint32_t>(d.constants.size());
 
@@ -581,8 +360,6 @@ Interp::execFunction(ir::Function *fn, const RtVal *args,
         s[i] = args[arg_slots != nullptr ? arg_slots[i] : i];
     std::copy(d.constants.begin(), d.constants.end(), s + d.firstConstant);
     frame.allocas.assign(d.numAllocas, 0);
-    if (!d.checks.empty())
-        frame.defined.assign(d.numSlots, 0);
 
     const Op *ops = d.ops.data();
     int32_t cur = -1;
@@ -620,21 +397,6 @@ Interp::execFunction(ir::Function *fn, const RtVal *args,
         machine_.advanceCompute(sim::scaledCost(
             op.cost, static_cast<sim::CostKind>(op.costKind),
             machine_.spec()));
-        if (op.checked) [[unlikely]] {
-            const Checks &checks = d.checks.at(pc);
-            for (const CheckedUse &use : checks.uses) {
-                // A select reads its condition and one side only.
-                if (op.op == Opcode::Select && use.operand != 0 &&
-                    use.operand != (s[op.a].i != 0 ? 1u : 2u)) {
-                    continue;
-                }
-                NOL_ASSERT(frame.defined[use.slot],
-                           "use of undefined value '%s'",
-                           use.value->name().c_str());
-            }
-            if (checks.defines)
-                frame.defined[op.dst] = 1;
-        }
 
         switch (op.op) {
           // ---- Memory ------------------------------------------------
@@ -922,9 +684,6 @@ Interp::execFunction(ir::Function *fn, const RtVal *args,
             break;
           }
           // ---- Misc -----------------------------------------------------------
-          case Opcode::Select:
-            s[op.dst] = s[s[op.a].i != 0 ? op.b : op.c];
-            break;
           case Opcode::MachineAsm:
             env_.onMachineAsm(*this, *op.inst);
             break;
@@ -950,8 +709,6 @@ Interp::execFunction(ir::Function *fn, const RtVal *args,
           case Opcode::Ret:
             return op.aux ? s[op.a] : RtVal{};
           case Opcode::Unreachable:
-            NOL_ASSERT(op.aux == 0, "block %s fell through without "
-                       "terminator", d.blocks[op.b].bb->name().c_str());
             panic("guest reached 'unreachable' in %s", fn->name().c_str());
         }
         ++pc;

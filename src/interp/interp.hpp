@@ -60,8 +60,6 @@ class Interp final : public ExecBackend
     /** Run @p fn with @p args; returns its return value. */
     RtVal call(ir::Function *fn, const std::vector<RtVal> &args) override;
 
-    BackendKind kind() const override { return BackendKind::Interpreter; }
-
     InterpHooks &hooks() { return hooks_; }
 
   private:

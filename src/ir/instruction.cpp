@@ -56,7 +56,6 @@ opcodeName(Opcode op)
       case Opcode::IndexAddr: return "indexaddr";
       case Opcode::Call: return "call";
       case Opcode::CallIndirect: return "call.indirect";
-      case Opcode::Select: return "select";
       case Opcode::Br: return "br";
       case Opcode::CondBr: return "condbr";
       case Opcode::Switch: return "switch";

@@ -43,8 +43,6 @@ enum class Opcode {
     // Calls
     Call,         ///< direct call of callee()
     CallIndirect, ///< call through function pointer operand 0
-    // Misc
-    Select,     ///< operand 0 ? operand 1 : operand 2
     // Terminators
     Br,         ///< unconditional branch to successor 0
     CondBr,     ///< operand 0 ? successor 0 : successor 1

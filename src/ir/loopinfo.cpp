@@ -16,91 +16,121 @@ predecessors(const Function &fn)
     return preds;
 }
 
-namespace {
-
-void
-postOrder(BasicBlock *bb, std::set<const BasicBlock *> &seen,
-          std::vector<BasicBlock *> &order)
-{
-    if (!seen.insert(bb).second)
-        return;
-    for (BasicBlock *succ : bb->successors())
-        postOrder(succ, seen, order);
-    order.push_back(bb);
-}
-
-} // namespace
-
-DominatorTree::DominatorTree(const Function &fn)
+DominatorTree::DominatorTree(const Function &fn) : fn_(fn)
 {
     NOL_ASSERT(fn.hasBody(), "dominator tree of bodyless function %s",
                fn.name().c_str());
+    const auto &blocks = fn.blocks();
+    uint32_t n = static_cast<uint32_t>(blocks.size());
+    index_.reserve(n);
+    for (uint32_t b = 0; b < n; ++b)
+        index_.emplace(blocks[b].get(), b);
 
-    std::set<const BasicBlock *> seen;
-    std::vector<BasicBlock *> post;
-    postOrder(fn.entry(), seen, post);
-    rpo_.assign(post.rbegin(), post.rend());
-    for (size_t i = 0; i < rpo_.size(); ++i)
-        rpo_index_[rpo_[i]] = static_cast<int>(i);
-
-    auto preds = predecessors(fn);
-
-    // Cooper–Harvey–Kennedy iterative algorithm.
-    auto intersect = [&](BasicBlock *a, BasicBlock *b) {
-        while (a != b) {
-            while (rpo_index_.at(a) > rpo_index_.at(b))
-                a = idom_.at(a);
-            while (rpo_index_.at(b) > rpo_index_.at(a))
-                b = idom_.at(b);
+    // Successors by position. An edge out of the function is the
+    // verifier's to report; it adds nothing here.
+    std::vector<std::vector<uint32_t>> succs(n);
+    for (uint32_t b = 0; b < n; ++b) {
+        const Instruction *term = blocks[b]->terminator();
+        if (term == nullptr)
+            continue;
+        for (const BasicBlock *s : term->successors()) {
+            auto it = index_.find(s);
+            if (it != index_.end())
+                succs[b].push_back(it->second);
         }
-        return a;
-    };
+    }
 
-    BasicBlock *entry = fn.entry();
-    idom_[entry] = entry;
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (BasicBlock *bb : rpo_) {
-            if (bb == entry)
-                continue;
-            BasicBlock *new_idom = nullptr;
-            for (BasicBlock *pred : preds[bb]) {
-                if (idom_.count(pred) == 0)
-                    continue; // unreachable or not yet processed
-                new_idom = new_idom == nullptr ? pred
-                                               : intersect(pred, new_idom);
+    // Postorder numbers of the blocks the entry reaches.
+    std::vector<int32_t> post(n, -1);
+    std::vector<uint32_t> order;
+    std::vector<std::pair<uint32_t, size_t>> stack{{0, 0}};
+    std::vector<bool> seen(n, false);
+    seen[0] = true;
+    while (!stack.empty()) {
+        auto &[b, next] = stack.back();
+        if (next < succs[b].size()) {
+            uint32_t s = succs[b][next++];
+            if (!seen[s]) {
+                seen[s] = true;
+                stack.push_back({s, 0});
             }
-            if (new_idom == nullptr)
+            continue;
+        }
+        post[b] = static_cast<int32_t>(order.size());
+        order.push_back(b);
+        stack.pop_back();
+    }
+    std::vector<std::vector<uint32_t>> preds(n);
+    for (uint32_t b : order) {
+        for (uint32_t s : succs[b])
+            preds[s].push_back(b);
+    }
+
+    idom_.assign(n, -1);
+    idom_[0] = 0;
+    for (bool changed = true; changed;) {
+        changed = false;
+        for (auto it = order.rbegin(); it != order.rend(); ++it) {
+            uint32_t b = *it;
+            if (b == 0)
                 continue;
-            auto it = idom_.find(bb);
-            if (it == idom_.end() || it->second != new_idom) {
-                idom_[bb] = new_idom;
+            int32_t best = -1;
+            for (uint32_t p : preds[b]) {
+                if (idom_[p] < 0)
+                    continue; // not processed yet
+                if (best < 0) {
+                    best = static_cast<int32_t>(p);
+                    continue;
+                }
+                int32_t x = static_cast<int32_t>(p), y = best;
+                while (x != y) {
+                    while (post[x] < post[y])
+                        x = idom_[x];
+                    while (post[y] < post[x])
+                        y = idom_[y];
+                }
+                best = x;
+            }
+            if (idom_[b] != best) {
+                idom_[b] = best;
                 changed = true;
             }
         }
     }
-    // Normalize: the entry has no immediate dominator.
-    idom_[entry] = nullptr;
+}
+
+uint32_t
+DominatorTree::indexOf(const BasicBlock *bb) const
+{
+    auto it = index_.find(bb);
+    NOL_ASSERT(it != index_.end(), "block %s is not in %s",
+               bb->name().c_str(), fn_.name().c_str());
+    return it->second;
 }
 
 BasicBlock *
 DominatorTree::idom(const BasicBlock *bb) const
 {
-    auto it = idom_.find(bb);
-    return it == idom_.end() ? nullptr : it->second;
+    uint32_t b = indexOf(bb);
+    if (b == 0 || idom_[b] < 0)
+        return nullptr;
+    return fn_.blocks()[idom_[b]].get();
 }
 
 bool
 DominatorTree::dominates(const BasicBlock *a, const BasicBlock *b) const
 {
-    const BasicBlock *cur = b;
-    while (cur != nullptr) {
-        if (cur == a)
+    int32_t target = static_cast<int32_t>(indexOf(a));
+    int32_t x = static_cast<int32_t>(indexOf(b));
+    if (idom_[x] < 0)
+        return true;
+    for (;;) {
+        if (x == target)
             return true;
-        cur = idom(cur);
+        if (x == 0)
+            return false;
+        x = idom_[x];
     }
-    return false;
 }
 
 std::vector<NaturalLoop>
@@ -116,6 +146,8 @@ findNaturalLoops(const Function &fn)
     // Find back edges: tail -> header where header dominates tail.
     std::map<BasicBlock *, NaturalLoop> by_header;
     for (const auto &bb : fn.blocks()) {
+        if (!dom.reachable(bb.get()))
+            continue;
         for (BasicBlock *succ : bb->successors()) {
             if (dom.dominates(succ, bb.get())) {
                 NaturalLoop &loop = by_header[succ];

@@ -8,8 +8,10 @@
 #ifndef NOL_IR_LOOPINFO_HPP
 #define NOL_IR_LOOPINFO_HPP
 
+#include <cstdint>
 #include <map>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "ir/function.hpp"
@@ -24,25 +26,38 @@ struct NaturalLoop {
     std::vector<BasicBlock *> latches;    ///< sources of back edges
 };
 
-/** Dominator analysis over one function's CFG. */
+/**
+ * Dominance over one function's CFG (Cooper, Harvey and Kennedy, "A
+ * Simple, Fast Dominance Algorithm"), indexed by block position. As in
+ * LLVM, a block the entry cannot reach is dominated by every block.
+ */
 class DominatorTree
 {
   public:
     explicit DominatorTree(const Function &fn);
 
-    /** Immediate dominator of @p bb (nullptr for the entry). */
+    /** Immediate dominator of @p bb; nullptr for the entry and for
+     *  blocks the entry cannot reach. */
     BasicBlock *idom(const BasicBlock *bb) const;
 
-    /** True if @p a dominates @p b (reflexive). */
+    /** True if every path from the entry to @p b passes through @p a
+     *  (reflexive). */
     bool dominates(const BasicBlock *a, const BasicBlock *b) const;
 
-    /** Blocks in reverse post order. */
-    const std::vector<BasicBlock *> &rpo() const { return rpo_; }
+    /** True if the entry reaches @p bb. */
+    bool reachable(const BasicBlock *bb) const
+    {
+        return idom_[indexOf(bb)] >= 0;
+    }
 
   private:
-    std::map<const BasicBlock *, BasicBlock *> idom_;
-    std::map<const BasicBlock *, int> rpo_index_;
-    std::vector<BasicBlock *> rpo_;
+    uint32_t indexOf(const BasicBlock *bb) const;
+
+    const Function &fn_;
+    std::unordered_map<const BasicBlock *, uint32_t> index_;
+    /** By block position: the immediate dominator's position, the
+     *  entry's own for the entry, -1 where the entry does not reach. */
+    std::vector<int32_t> idom_;
 };
 
 /** Natural loops of @p fn, outermost first within each header. */

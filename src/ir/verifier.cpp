@@ -2,7 +2,9 @@
 
 #include <set>
 #include <sstream>
+#include <unordered_map>
 
+#include "ir/loopinfo.hpp"
 #include "ir/printer.hpp"
 
 namespace nol::ir {
@@ -37,6 +39,16 @@ class FunctionVerifier
 
         for (const LoopMeta &loop : fn_.loops())
             checkLoop(loop);
+
+        for (const UndefinedUse &use : undefinedUses(fn_)) {
+            if (defined_.count(use.value) == 0) {
+                problem("operand of '" + printInst(*use.user) +
+                        "' defined in another function");
+            } else {
+                problem("use of undefined value '" + use.value->name() +
+                        "' in '" + printInst(*use.user) + "'");
+            }
+        }
     }
 
   private:
@@ -67,14 +79,6 @@ class FunctionVerifier
     void
     checkInst(const Instruction &inst)
     {
-        for (const Value *op : inst.operands()) {
-            bool local = op->valueKind() == Value::Kind::Argument ||
-                         op->valueKind() == Value::Kind::Instruction;
-            if (local && defined_.count(op) == 0) {
-                problem("operand of '" + printInst(inst) +
-                        "' defined in another function");
-            }
-        }
         for (const BasicBlock *succ : inst.successors()) {
             if (blocks_.count(succ) == 0)
                 problem("successor " + succ->name() + " of '" +
@@ -213,6 +217,71 @@ verifyModule(const Module &module)
             problems.push_back("duplicate global @" + gv->name());
     }
     return problems;
+}
+
+std::vector<UndefinedUse>
+undefinedUses(const Function &fn)
+{
+    std::vector<UndefinedUse> out;
+    if (!fn.hasBody())
+        return out;
+    DominatorTree dom(fn);
+    // Where each value of fn is defined; an argument has no block.
+    struct Def {
+        const BasicBlock *block = nullptr;
+        size_t index = 0;
+    };
+    std::unordered_map<const Value *, Def> defs;
+    for (const auto &arg : fn.args())
+        defs.emplace(arg.get(), Def{});
+    for (const auto &bb : fn.blocks()) {
+        for (size_t i = 0; i < bb->size(); ++i) {
+            if (!bb->inst(i)->type()->isVoid())
+                defs.emplace(bb->inst(i), Def{bb.get(), i});
+        }
+    }
+    for (const auto &bb : fn.blocks()) {
+        bool runs = dom.reachable(bb.get());
+        for (size_t i = 0; i < bb->size(); ++i) {
+            const Instruction *inst = bb->inst(i);
+            for (const Value *v : inst->operands()) {
+                if (v->valueKind() != Value::Kind::Argument &&
+                    v->valueKind() != Value::Kind::Instruction) {
+                    continue;
+                }
+                auto it = defs.find(v);
+                bool ok = it != defs.end();
+                if (ok && runs && it->second.block != nullptr) {
+                    const Def &def = it->second;
+                    ok = def.block == bb.get()
+                             ? def.index < i
+                             : dom.dominates(def.block, bb.get());
+                }
+                if (!ok)
+                    out.push_back({inst, v});
+            }
+        }
+    }
+    return out;
+}
+
+void
+assertRunnable(const Function &fn)
+{
+    for (const auto &bb : fn.blocks()) {
+        size_t terminators = 0;
+        for (const auto &inst : bb->insts())
+            terminators += inst->isTerminator() ? 1 : 0;
+        if (terminators != 1 || bb->terminator() == nullptr) {
+            panic("block %s of @%s does not end in exactly one terminator",
+                  bb->name().c_str(), fn.name().c_str());
+        }
+    }
+    std::vector<UndefinedUse> undefined = undefinedUses(fn);
+    if (!undefined.empty()) {
+        panic("use of undefined value '%s' in @%s",
+              undefined.front().value->name().c_str(), fn.name().c_str());
+    }
 }
 
 void

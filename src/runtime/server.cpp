@@ -386,7 +386,6 @@ ServerRuntime::waveArrived(uint64_t wave_id, double now_ns)
     if (wave.arrived < wave.expected || wave.done)
         return;
     wave.done = true;
-    wave.doneNs = now_ns;
     for (auto it = wave_waiters_.begin(); it != wave_waiters_.end();) {
         it->remaining.erase(wave_id);
         if (it->remaining.empty()) {

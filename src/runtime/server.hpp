@@ -328,7 +328,6 @@ class ServerRuntime
         uint64_t id = 0;
         bool flushed = false;
         bool done = false;
-        double doneNs = 0;
         uint32_t expected = 0;
         uint32_t arrived = 0;
         struct Member {

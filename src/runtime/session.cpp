@@ -91,11 +91,6 @@ struct Session::Impl {
                                config.network.receiveMw);
         mobile.power().setRate(sim::PowerState::Transmit,
                                config.network.transmitMw);
-        if (fleet.loop != nullptr) {
-            // Every clock advance pushes the fleet timeline's horizon.
-            mobile.bindClock(*fleet.loop);
-            server.bindClock(*fleet.loop);
-        }
     }
 
     /**

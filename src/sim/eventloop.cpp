@@ -82,14 +82,12 @@ EventLoop::run()
             (ev == nullptr || ready->first <= ev->first)) {
             Strand &strand = *strands_[ready->second];
             ready_heap_.pop();
-            observeTime(strand.ready_at_ns_);
             resume(strand);
             continue;
         }
         if (ev != nullptr) {
             auto stored = event_fns_.find(ev->second);
             std::function<void()> fn = std::move(stored->second);
-            observeTime(ev->first);
             event_heap_.pop();
             event_fns_.erase(stored);
             fn();
@@ -154,7 +152,7 @@ EventLoop::block(Strand &strand)
     strand.baton_ = false;
     controller_cv_.notify_one();
     strand.cv_.wait(lock, [&strand] { return strand.baton_; });
-    return strand.wake_at_ns_;
+    return strand.ready_at_ns_;
 }
 
 void
@@ -167,7 +165,6 @@ EventLoop::wake(Strand &strand, double at_ns)
                    strand.name_.c_str());
         strand.state_ = Strand::State::Ready;
         strand.ready_at_ns_ = at_ns;
-        strand.wake_at_ns_ = at_ns;
     }
     // wake() is only called from controller-side event code, so the
     // ready heap needs no lock (the mutex above guards the strand's

@@ -1,19 +1,11 @@
 /**
  * @file
- * Discrete-event scheduler: the single virtual timeline every machine,
- * network flow and session shares. Before this layer each SimMachine
- * owned a private clock and the runtime could only co-simulate one
- * mobile/server pair in lock step; the EventLoop generalizes that to N
- * concurrent sessions by ordering all shared-state interactions as
- * timestamped events.
+ * Discrete-event scheduler: the virtual timeline the sessions of a
+ * fleet share. Each machine keeps its own clock; the EventLoop orders
+ * every interaction of N concurrent sessions with shared state as a
+ * timestamped event.
  *
- * Three pieces:
- *
- *  - VirtualClock: the per-machine clock, extracted from SimMachine.
- *    Machines remain free-running resources (a mobile device computes
- *    without consulting anyone), but every clock can be attached to an
- *    EventLoop so the loop observes the furthest point any resource
- *    has reached — its single now().
+ * Two pieces:
  *
  *  - Events: (time, seq, callback) entries dispatched in time order,
  *    insertion order breaking ties. All mutation of *shared* fleet
@@ -52,41 +44,6 @@
 
 namespace nol::sim {
 
-class EventLoop;
-
-/**
- * A machine's clock, formerly a bare `double` inside SimMachine. When
- * attached to an EventLoop every advance pushes the loop's horizon, so
- * the loop's now() is the furthest virtual time any resource reached.
- */
-class VirtualClock
-{
-  public:
-    double nowNs() const { return now_ns_; }
-
-    /** Advance by @p ns (identical arithmetic to the old `now_ns_ += ns`). */
-    void advance(double ns);
-
-    /**
-     * Jump directly to @p ns, which the caller computed by iterating
-     * the same `now += step` chain advance() would have run (batched
-     * compute charging). Monotone, and the loop's horizon is a running
-     * max, so reporting only the final time is equivalent to reporting
-     * every intermediate one.
-     */
-    void advanceTo(double ns);
-
-    /** Bind to @p loop; the clock then reports progress to it. */
-    void attach(EventLoop *loop) { loop_ = loop; }
-
-    /** Rewind to zero (SimMachine::reset). Keeps the attachment. */
-    void reset() { now_ns_ = 0; }
-
-  private:
-    double now_ns_ = 0;
-    EventLoop *loop_ = nullptr;
-};
-
 /**
  * One cooperative strand of execution (a fleet session). Created via
  * EventLoop::spawn; its body runs on a dedicated thread but only while
@@ -111,8 +68,8 @@ class Strand
     std::string name_;
     uint64_t id_ = 0;
     State state_ = State::Ready;
-    double ready_at_ns_ = 0; ///< virtual time it may next resume at
-    double wake_at_ns_ = 0;  ///< virtual time handed back by wake()
+    /** Virtual time it may next resume at; block() returns it. */
+    double ready_at_ns_ = 0;
     std::function<void()> body_;
     std::thread thread_;
     std::condition_variable cv_;
@@ -129,16 +86,6 @@ class EventLoop
 
     EventLoop(const EventLoop &) = delete;
     EventLoop &operator=(const EventLoop &) = delete;
-
-    /** Furthest virtual time any event or attached clock has reached. */
-    double now() const { return horizon_ns_; }
-
-    /** Clocks report progress here (via VirtualClock::advance). */
-    void observeTime(double ns)
-    {
-        if (ns > horizon_ns_)
-            horizon_ns_ = ns;
-    }
 
     /**
      * Post @p fn to run at virtual time @p at_ns. Events at equal
@@ -189,7 +136,6 @@ class EventLoop
     const HeapKey *peekEvent();
     const HeapKey *peekReadyStrand();
 
-    double horizon_ns_ = 0;
     uint64_t next_event_id_ = 1;
     // Dispatch order is a lazy-deletion binary heap over (time, id);
     // callbacks live in a flat id → fn table so cancel() is O(1) (it
@@ -209,23 +155,6 @@ class EventLoop
     std::mutex mu_;
     std::condition_variable controller_cv_;
 };
-
-// Hot path (every compute/time advance of every machine): keep inline.
-inline void
-VirtualClock::advance(double ns)
-{
-    now_ns_ += ns;
-    if (loop_ != nullptr)
-        loop_->observeTime(now_ns_);
-}
-
-inline void
-VirtualClock::advanceTo(double ns)
-{
-    now_ns_ = ns;
-    if (loop_ != nullptr)
-        loop_->observeTime(now_ns_);
-}
 
 } // namespace nol::sim
 

@@ -84,7 +84,6 @@ class HeapAllocator
 
     uint64_t base() const { return base_; }
     uint64_t limit() const { return limit_; }
-    uint64_t highWater() const { return next_; }
     uint64_t liveBytes() const { return live_bytes_; }
     uint64_t peakBytes() const { return peak_bytes_; }
 

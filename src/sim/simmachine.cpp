@@ -4,7 +4,6 @@ namespace nol::sim {
 
 SimMachine::SimMachine(MachineRole role, arch::ArchSpec spec)
     : role_(role),
-      name_(role == MachineRole::Mobile ? "mobile" : "server"),
       spec_(std::move(spec)),
       mem_(/*auto_zero=*/true),
       native_heap_(role == MachineRole::Mobile || spec_.pointerSize == 4
@@ -19,7 +18,7 @@ SimMachine::reset()
 {
     mem_.clear();
     native_heap_.reset();
-    clock_.reset();
+    now_ns_ = 0;
     compute_units_ = 0;
     power_.reset();
     console_.clear();

@@ -17,7 +17,6 @@
 #include <string>
 
 #include "arch/archspec.hpp"
-#include "sim/eventloop.hpp"
 #include "sim/filesystem.hpp"
 #include "sim/heapalloc.hpp"
 #include "sim/pagedmemory.hpp"
@@ -69,8 +68,6 @@ class SimMachine
   public:
     SimMachine(MachineRole role, arch::ArchSpec spec);
 
-    MachineRole role() const { return role_; }
-    const std::string &name() const { return name_; }
     const arch::ArchSpec &spec() const { return spec_; }
 
     PagedMemory &mem() { return mem_; }
@@ -94,18 +91,7 @@ class SimMachine
     }
 
     // --- Clock and power -----------------------------------------------
-    double nowNs() const { return clock_.nowNs(); }
-
-    /**
-     * The machine's clock (extracted from the old private `now_ns_`).
-     * Attach it to a shared EventLoop to make the machine a resource
-     * on a unified timeline: every advance then pushes the loop's
-     * now() horizon. Unattached machines behave exactly as before.
-     */
-    VirtualClock &clock() { return clock_; }
-
-    /** Charge this machine's time against @p loop's timeline. */
-    void bindClock(EventLoop &loop) { clock_.attach(&loop); }
+    double nowNs() const { return now_ns_; }
 
     /**
      * Override the ns-per-cost-unit conversion (used by the "ideal
@@ -159,8 +145,8 @@ class SimMachine
     {
         compute_units_ += cost_units;
         double ns = static_cast<double>(cost_units) * spec_.nsPerCostUnit;
-        power_.accumulate(clock_.nowNs(), ns, compute_state_);
-        clock_.advance(ns);
+        power_.accumulate(now_ns_, ns, compute_state_);
+        now_ns_ += ns;
     }
 
     /**
@@ -187,9 +173,8 @@ class SimMachine
             return;
         }
         compute_units_ += cost * count;
-        double end = power_.accumulateRepeat(clock_.nowNs(), ns,
-                                             compute_state_, count);
-        clock_.advanceTo(end);
+        now_ns_ = power_.accumulateRepeat(now_ns_, ns, compute_state_,
+                                          count);
     }
 
     /** Advance the clock by raw @p ns in @p state (I/O, waiting...). */
@@ -198,16 +183,16 @@ class SimMachine
     {
         if (ns <= 0)
             return;
-        power_.accumulate(clock_.nowNs(), ns, state);
-        clock_.advance(ns);
+        power_.accumulate(now_ns_, ns, state);
+        now_ns_ += ns;
     }
 
     /** Jump the clock forward to @p ns in @p state (synchronization). */
     void
     syncTo(double ns, PowerState state)
     {
-        if (ns > clock_.nowNs())
-            advanceTime(ns - clock_.nowNs(), state);
+        if (ns > now_ns_)
+            advanceTime(ns - now_ns_, state);
     }
 
     PowerModel &power() { return power_; }
@@ -236,11 +221,10 @@ class SimMachine
 
   private:
     MachineRole role_;
-    std::string name_;
     arch::ArchSpec spec_;
     PagedMemory mem_;
     HeapAllocator native_heap_;
-    VirtualClock clock_;
+    double now_ns_ = 0;
     uint64_t compute_units_ = 0;
     PowerState compute_state_ = PowerState::Compute;
     PowerModel power_;

@@ -17,7 +17,11 @@
 #include "codegen/nativeexec.hpp"
 #include "core/nativeoffloader.hpp"
 #include "frontend/codegen.hpp"
+#include "interp/externals.hpp"
+#include "interp/interp.hpp"
 #include "interp/loader.hpp"
+#include "ir/irbuilder.hpp"
+#include "ir/verifier.hpp"
 #include "runtime/server.hpp"
 #include "workloads/workloads.hpp"
 
@@ -240,6 +244,110 @@ TEST(CodegenLowering, Int64MinByMinusOneWrapsOnBothBackends)
         backendConfig(interp::BackendKind::NativeC, false), run_input);
     EXPECT_EQ(interp_report.console, "-9223372036854775808 0\n");
     expectIdentical(interp_report, native_report);
+}
+
+// ---------------------------------------------------------------------------
+// The def-dominates-use rule the verifier and both backends share
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/** main() returns x, defined only in a block the entry branches
+ *  around. */
+ir::Function *
+buildSkippedDefinition(ir::Module &m)
+{
+    const ir::FunctionType *ft = m.types().functionTy(m.types().i32(), {});
+    ir::Function *fn = m.createFunction("main", ft);
+    fn->materializeArgs();
+    ir::BasicBlock *entry = fn->createBlock("entry");
+    ir::BasicBlock *skipped = fn->createBlock("skipped");
+    ir::BasicBlock *join = fn->createBlock("join");
+    ir::IRBuilder b(m);
+    b.setInsertPoint(entry);
+    b.condBr(m.constBool(false), skipped, join);
+    b.setInsertPoint(skipped);
+    ir::Instruction *x =
+        b.binary(ir::Opcode::Add, m.constI32(1), m.constI32(2), "x");
+    b.br(join);
+    b.setInsertPoint(join);
+    b.ret(x);
+    return fn;
+}
+
+} // namespace
+
+TEST(UseRule, VerifierReportsUseFromSkippedBlock)
+{
+    ir::Module m("m");
+    buildSkippedDefinition(m);
+    std::vector<std::string> problems = ir::verifyModule(m);
+    ASSERT_EQ(problems.size(), 1u);
+    EXPECT_NE(problems[0].find("use of undefined value 'x'"),
+              std::string::npos)
+        << problems[0];
+}
+
+TEST(UseRule, EmitterRejectsUseFromSkippedBlock)
+{
+    ir::Module m("m");
+    buildSkippedDefinition(m);
+    sim::SimMachine machine(sim::MachineRole::Mobile, arch::makeArm32());
+    ir::DataLayout dl = interp::effectiveLayout(m, machine);
+    try {
+        codegen::emitModule(m, dl);
+        FAIL() << "the undefined use was lowered";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find("use of undefined value 'x'"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(UseRule, UseInUnreachableBlockIsExemptOnBothBackends)
+{
+    ASSERT_TRUE(codegen::toolchainAvailable());
+    // "dead" has no predecessor and reads x, which its sibling "live"
+    // defines: it never runs, so the rule does not apply to it.
+    ir::Module m("m");
+    const ir::FunctionType *ft = m.types().functionTy(m.types().i32(), {});
+    ir::Function *fn = m.createFunction("main", ft);
+    fn->materializeArgs();
+    ir::BasicBlock *entry = fn->createBlock("entry");
+    ir::BasicBlock *live = fn->createBlock("live");
+    ir::BasicBlock *dead = fn->createBlock("dead");
+    ir::IRBuilder b(m);
+    b.setInsertPoint(entry);
+    b.br(live);
+    b.setInsertPoint(live);
+    ir::Instruction *x =
+        b.binary(ir::Opcode::Add, m.constI32(40), m.constI32(2), "x");
+    b.ret(x);
+    b.setInsertPoint(dead);
+    b.ret(b.binary(ir::Opcode::Mul, x, m.constI32(3), "y"));
+    EXPECT_TRUE(ir::verifyModule(m).empty());
+
+    sim::SimMachine interp_machine(sim::MachineRole::Mobile,
+                                   arch::makeArm32());
+    interp::ProgramImage interp_image =
+        interp::loadProgram(m, interp_machine);
+    interp::DefaultEnv interp_env;
+    interp::Interp interp(interp_machine, m, interp_image, interp_env);
+    EXPECT_EQ(interp.call(fn, {}).i, 42);
+
+    sim::SimMachine native_machine(sim::MachineRole::Mobile,
+                                   arch::makeArm32());
+    interp::ProgramImage native_image =
+        interp::loadProgram(m, native_machine);
+    interp::DefaultEnv native_env;
+    auto prepared = codegen::PreparedModule::prepare(
+        m, interp::effectiveLayout(m, native_machine));
+    ASSERT_NE(prepared, nullptr);
+    codegen::NativeExec native(prepared, native_machine, m, native_image,
+                               native_env);
+    EXPECT_EQ(native.call(fn, {}).i, 42);
+    EXPECT_EQ(native_machine.computeUnits(), interp_machine.computeUnits());
+    EXPECT_EQ(native_machine.nowNs(), interp_machine.nowNs());
 }
 
 // ---------------------------------------------------------------------------

@@ -346,6 +346,24 @@ TEST(Interp, StructLayoutVisibleInSizeof)
     EXPECT_EQ(run(src, arch::makeIa32()).ret, 12); // 4-byte double align
 }
 
+TEST(Interp, ExpressionTypesFollowTheirLowering)
+{
+    // sizeof and ?: type an operand without lowering it. The lowering
+    // promotes unary - and ~ to int, and gives a literal outside the
+    // int range type long.
+    RunResult r = run(R"(
+        int main() {
+            char c = 1;
+            int t = 1;
+            long big = t ? 5000000000 : 1;
+            printf("%d %d %d %ld\n", (int)sizeof(-c), (int)sizeof(~c),
+                   (int)sizeof(5000000000), big);
+            return 0;
+        }
+    )");
+    EXPECT_EQ(r.console, "4 4 8 5000000000\n");
+}
+
 TEST(Interp, MobileSlowerThanServerOnSameProgram)
 {
     const char *src = R"(

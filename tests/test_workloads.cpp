@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include "core/nativeoffloader.hpp"
+#include "frontend/codegen.hpp"
+#include "ir/loopinfo.hpp"
+#include "ir/verifier.hpp"
 #include "workloads/workloads.hpp"
 
 using namespace nol;
@@ -34,6 +37,27 @@ uvaGlobalNames(const ir::Module &module)
         if (gv->inUva())
             out.insert(gv->name());
     return out;
+}
+
+/** Blocks of @p fn the entry reaches without passing through @p cut. */
+std::set<const ir::BasicBlock *>
+reachableAvoiding(const ir::Function &fn, const ir::BasicBlock *cut)
+{
+    std::set<const ir::BasicBlock *> seen;
+    std::vector<const ir::BasicBlock *> work;
+    if (fn.entry() != cut)
+        work.push_back(fn.entry());
+    while (!work.empty()) {
+        const ir::BasicBlock *bb = work.back();
+        work.pop_back();
+        if (!seen.insert(bb).second)
+            continue;
+        for (const ir::BasicBlock *succ : bb->successors()) {
+            if (succ != cut)
+                work.push_back(succ);
+        }
+    }
+    return seen;
 }
 
 } // namespace
@@ -247,6 +271,36 @@ TEST(FieldSensitiveSweep, UvaSubsetAndIdenticalOutputsOnAllWorkloads)
 // ---------------------------------------------------------------------------
 // The chess running example (Fig. 3 / Tables 1 and 3).
 // ---------------------------------------------------------------------------
+
+TEST(WorkloadDominators, MatchBruteForceOnEveryFunction)
+{
+    // a dominates b exactly when removing a leaves b unreachable from
+    // the entry; and every use in these programs is dominated.
+    std::vector<WorkloadSpec> specs = allWorkloads();
+    specs.push_back(makeChess(3));
+    size_t pairs = 0;
+    for (const WorkloadSpec &spec : specs) {
+        auto module = frontend::compileSource(spec.source, spec.id);
+        for (const auto &fn : module->functions()) {
+            if (!fn->hasBody())
+                continue;
+            SCOPED_TRACE(spec.id + " @" + fn->name());
+            ir::DominatorTree dom(*fn);
+            for (const auto &a : fn->blocks()) {
+                std::set<const ir::BasicBlock *> rest =
+                    reachableAvoiding(*fn, a.get());
+                for (const auto &b : fn->blocks()) {
+                    ASSERT_EQ(dom.dominates(a.get(), b.get()),
+                              rest.count(b.get()) == 0)
+                        << a->name() << " over " << b->name();
+                    ++pairs;
+                }
+            }
+            EXPECT_TRUE(ir::undefinedUses(*fn).empty());
+        }
+    }
+    EXPECT_GT(pairs, 10000u);
+}
 
 TEST(ChessExample, SelectsGetAITurnLikeFig3)
 {
