@@ -48,7 +48,6 @@ makeArm32()
     // Calibrated so the paper's R ~= 5.5 performance gap holds against
     // the x86_64 server spec (Table 1).
     spec.nsPerCostUnit = 55000.0;
-    spec.stackBase = 0xbf00'0000ull;
     return spec;
 }
 
@@ -71,7 +70,6 @@ makeX86_64()
     spec.nsPerCostUnit = 10000.0;
     spec.arithCostScale = 0.42;
     spec.memCostScale = 0.72;
-    spec.stackBase = 0x7fff'0000'0000ull;
     return spec;
 }
 
@@ -94,7 +92,6 @@ makeIa32()
     setAlign(spec, ScalarKind::Ptr, 4);
     spec.nsPerCostUnit = 12000.0;
     spec.arithCostScale = 0.8;
-    spec.stackBase = 0xbf00'0000ull;
     return spec;
 }
 
@@ -115,7 +112,6 @@ makeArm64()
     setAlign(spec, ScalarKind::Ptr, 8);
     spec.nsPerCostUnit = 20000.0;
     spec.arithCostScale = 0.7;
-    spec.stackBase = 0x7fff'0000'0000ull;
     return spec;
 }
 
@@ -135,7 +131,6 @@ makeMips32be()
     setAlign(spec, ScalarKind::F64, 8);
     setAlign(spec, ScalarKind::Ptr, 4);
     spec.nsPerCostUnit = 30000.0;
-    spec.stackBase = 0x7f00'0000ull;
     return spec;
 }
 

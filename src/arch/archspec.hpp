@@ -82,9 +82,6 @@ struct ArchSpec {
      */
     double memCostScale = 1.0;
 
-    /** Base virtual address of this machine's default stack region. */
-    uint64_t stackBase = 0xc000'0000ull;
-
     /** Alignment of @p kind on this architecture. */
     uint32_t
     alignOf(ScalarKind kind) const
