@@ -122,10 +122,7 @@ Interp::decode(ir::Function &fn) const
     for (size_t i = 0; i < fn.blocks().size(); ++i)
         block_index[fn.blocks()[i].get()] = static_cast<uint32_t>(i);
     auto blockOf = [&](const ir::BasicBlock *bb) {
-        auto it = block_index.find(bb);
-        NOL_ASSERT(it != block_index.end(), "branch out of %s",
-                   fn.name().c_str());
-        return it->second;
+        return block_index.at(bb);
     };
 
     // Slots: arguments, then each result in block order, then

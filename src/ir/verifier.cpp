@@ -276,6 +276,14 @@ assertRunnable(const Function &fn)
             panic("block %s of @%s does not end in exactly one terminator",
                   bb->name().c_str(), fn.name().c_str());
         }
+        for (const BasicBlock *succ : bb->terminator()->successors()) {
+            if (succ->parent() != &fn) {
+                panic("block %s of @%s branches to block %s of another "
+                      "function",
+                      bb->name().c_str(), fn.name().c_str(),
+                      succ->name().c_str());
+            }
+        }
     }
     std::vector<UndefinedUse> undefined = undefinedUses(fn);
     if (!undefined.empty()) {

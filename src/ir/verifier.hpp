@@ -44,8 +44,8 @@ std::vector<UndefinedUse> undefinedUses(const Function &fn);
 
 /**
  * Panic unless @p fn can run: every block ends in exactly one
- * terminator, and undefinedUses() is empty ("use of undefined value
- * '<name>'").
+ * terminator whose successors are blocks of @p fn, and undefinedUses()
+ * is empty ("use of undefined value '<name>'").
  */
 void assertRunnable(const Function &fn);
 
