@@ -5,6 +5,13 @@
  * fleet sessions sharing a partition reuse the same artifact both
  * in-process (shared_ptr registry) and across processes (on-disk
  * cache keyed by digest, populated with atomic renames).
+ *
+ * A compile is a cc child process spawned without a shell, so it can
+ * run while the caller goes on: startCompile() starts one and
+ * getOrCompile() waits for it. At most hardware_concurrency() children
+ * (at least one) are pending at a time; starting one more first waits
+ * for the oldest. Children still pending at exit are killed and their
+ * temporary output removed.
  */
 #ifndef NOL_CODEGEN_ARTIFACT_HPP
 #define NOL_CODEGEN_ARTIFACT_HPP
@@ -30,8 +37,7 @@ class NativeArtifact
     uint32_t count() const { return count_; }
 
   private:
-    friend std::shared_ptr<const NativeArtifact>
-    getOrCompile(const LoweredModule &lowered);
+    friend class ArtifactRegistry;
 
     NativeArtifact() = default;
 
@@ -41,15 +47,32 @@ class NativeArtifact
 };
 
 /**
- * Compile (or fetch) the artifact for @p lowered. Returns nullptr when
+ * Start compiling @p lowered in the background, unless its artifact is
+ * already registered in this process, already on disk or already
+ * being compiled, or no host toolchain is available. Returns true if
+ * this call started a compile. Thread-safe.
+ */
+bool startCompile(const LoweredModule &lowered);
+
+/**
+ * Fetch the artifact for @p lowered, waiting for its compile if one
+ * is pending and starting one if none is. Returns nullptr only when
  * no working host toolchain is available — callers fall back to the
- * interpreter. Thread-safe and safe against concurrent processes
- * sharing the cache directory.
+ * interpreter. Once the toolchain works, a module cc rejects (or that
+ * cannot be written, published or loaded) is a panic naming the
+ * artifact digest and cc's exit status. Thread-safe and safe against
+ * concurrent processes sharing the cache directory.
  */
 std::shared_ptr<const NativeArtifact>
 getOrCompile(const LoweredModule &lowered);
 
-/** True if a host C compiler usable for artifacts was found. */
+/**
+ * True if a host C compiler usable for artifacts was found. The
+ * candidates are $NOL_CC, $CC, cc, gcc and clang, in that order; a
+ * candidate is split on whitespace into the compiler and its leading
+ * arguments, so CC="ccache gcc" works. No shell runs, so quotes and
+ * `$` are not interpreted.
+ */
 bool toolchainAvailable();
 
 /** Cache directory ($NOL_CODEGEN_DIR, default ./.nol-codegen). */

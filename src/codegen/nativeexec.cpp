@@ -10,10 +10,10 @@ namespace nol::codegen {
 using interp::RtVal;
 
 std::shared_ptr<const PreparedModule>
-PreparedModule::prepare(const ir::Module &module, const ir::DataLayout &dl)
+PreparedModule::prepare(LoweredModule lowered)
 {
     auto prepared = std::make_shared<PreparedModule>();
-    prepared->lowered = emitModule(module, dl);
+    prepared->lowered = std::move(lowered);
     prepared->artifact = getOrCompile(prepared->lowered);
     if (prepared->artifact == nullptr)
         return nullptr;

@@ -30,10 +30,11 @@ struct PreparedModule {
     LoweredModule lowered;
     std::shared_ptr<const NativeArtifact> artifact;
 
-    /** Lower + compile @p module under @p dl; nullptr when the host
-     *  toolchain is unavailable (callers fall back to the interpreter). */
+    /** Compile @p lowered, or wait for its compile if one was started;
+     *  nullptr when the host toolchain is unavailable (callers fall
+     *  back to the interpreter). */
     static std::shared_ptr<const PreparedModule>
-    prepare(const ir::Module &module, const ir::DataLayout &dl);
+    prepare(LoweredModule lowered);
 };
 
 /** Executes compiled functions on one simulated machine. */

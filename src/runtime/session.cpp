@@ -161,10 +161,8 @@ struct Session::Impl {
     {
         if (cfg.backend == interp::BackendKind::NativeC &&
             !nativeUnavailable) {
-            if (prepared == nullptr) {
-                prepared = codegen::PreparedModule::prepare(
-                    module, interp::effectiveLayout(module, machine));
-            }
+            if (prepared == nullptr)
+                prepared = prepareModule(machine, module);
             if (prepared != nullptr) {
                 return std::make_unique<codegen::NativeExec>(
                     prepared, machine, module, image, env);
@@ -175,6 +173,31 @@ struct Session::Impl {
         }
         return std::make_unique<interp::Interp>(machine, module, image,
                                                 env);
+    }
+
+    /**
+     * Lower and compile @p module for @p machine. The mobile and the
+     * server module do not depend on each other, so when this starts a
+     * cold compile, the program's other module starts compiling
+     * alongside it (if the program offloads at all), and the session
+     * waits only for the one it needs.
+     */
+    std::shared_ptr<const codegen::PreparedModule>
+    prepareModule(sim::SimMachine &machine, const ir::Module &module)
+    {
+        codegen::LoweredModule lowered = codegen::emitModule(
+            module, interp::effectiveLayout(module, machine));
+        if (codegen::startCompile(lowered) &&
+            !prog.partition.targets.empty()) {
+            bool on_mobile = &machine == &mobile;
+            sim::SimMachine &other_machine = on_mobile ? server : mobile;
+            const ir::Module &other = on_mobile
+                                          ? *prog.partition.serverModule
+                                          : *prog.partition.mobileModule;
+            codegen::startCompile(codegen::emitModule(
+                other, interp::effectiveLayout(other, other_machine)));
+        }
+        return codegen::PreparedModule::prepare(std::move(lowered));
     }
 
     RunReport run(const RunInput &input);
