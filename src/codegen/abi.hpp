@@ -2,10 +2,12 @@
  * @file
  * Host ↔ generated-code ABI for the native-C backend. The C emitter
  * (cemitter.cpp) prints a preamble declaring *exactly* these structs in
- * C; the host fills a NolCtx with callbacks that bridge back into the
- * simulated machine (paged memory, cost accounting, external calls).
- * Any change here must be mirrored in kAbiPreamble — the two are the
- * same contract written twice, once for each language.
+ * C; the host fills a NolCtx with pointers into the simulated machine
+ * and callbacks that bridge back into it (paged memory, cost
+ * accounting, external calls). Any change here must be mirrored in
+ * kAbiPreamble — the two are the same contract written twice, once for
+ * each language. The emitter checks the NolCtx half: each module
+ * asserts the size and field offsets printed from this header.
  */
 #ifndef NOL_CODEGEN_ABI_HPP
 #define NOL_CODEGEN_ABI_HPP
@@ -33,6 +35,23 @@ struct NolChargeItem {
     uint32_t count;
 };
 
+/**
+ * What one occurrence of a (cost, kind) charge adds on the machine's
+ * current spec, compute state and rate: the scaled cost units, the ns
+ * they take and the energy delta — the exact operands
+ * SimMachine::advanceCompute() would add.
+ */
+struct NolCost {
+    uint64_t units;
+    double ns;
+    double energy;
+};
+
+/** Cost kinds (sim::CostKind) and base costs the charge table covers:
+ *  entry kind * kNolCostSlots + cost, for base costs 1 .. slots - 1. */
+constexpr uint32_t kNolCostKinds = 3;
+constexpr uint32_t kNolCostSlots = 17;
+
 /** Trap kinds passed to NolCtx::trap (match interp fatal/panic). */
 enum : uint32_t {
     kTrapDivZero = 0,
@@ -51,6 +70,11 @@ using NolFn = NolVal (*)(NolCtx *, NolVal *);
  * guest stack pointer lives here (not in host state) so generated
  * frames can save/restore it exactly like the interpreter's
  * FrameGuard.
+ *
+ * The generated code charges time and serves memory hits itself, and
+ * calls a host thunk only on a slow path. The host re-derives the
+ * fields marked "derived" before generated code runs and on the way
+ * back from every thunk; nothing else changes the machine meanwhile.
  */
 struct NolCtx {
     void *host; ///< the owning codegen::NativeExec
@@ -58,20 +82,31 @@ struct NolCtx {
     const uint64_t *fnaddrs;
     uint64_t sp;
     uint64_t stack_limit;
+
+    // --- Charges: advanceCompute() replayed on an open run ------------
+    double *now;       ///< SimMachine clock
+    double *energy;    ///< PowerModel energy accumulator
+    uint64_t *units;   ///< SimMachine compute units
+    uint64_t *steps;   ///< the backend's executed-instruction count
+    uint64_t step_limit;
+    double *seg_end;   ///< derived: end of the open run's segment
+    const NolCost *costs; ///< derived: kNolCostKinds x kNolCostSlots
+    uint32_t open;     ///< derived: PowerModel::openRun holds
+    // --- Memory: PagedMemory's translation cache ----------------------
+    uint32_t mem_direct; ///< derived: little-endian, no touch observer
+    const uint64_t *mem_tags;
+    uint8_t *const *mem_data;
+    bool *const *mem_dirty;
+
+    // --- Host thunks ----------------------------------------------------
+    /** Slow charge path: replays with SimMachine::advanceCompute. */
     void (*charge)(NolCtx *, const NolChargeItem *, uint32_t n,
                    uint32_t fn_id);
-    /**
-     * Fused charge + memory access: charges the access instruction's
-     * own cost (packed as cost << 2 | kind, exactly one occurrence),
-     * then performs the load/store — the same order the interpreter
-     * uses, in one host call instead of a charge() flush plus an
-     * access call. Memory-dense guest code is run-length 1–3 between
-     * accesses, so this halves its host-call count.
-     */
-    uint64_t (*load_scalar)(NolCtx *, uint64_t addr, uint32_t size,
-                            uint32_t cost_kind, uint32_t fn_id);
-    void (*store_scalar)(NolCtx *, uint64_t addr, uint32_t size, uint64_t v,
-                         uint32_t cost_kind, uint32_t fn_id);
+    /** Slow access paths: miss, page crossing, odd size, observer,
+     *  big-endian layout. The access's charge is already made. */
+    uint64_t (*load_scalar)(NolCtx *, uint64_t addr, uint32_t size);
+    void (*store_scalar)(NolCtx *, uint64_t addr, uint32_t size,
+                         uint64_t v);
     NolVal (*call_external)(NolCtx *, uint32_t site, NolVal *args,
                             uint32_t n);
     NolVal (*call_indirect)(NolCtx *, uint64_t target, uint32_t site,
@@ -82,6 +117,7 @@ struct NolCtx {
 
 static_assert(sizeof(NolVal) == 16, "NolVal must match RtVal layout");
 static_assert(sizeof(NolChargeItem) == 12, "NolChargeItem must pack");
+static_assert(sizeof(NolCost) == 24, "NolCost must pack");
 
 } // namespace nol::codegen
 

@@ -79,7 +79,9 @@ writeFileAtomic(const std::string &path, const std::string &content)
 /**
  * Spawn `cc <flags> -o out src` with stderr on /dev/null; no shell
  * runs. The child leads a process group of its own, so killing the
- * group reaches cc1, as and ld as well. Returns its pid, or -1.
+ * group reaches cc1, as and ld as well. It inherits no descriptor past
+ * stderr, so a pipe the caller holds sees EOF without waiting for cc.
+ * Returns its pid, or -1.
  */
 pid_t
 spawnCompile(const std::vector<std::string> &cc, const std::string &src,
@@ -98,6 +100,7 @@ spawnCompile(const std::vector<std::string> &cc, const std::string &src,
     ::posix_spawn_file_actions_init(&actions);
     ::posix_spawn_file_actions_addopen(&actions, STDERR_FILENO, "/dev/null",
                                        O_WRONLY, 0);
+    ::posix_spawn_file_actions_addclosefrom_np(&actions, STDERR_FILENO + 1);
     posix_spawnattr_t attr;
     ::posix_spawnattr_init(&attr);
     ::posix_spawnattr_setflags(&attr, POSIX_SPAWN_SETPGROUP);

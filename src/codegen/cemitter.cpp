@@ -4,6 +4,7 @@
 
 #include <cinttypes>
 #include <cstdarg>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -16,7 +17,7 @@
 #include "ir/value.hpp"
 #include "ir/verifier.hpp"
 #include "sim/costmodel.hpp"
-#include "support/logging.hpp"
+#include "sim/pagedmemory.hpp"
 
 namespace nol::codegen {
 
@@ -28,13 +29,15 @@ namespace {
  * The C-side half of the ABI contract in abi.hpp. Declaration-for-
  * declaration identical; see that header before touching this.
  */
-const char *kAbiPreamble = R"(#include <stdint.h>
+const char *kAbiPreamble = R"(#include <stddef.h>
+#include <stdint.h>
 #include <string.h>
 
 typedef struct NolVal { int64_t i; double f; } NolVal;
 typedef struct NolChargeItem {
     uint32_t cost; uint32_t kind; uint32_t count;
 } NolChargeItem;
+typedef struct NolCost { uint64_t units; double ns; double energy; } NolCost;
 struct NolCtx;
 typedef NolVal (*NolFn)(struct NolCtx *, NolVal *);
 typedef struct NolCtx {
@@ -43,19 +46,45 @@ typedef struct NolCtx {
     const uint64_t *fnaddrs;
     uint64_t sp;
     uint64_t stack_limit;
+    double *now;
+    double *energy;
+    uint64_t *units;
+    uint64_t *steps;
+    uint64_t step_limit;
+    double *seg_end;
+    const NolCost *costs;
+    uint32_t open;
+    uint32_t mem_direct;
+    const uint64_t *mem_tags;
+    uint8_t *const *mem_data;
+    _Bool *const *mem_dirty;
     void (*charge)(struct NolCtx *, const NolChargeItem *, uint32_t,
                    uint32_t);
-    uint64_t (*load_scalar)(struct NolCtx *, uint64_t, uint32_t, uint32_t,
-                            uint32_t);
-    void (*store_scalar)(struct NolCtx *, uint64_t, uint32_t, uint64_t,
-                         uint32_t, uint32_t);
+    uint64_t (*load_scalar)(struct NolCtx *, uint64_t, uint32_t);
+    void (*store_scalar)(struct NolCtx *, uint64_t, uint32_t, uint64_t);
     NolVal (*call_external)(struct NolCtx *, uint32_t, NolVal *, uint32_t);
     NolVal (*call_indirect)(struct NolCtx *, uint64_t, uint32_t, NolVal *,
                             uint32_t);
     void (*machine_asm)(struct NolCtx *, uint32_t);
     void (*trap)(struct NolCtx *, uint32_t, uint32_t);
 } NolCtx;
+)";
 
+/**
+ * The preamble's helpers, after the layout checks and constants the
+ * emitter prints from abi.hpp and PagedMemory.
+ *
+ * nol_charge replays what the host's charge thunk would: per
+ * occurrence, SimMachine::advanceCompute's additions in its order,
+ * with the operands the host computed (ctx->costs). That is exact only
+ * on an open run (PowerModel::openRun) with room under the step limit,
+ * where accumulate() merely extends the last segment to the new clock;
+ * anything else goes to the host. nol_load and nol_store charge the
+ * access first, then serve a translation-cache hit as PagedMemory's
+ * read()/write() would; misses, page crossings, odd sizes, a touch
+ * observer and big-endian layouts go to the host.
+ */
+const char *kPreambleHelpers = R"(
 static uint64_t nol_mask(uint32_t bits) {
     return bits >= 64 ? ~(uint64_t)0 : (((uint64_t)1 << bits) - 1);
 }
@@ -69,7 +98,119 @@ static int64_t nol_sext(uint64_t v, uint32_t bits) {
 static double nol_f64(uint64_t b) {
     double d; memcpy(&d, &b, 8); return d;
 }
+static void nol_charge(NolCtx *ctx, const NolChargeItem *nc, uint32_t n,
+                       uint32_t total, uint32_t fn_id) {
+    double now, energy;
+    uint64_t units = 0;
+    uint32_t i, k;
+    if (!ctx->open || total > ctx->step_limit - *ctx->steps) {
+        ctx->charge(ctx, nc, n, fn_id);
+        return;
+    }
+    now = *ctx->now;
+    energy = *ctx->energy;
+    for (i = 0; i < n; ++i) {
+        const NolCost *c = &ctx->costs[nc[i].kind * NOL_COST_SLOTS +
+                                       nc[i].cost];
+        units += c->units * nc[i].count;
+        for (k = 0; k < nc[i].count; ++k) {
+            energy += c->energy;
+            now += c->ns;
+        }
+    }
+    *ctx->now = now;
+    *ctx->seg_end = now;
+    *ctx->energy = energy;
+    *ctx->units += units;
+    *ctx->steps += total;
+}
+static inline void nol_charge1(NolCtx *ctx, uint32_t ck, uint32_t fn_id) {
+    const NolCost *c;
+    double now;
+    if (!ctx->open || 1 > ctx->step_limit - *ctx->steps) {
+        NolChargeItem one;
+        one.cost = ck >> 2; one.kind = ck & 3; one.count = 1;
+        ctx->charge(ctx, &one, 1, fn_id);
+        return;
+    }
+    c = &ctx->costs[(ck & 3) * NOL_COST_SLOTS + (ck >> 2)];
+    *ctx->energy += c->energy;
+    now = *ctx->now + c->ns;
+    *ctx->now = now;
+    *ctx->seg_end = now;
+    *ctx->units += c->units;
+    *ctx->steps += 1;
+}
+static inline uint8_t *nol_hit(NolCtx *ctx, uint64_t addr,
+                               uint32_t size) {
+    uint64_t page = addr / NOL_PAGE_SIZE, off = addr % NOL_PAGE_SIZE;
+    uint32_t way = (uint32_t)(page % NOL_CACHE_WAYS);
+    if (!ctx->mem_direct || off + size > NOL_PAGE_SIZE || size > 8 ||
+        (size & (size - 1)) != 0 || ctx->mem_tags[way] != page)
+        return 0;
+    return ctx->mem_data[way] + off;
+}
+static uint64_t nol_load(NolCtx *ctx, uint64_t addr, uint32_t size,
+                         uint32_t ck, uint32_t fn_id) {
+    const uint8_t *p;
+    uint16_t h; uint32_t w; uint64_t d;
+    nol_charge1(ctx, ck, fn_id);
+    p = nol_hit(ctx, addr, size);
+    if (p == 0) return ctx->load_scalar(ctx, addr, size);
+    switch (size) {
+      case 1: return *p;
+      case 2: memcpy(&h, p, 2); return h;
+      case 4: memcpy(&w, p, 4); return w;
+      default: memcpy(&d, p, 8); return d;
+    }
+}
+static void nol_store(NolCtx *ctx, uint64_t addr, uint32_t size,
+                      uint64_t v, uint32_t ck, uint32_t fn_id) {
+    uint8_t *p;
+    uint16_t h = (uint16_t)v; uint32_t w = (uint32_t)v;
+    nol_charge1(ctx, ck, fn_id);
+    p = nol_hit(ctx, addr, size);
+    if (p == 0) { ctx->store_scalar(ctx, addr, size, v); return; }
+    *ctx->mem_dirty[(addr / NOL_PAGE_SIZE) % NOL_CACHE_WAYS] = 1;
+    switch (size) {
+      case 1: *p = (uint8_t)v; return;
+      case 2: memcpy(p, &h, 2); return;
+      case 4: memcpy(p, &w, 4); return;
+      default: memcpy(p, &v, 8); return;
+    }
+}
 )";
+
+/** The NolCtx fields whose offsets every module checks. */
+const struct {
+    const char *name;
+    size_t offset;
+} kCtxFields[] = {
+    {"host", offsetof(NolCtx, host)},
+    {"globals", offsetof(NolCtx, globals)},
+    {"fnaddrs", offsetof(NolCtx, fnaddrs)},
+    {"sp", offsetof(NolCtx, sp)},
+    {"stack_limit", offsetof(NolCtx, stack_limit)},
+    {"now", offsetof(NolCtx, now)},
+    {"energy", offsetof(NolCtx, energy)},
+    {"units", offsetof(NolCtx, units)},
+    {"steps", offsetof(NolCtx, steps)},
+    {"step_limit", offsetof(NolCtx, step_limit)},
+    {"seg_end", offsetof(NolCtx, seg_end)},
+    {"costs", offsetof(NolCtx, costs)},
+    {"open", offsetof(NolCtx, open)},
+    {"mem_direct", offsetof(NolCtx, mem_direct)},
+    {"mem_tags", offsetof(NolCtx, mem_tags)},
+    {"mem_data", offsetof(NolCtx, mem_data)},
+    {"mem_dirty", offsetof(NolCtx, mem_dirty)},
+    {"charge", offsetof(NolCtx, charge)},
+    {"load_scalar", offsetof(NolCtx, load_scalar)},
+    {"store_scalar", offsetof(NolCtx, store_scalar)},
+    {"call_external", offsetof(NolCtx, call_external)},
+    {"call_indirect", offsetof(NolCtx, call_indirect)},
+    {"machine_asm", offsetof(NolCtx, machine_asm)},
+    {"trap", offsetof(NolCtx, trap)},
+};
 
 uint32_t
 intWidth(const ir::Type *type)
@@ -126,33 +267,34 @@ class Emitter
     /** Queue the cost-model charge for one execution of @p inst. */
     void pushCharge(const ir::Instruction *inst)
     {
-        pending_.push_back(
-            {static_cast<uint32_t>(sim::opcodeCost(inst->op())),
-             static_cast<uint32_t>(sim::costKind(inst->op()))});
+        Charge c{static_cast<uint32_t>(sim::opcodeCost(inst->op())),
+                 static_cast<uint32_t>(sim::costKind(inst->op()))};
+        NOL_ASSERT(c.cost >= 1 && c.cost < kNolCostSlots &&
+                       c.kind < kNolCostKinds,
+                   "charge (%u, %u) is outside the charge table", c.cost,
+                   c.kind);
+        pending_.push_back(c);
     }
 
     /**
      * Remove the charge pushCharge() just queued for the current
-     * instruction and return it packed for a fused memory-access call
-     * (cost << 2 | kind — the scales are still applied at charge time
-     * on the host, per-occurrence).
+     * instruction and return it packed for nol_load/nol_store
+     * (cost << 2 | kind), which charge it before the access.
      */
     uint32_t popSelfCharge()
     {
         NOL_ASSERT(!pending_.empty(), "no self charge queued");
         Charge self = pending_.back();
         pending_.pop_back();
-        NOL_ASSERT(self.cost < (1u << 30) && self.kind < 4,
-                   "charge does not pack into cost<<2|kind");
         return self.cost << 2 | self.kind;
     }
 
     /**
-     * Emit the queued charges as one host charge() call. Required
+     * Emit the queued charges as one nol_charge() call. Required
      * before every operation the host observes (memory, calls, asm,
      * control transfers) so the simulated clock is exact at each
-     * interaction point; charges replay per-occurrence on the host to
-     * keep double accumulation order identical to the interpreter.
+     * interaction point; charges replay per-occurrence to keep double
+     * accumulation order identical to the interpreter.
      */
     void flushCharges(size_t fn_id)
     {
@@ -167,6 +309,7 @@ class Emitter
                 items.push_back({c.cost, c.kind, 1});
             }
         }
+        size_t total = pending_.size();
         pending_.clear();
         line("  { static const NolChargeItem nc[] = {");
         std::string row = "      ";
@@ -182,7 +325,8 @@ class Emitter
         if (row != "      ")
             line("%s", row.c_str());
         line("    };");
-        line("    ctx->charge(ctx, nc, %zu, %zu); }", items.size(), fn_id);
+        line("    nol_charge(ctx, nc, %zu, %zu, %zu); }", items.size(), total,
+             fn_id);
     }
 
     // --- Operand rendering ---------------------------------------------
@@ -305,6 +449,17 @@ LoweredModule
 Emitter::run()
 {
     out_ = kAbiPreamble;
+    // A field added on one side only fails the module's compile
+    // instead of corrupting memory.
+    line("_Static_assert(sizeof(NolCtx) == %zu, \"NolCtx size\");",
+         sizeof(NolCtx));
+    for (const auto &field : kCtxFields)
+        line("_Static_assert(offsetof(NolCtx, %s) == %zu, \"NolCtx.%s\");",
+             field.name, field.offset, field.name);
+    line("enum { NOL_COST_SLOTS = %u, NOL_CACHE_WAYS = %zu, "
+         "NOL_PAGE_SIZE = %" PRIu64 " };",
+         kNolCostSlots, sim::PagedMemory::kCacheWays, sim::kPageSize);
+    out_ += kPreambleHelpers;
     for (const auto &g : m_.globals()) {
         globalIdx_[g.get()] = lowered_.globals.size();
         lowered_.globals.push_back(g.get());
@@ -421,9 +576,9 @@ Emitter::emitInst(const ir::Instruction *inst, size_t fn_id)
         break;
       }
       case Opcode::Load: {
-        // The access's own charge rides inside the fused load call
-        // (charged first, exactly like the interpreter); only the
-        // *preceding* instructions' charges need flushing here.
+        // nol_load charges the access's own cost first, exactly like
+        // the interpreter; only the *preceding* instructions' charges
+        // need flushing here.
         uint32_t ck = popSelfCharge();
         flushCharges(fn_id);
         std::string v = var(inst);
@@ -432,27 +587,24 @@ Emitter::emitInst(const ir::Instruction *inst, size_t fn_id)
         const ir::Type *ty = inst->accessType();
         if (ty->isFloat()) {
             if (isF32(ty)) {
-                line("  { uint32_t b = (uint32_t)ctx->load_scalar(ctx, %s, "
-                     "4, %u, %zu); float nf;",
+                line("  { uint32_t b = (uint32_t)nol_load(ctx, %s, 4, %u, "
+                     "%zu); float nf;",
                      addr.c_str(), ck, fn_id);
                 line("    memcpy(&nf, &b, 4); %s.f = (double)nf; }",
                      v.c_str());
             } else {
-                line("  { uint64_t b = ctx->load_scalar(ctx, %s, 8, %u, "
-                     "%zu);",
+                line("  { uint64_t b = nol_load(ctx, %s, 8, %u, %zu);",
                      addr.c_str(), ck, fn_id);
                 line("    memcpy(&%s.f, &b, 8); }", v.c_str());
             }
         } else if (ty->isPointer() || ty->isFunction()) {
-            line("  %s.i = (int64_t)ctx->load_scalar(ctx, %s, %u, %u, "
-                 "%zu);",
+            line("  %s.i = (int64_t)nol_load(ctx, %s, %u, %u, %zu);",
                  v.c_str(), addr.c_str(), dl_.spec().pointerSize, ck,
                  fn_id);
         } else {
             uint32_t width = intWidth(ty);
             uint32_t bytes = width == 1 ? 1 : width / 8;
-            line("  %s.i = nol_sext(ctx->load_scalar(ctx, %s, %u, %u, "
-                 "%zu), %u);",
+            line("  %s.i = nol_sext(nol_load(ctx, %s, %u, %u, %zu), %u);",
                  v.c_str(), addr.c_str(), bytes, ck, fn_id, width);
         }
         break;
@@ -468,26 +620,24 @@ Emitter::emitInst(const ir::Instruction *inst, size_t fn_id)
                 line("  { float nf = (float)(%s); uint32_t b;",
                      exprF(inst->operand(0)).c_str());
                 line("    memcpy(&b, &nf, 4);");
-                line("    ctx->store_scalar(ctx, %s, 4, (uint64_t)b, %u, "
-                     "%zu); }",
+                line("    nol_store(ctx, %s, 4, (uint64_t)b, %u, %zu); }",
                      addr.c_str(), ck, fn_id);
             } else {
                 line("  { double d = %s; uint64_t b;",
                      exprF(inst->operand(0)).c_str());
                 line("    memcpy(&b, &d, 8);");
-                line("    ctx->store_scalar(ctx, %s, 8, b, %u, %zu); }",
+                line("    nol_store(ctx, %s, 8, b, %u, %zu); }",
                      addr.c_str(), ck, fn_id);
             }
         } else if (ty->isPointer() || ty->isFunction()) {
-            line("  ctx->store_scalar(ctx, %s, %u, (uint64_t)(%s) & "
-                 "nol_mask(%u), %u, %zu);",
+            line("  nol_store(ctx, %s, %u, (uint64_t)(%s) & nol_mask(%u), "
+                 "%u, %zu);",
                  addr.c_str(), dl_.spec().pointerSize,
                  exprI(inst->operand(0)).c_str(), ptr_bits, ck, fn_id);
         } else {
             uint32_t width = intWidth(ty);
             uint32_t bytes = width == 1 ? 1 : width / 8;
-            line("  ctx->store_scalar(ctx, %s, %u, (uint64_t)(%s), %u, "
-                 "%zu);",
+            line("  nol_store(ctx, %s, %u, (uint64_t)(%s), %u, %zu);",
                  addr.c_str(), bytes, exprI(inst->operand(0)).c_str(), ck,
                  fn_id);
         }

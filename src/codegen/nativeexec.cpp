@@ -1,6 +1,6 @@
 #include "codegen/nativeexec.hpp"
 
-#include <cstring>
+#include <algorithm>
 
 #include "sim/costmodel.hpp"
 #include "support/logging.hpp"
@@ -53,6 +53,16 @@ NativeExec::NativeExec(std::shared_ptr<const PreparedModule> prepared,
     ctx_.fnaddrs = fn_addrs_.data();
     ctx_.sp = machine.stackBase();
     ctx_.stack_limit = machine.stackBase() - sim::kStackSize;
+    ctx_.now = machine.clockSlot();
+    ctx_.energy = machine.power().energySlot();
+    ctx_.units = machine.computeUnitsSlot();
+    ctx_.steps = &steps_;
+    ctx_.step_limit = kStepLimit;
+    ctx_.costs = costs_;
+    const sim::PagedMemory &mem = machine.mem();
+    ctx_.mem_tags = mem.cacheTags();
+    ctx_.mem_data = mem.cacheData();
+    ctx_.mem_dirty = mem.cacheDirty();
     ctx_.charge = &NativeExec::chargeThunk;
     ctx_.load_scalar = &NativeExec::loadThunk;
     ctx_.store_scalar = &NativeExec::storeThunk;
@@ -109,11 +119,46 @@ NativeExec::invoke(NolFn fn_ptr, const ir::Function *fn,
     std::vector<NolVal> buf(args.size());
     for (size_t i = 0; i < args.size(); ++i)
         buf[i] = NolVal{args[i].i, args[i].f};
+    sync();
     NolVal r = fn_ptr(&ctx_, buf.data());
     RtVal out;
     out.i = r.i;
     out.f = r.f;
     return out;
+}
+
+void
+NativeExec::sync()
+{
+    sim::SimMachine &m = machine_;
+    const arch::ArchSpec &spec = m.spec();
+    sim::PowerState state = m.computeState();
+    double mw = m.power().rate(state);
+    const double key[4] = {spec.nsPerCostUnit, spec.arithCostScale,
+                           spec.memCostScale, mw};
+    if (!std::equal(key, key + 4, costs_key_)) {
+        std::copy(key, key + 4, costs_key_);
+        costs_positive_ = true;
+        for (uint32_t kind = 0; kind < kNolCostKinds; ++kind) {
+            for (uint32_t cost = 1; cost < kNolCostSlots; ++cost) {
+                // advanceCompute's operands, computed as it does.
+                NolCost &c = costs_[kind * kNolCostSlots + cost];
+                c.units = sim::scaledCost(
+                    cost, static_cast<sim::CostKind>(kind), spec);
+                c.ns = static_cast<double>(c.units) * spec.nsPerCostUnit;
+                c.energy = mw * c.ns * 1e-9;
+                costs_positive_ = costs_positive_ && c.ns > 0;
+            }
+        }
+    }
+    // A zero or negative charge would leave the run (accumulate()
+    // skips it), so such a spec charges on the host throughout.
+    sim::PowerSegment *run =
+        costs_positive_ ? m.power().openRun(m.nowNs(), state) : nullptr;
+    ctx_.open = run != nullptr;
+    ctx_.seg_end = run != nullptr ? &run->endNs : nullptr;
+    ctx_.mem_direct = endian() == arch::Endianness::Little &&
+                      !m.mem().hasTouchObserver();
 }
 
 void
@@ -124,50 +169,34 @@ NativeExec::chargeThunk(NolCtx *ctx, const NolChargeItem *items, uint32_t n,
     sim::SimMachine &m = self->machine_;
     for (uint32_t i = 0; i < n; ++i) {
         const NolChargeItem &item = items[i];
-        if (item.count == 0)
-            continue;
-        // Nothing else runs inside one charge replay, so the spec
-        // (which runIdeal swaps only between guest callbacks) and the
-        // scaled cost are loop-invariant across the occurrences.
         if (item.count > kStepLimit - self->steps_)
             panic("step limit exceeded in %s", self->fnName(fn_id));
         self->steps_ += item.count;
-        m.advanceComputeRepeat(
-            sim::scaledCost(item.cost, static_cast<sim::CostKind>(item.kind),
-                            m.spec()),
-            item.count);
+        uint64_t units = sim::scaledCost(
+            item.cost, static_cast<sim::CostKind>(item.kind), m.spec());
+        for (uint32_t k = 0; k < item.count; ++k)
+            m.advanceCompute(units);
     }
-}
-
-inline void
-NativeExec::chargeOne(uint32_t cost_kind, uint32_t fn_id)
-{
-    if (++steps_ > kStepLimit)
-        panic("step limit exceeded in %s", fnName(fn_id));
-    machine_.advanceCompute(
-        sim::scaledCost(cost_kind >> 2,
-                        static_cast<sim::CostKind>(cost_kind & 3),
-                        machine_.spec()));
+    self->sync();
 }
 
 uint64_t
-NativeExec::loadThunk(NolCtx *ctx, uint64_t addr, uint32_t size,
-                      uint32_t cost_kind, uint32_t fn_id)
+NativeExec::loadThunk(NolCtx *ctx, uint64_t addr, uint32_t size)
 {
     auto *self = static_cast<NativeExec *>(ctx->host);
-    // Charge the access's own cost first, exactly as the interpreter
-    // charges an instruction before executing it.
-    self->chargeOne(cost_kind, fn_id);
-    return self->loadScalarAt(addr, size);
+    // A miss may fault the page in over the network.
+    uint64_t value = self->loadScalarAt(addr, size);
+    self->sync();
+    return value;
 }
 
 void
 NativeExec::storeThunk(NolCtx *ctx, uint64_t addr, uint32_t size,
-                       uint64_t value, uint32_t cost_kind, uint32_t fn_id)
+                       uint64_t value)
 {
     auto *self = static_cast<NativeExec *>(ctx->host);
-    self->chargeOne(cost_kind, fn_id);
     self->storeScalarAt(addr, size, value);
+    self->sync();
 }
 
 RtVal
@@ -191,6 +220,7 @@ NativeExec::callExternalThunk(NolCtx *ctx, uint32_t site, NolVal *args,
     auto *self = static_cast<NativeExec *>(ctx->host);
     const ir::Instruction *inst = self->prepared_->lowered.callSites[site];
     RtVal r = self->externalCall(inst, inst->callee(), args, n);
+    self->sync();
     return NolVal{r.i, r.f};
 }
 
@@ -210,12 +240,14 @@ NativeExec::callIndirectThunk(NolCtx *ctx, uint64_t target, uint32_t site,
         const ir::Instruction *inst =
             self->prepared_->lowered.callSites[site];
         RtVal r = self->externalCall(inst, callee, args, n);
+        self->sync();
         return NolVal{r.i, r.f};
     }
     uint32_t idx = self->fn_index_.at(callee);
     NolFn fn_ptr = self->prepared_->artifact->fns()[idx];
     NOL_ASSERT(fn_ptr != nullptr, "indirect call of bodyless %s",
                callee->name().c_str());
+    self->sync();
     return fn_ptr(ctx, args);
 }
 
@@ -225,6 +257,7 @@ NativeExec::machineAsmThunk(NolCtx *ctx, uint32_t site)
     auto *self = static_cast<NativeExec *>(ctx->host);
     self->env_.onMachineAsm(*self,
                             *self->prepared_->lowered.asmSites[site]);
+    self->sync();
 }
 
 void

@@ -1,14 +1,17 @@
 /**
  * @file
  * The native-C execution backend: runs a module's compiled artifact
- * through the ExecBackend seam. All host interaction (guest memory,
- * external calls, indirect dispatch, cost charging) calls back into
- * this class, which reuses the exact interpreter-side helpers and
- * environments — the engine changes, the simulation does not.
+ * through the ExecBackend seam. The generated code charges time and
+ * serves translation-cache hits itself, through pointers this class
+ * keeps current; everything else (external calls, indirect dispatch,
+ * misses, charges off an open run) calls back into this class, which
+ * reuses the exact interpreter-side helpers and environments — the
+ * engine changes, the simulation does not.
  */
 #ifndef NOL_CODEGEN_NATIVEEXEC_HPP
 #define NOL_CODEGEN_NATIVEEXEC_HPP
 
+#include <cmath>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -56,16 +59,21 @@ class NativeExec final : public interp::ExecBackend
                                const ir::Function *callee, NolVal *args,
                                uint32_t n);
 
+    /**
+     * Re-derive the NolCtx fields the generated fast paths read: the
+     * charge table (rebuilt only when the spec, compute state or its
+     * rate moved — runIdeal swaps them mid-run), the open-run
+     * condition and the direct-memory gate. Runs before generated code
+     * starts and on the way back from every thunk that can change the
+     * machine; SimMachine::advanceCompute stays untouched.
+     */
+    void sync();
+
     static void chargeThunk(NolCtx *ctx, const NolChargeItem *items,
                             uint32_t n, uint32_t fn_id);
-    /** Charge one occurrence packed as cost << 2 | kind (fused path). */
-    void chargeOne(uint32_t cost_kind, uint32_t fn_id);
-
-    static uint64_t loadThunk(NolCtx *ctx, uint64_t addr, uint32_t size,
-                              uint32_t cost_kind, uint32_t fn_id);
+    static uint64_t loadThunk(NolCtx *ctx, uint64_t addr, uint32_t size);
     static void storeThunk(NolCtx *ctx, uint64_t addr, uint32_t size,
-                           uint64_t value, uint32_t cost_kind,
-                           uint32_t fn_id);
+                           uint64_t value);
     static NolVal callExternalThunk(NolCtx *ctx, uint32_t site,
                                     NolVal *args, uint32_t n);
     static NolVal callIndirectThunk(NolCtx *ctx, uint64_t target,
@@ -79,7 +87,12 @@ class NativeExec final : public interp::ExecBackend
     std::vector<uint64_t> global_addrs_;
     std::vector<uint64_t> fn_addrs_;
     std::unordered_map<const ir::Function *, uint32_t> fn_index_;
-    NolCtx ctx_;
+    /** What costs_ was built for: ns per unit, arith and mem scales,
+     *  compute-state rate. NaN never matches, so it forces a rebuild. */
+    double costs_key_[4] = {NAN, NAN, NAN, NAN};
+    bool costs_positive_ = false; ///< every entry's ns > 0
+    NolCost costs_[kNolCostKinds * kNolCostSlots] = {};
+    NolCtx ctx_{};
 };
 
 } // namespace nol::codegen

@@ -5,8 +5,8 @@
 
 namespace nol::sim {
 
-Page *
-PagedMemory::lookupSlow(uint64_t page_num)
+void
+PagedMemory::fill(uint64_t page_num, size_t way)
 {
     auto it = pages_.find(page_num);
     if (it == pages_.end()) {
@@ -30,10 +30,9 @@ PagedMemory::lookupSlow(uint64_t page_num)
                   static_cast<unsigned long long>(page_num));
         }
     }
-    size_t way = page_num & (kCacheWays - 1);
     cached_num_[way] = page_num;
-    cached_page_[way] = &it->second;
-    return cached_page_[way];
+    cached_data_[way] = it->second.data.get();
+    cached_dirty_[way] = &it->second.dirty;
 }
 
 void
@@ -43,12 +42,10 @@ PagedMemory::readSpan(uint64_t addr, uint64_t size, uint8_t *out)
         uint64_t page_num = pageOf(addr);
         uint64_t offset = addr % kPageSize;
         uint64_t chunk = std::min(size, kPageSize - offset);
-        size_t way = page_num & (kCacheWays - 1);
-        Page *page = (cached_num_[way] == page_num) ? cached_page_[way]
-                                                    : lookupSlow(page_num);
+        size_t way = translate(page_num);
         if (touch_observer_ != nullptr)
             touch_observer_(page_num);
-        std::memcpy(out, page->data.get() + offset, chunk);
+        std::memcpy(out, cached_data_[way] + offset, chunk);
         addr += chunk;
         out += chunk;
         size -= chunk;
@@ -62,13 +59,11 @@ PagedMemory::writeSpan(uint64_t addr, uint64_t size, const uint8_t *src)
         uint64_t page_num = pageOf(addr);
         uint64_t offset = addr % kPageSize;
         uint64_t chunk = std::min(size, kPageSize - offset);
-        size_t way = page_num & (kCacheWays - 1);
-        Page *page = (cached_num_[way] == page_num) ? cached_page_[way]
-                                                    : lookupSlow(page_num);
+        size_t way = translate(page_num);
         if (touch_observer_ != nullptr)
             touch_observer_(page_num);
-        page->dirty = true;
-        std::memcpy(page->data.get() + offset, src, chunk);
+        *cached_dirty_[way] = true;
+        std::memcpy(cached_data_[way] + offset, src, chunk);
         addr += chunk;
         src += chunk;
         size -= chunk;

@@ -110,6 +110,10 @@ class PagedMemory
         invalidateCache();
     }
 
+    /** Generated code holds pointers into the translation cache. */
+    PagedMemory(const PagedMemory &) = delete;
+    PagedMemory &operator=(const PagedMemory &) = delete;
+
     void setFaultHandler(FaultHandler handler)
     {
         fault_handler_ = std::move(handler);
@@ -123,10 +127,10 @@ class PagedMemory
     /**
      * Read @p size bytes at @p addr into @p out. Inline fast path for
      * the common case — a single-page access whose page translation is
-     * cached from the previous access. Both execution backends funnel
-     * every guest load through here, so the hash lookup this skips is
-     * the floor under their wall clock. Fault accounting, the touch
-     * observer and dirty bits behave exactly as the slow path.
+     * cached. Both execution backends funnel every guest load through
+     * here, so the hash lookup this skips is the floor under their
+     * wall clock. Fault accounting, the touch observer and dirty bits
+     * behave exactly as the slow path.
      */
     void
     read(uint64_t addr, uint64_t size, uint8_t *out)
@@ -134,13 +138,10 @@ class PagedMemory
         uint64_t offset = addr & (kPageSize - 1);
         if (offset + size <= kPageSize) {
             uint64_t page_num = addr / kPageSize;
-            size_t way = page_num & (kCacheWays - 1);
-            const Page *page = (cached_num_[way] == page_num)
-                                   ? cached_page_[way]
-                                   : lookupSlow(page_num);
+            size_t way = translate(page_num);
             if (touch_observer_ != nullptr)
                 touch_observer_(page_num);
-            std::memcpy(out, page->data.get() + offset, size);
+            std::memcpy(out, cached_data_[way] + offset, size);
             return;
         }
         readSpan(addr, size, out);
@@ -153,14 +154,11 @@ class PagedMemory
         uint64_t offset = addr & (kPageSize - 1);
         if (offset + size <= kPageSize) {
             uint64_t page_num = addr / kPageSize;
-            size_t way = page_num & (kCacheWays - 1);
-            Page *page = (cached_num_[way] == page_num)
-                             ? cached_page_[way]
-                             : lookupSlow(page_num);
+            size_t way = translate(page_num);
             if (touch_observer_ != nullptr)
                 touch_observer_(page_num);
-            page->dirty = true;
-            std::memcpy(page->data.get() + offset, src, size);
+            *cached_dirty_[way] = true;
+            std::memcpy(cached_data_[way] + offset, src, size);
             return;
         }
         writeSpan(addr, size, src);
@@ -209,15 +207,47 @@ class PagedMemory
 
     uint64_t pageCount() const { return pages_.size(); }
 
-  private:
+    /** Translation-cache ways (direct-mapped on page number). Sized
+     *  for the worst resident set a guest inner loop alternates over:
+     *  a 3D stencil touches ~20 grid rows at once and each row lands
+     *  on its own page, so 8 ways thrashed — 64 covers it with room
+     *  for stack, globals and scratch. 1 KiB of tags, still L1-hot. */
+    static constexpr size_t kCacheWays = 64;
+
     /**
-     * Find (or fault in) @p page_num and refresh the one-entry
-     * translation cache. Does NOT fire the touch observer or set the
-     * dirty bit — callers do, so cache hits and misses behave the same.
-     * unordered_map nodes are pointer-stable across inserts, so the
-     * cached Page* entries only need invalidating on clear().
+     * The translation cache, exported for generated code that serves
+     * hits itself: way w = page & (kCacheWays - 1) caches page
+     * cacheTags()[w] (~0 when empty), whose bytes start at
+     * cacheData()[w] and whose dirty bit is *cacheDirty()[w]. A hit
+     * behaves exactly as read()/write() on it when no touch observer
+     * is set. The arrays live as long as this object; the pointers in
+     * them stay valid until the way is refilled or clear() runs.
      */
-    Page *lookupSlow(uint64_t page_num);
+    const uint64_t *cacheTags() const { return cached_num_; }
+    uint8_t *const *cacheData() const { return cached_data_; }
+    bool *const *cacheDirty() const { return cached_dirty_; }
+
+    bool hasTouchObserver() const { return touch_observer_ != nullptr; }
+
+  private:
+    /** The way holding @p page_num's translation, filled on a miss. */
+    size_t
+    translate(uint64_t page_num)
+    {
+        size_t way = page_num & (kCacheWays - 1);
+        if (cached_num_[way] != page_num)
+            fill(page_num, way);
+        return way;
+    }
+
+    /**
+     * Find (or fault in) @p page_num and cache it in @p way. Does NOT
+     * fire the touch observer or set the dirty bit — callers do, so
+     * cache hits and misses behave the same. unordered_map nodes are
+     * pointer-stable across inserts, so the cached pointers only need
+     * invalidating on clear().
+     */
+    void fill(uint64_t page_num, size_t way);
 
     /** Multi-page (page-crossing) read loop. */
     void readSpan(uint64_t addr, uint64_t size, uint8_t *out);
@@ -229,23 +259,18 @@ class PagedMemory
     {
         for (size_t w = 0; w < kCacheWays; ++w) {
             cached_num_[w] = ~0ull;
-            cached_page_[w] = nullptr;
+            cached_data_[w] = nullptr;
+            cached_dirty_[w] = nullptr;
         }
     }
-
-    /** Translation-cache ways (direct-mapped on page number). Sized
-     *  for the worst resident set a guest inner loop alternates over:
-     *  a 3D stencil touches ~20 grid rows at once and each row lands
-     *  on its own page, so 8 ways thrashed — 64 covers it with room
-     *  for stack, globals and scratch. 1 KiB of tags, still L1-hot. */
-    static constexpr size_t kCacheWays = 64;
 
     std::unordered_map<uint64_t, Page> pages_;
     FaultHandler fault_handler_;
     TouchObserver touch_observer_;
     bool auto_zero_;
     uint64_t cached_num_[kCacheWays];
-    Page *cached_page_[kCacheWays] = {};
+    uint8_t *cached_data_[kCacheWays];
+    bool *cached_dirty_[kCacheWays];
 };
 
 } // namespace nol::sim

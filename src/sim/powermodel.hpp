@@ -86,47 +86,28 @@ class PowerModel
     }
 
     /**
-     * Account @p reps identical back-to-back segments of @p duration_ns
-     * in @p state, the first starting at @p start_ns. Bit-identical to
-     * @p reps successive accumulate() calls — the same IEEE values pass
-     * through the same sequence of additions — but the loop-invariant
-     * products (rate, energy delta) are computed once. This is the
-     * native backend's charge-replay loop, which hands the simulator
-     * runs of identical per-instruction charges. Requires
-     * duration_ns > 0 (callers fall back to accumulate() otherwise).
-     * Returns the end time of the last segment.
+     * The last segment if it is an open run of @p state at @p now_ns:
+     * same state, current rate, ending exactly at @p now_ns. Then
+     * accumulate(now_ns, d, state) with d > 0 only adds to the energy
+     * and moves this segment's end to now_ns + d, and the run stays
+     * open at the new time — which is what lets the native-C backend
+     * replay compute charges inline (see energySlot()). nullptr
+     * otherwise. The pointer is invalidated by the next push.
      */
-    double
-    accumulateRepeat(double start_ns, double duration_ns, PowerState state,
-                     uint64_t reps)
+    PowerSegment *
+    openRun(double now_ns, PowerState state)
     {
-        // First occurrence takes the general merge-or-push path and
-        // leaves timeline_.back() as a (state, rate) segment ending at
-        // start_ns + duration_ns — exactly where occurrence two starts,
-        // so every later occurrence takes accumulate()'s merge arm.
-        accumulate(start_ns, duration_ns, state);
-        double now = start_ns + duration_ns;
-        if (reps > 1) {
-            double delta_mj = rate(state) * duration_ns * 1e-9;
-            // Registers, not members, inside the loop: the member
-            // stores would make each iteration a store-to-load chain
-            // through memory. Same values, same order — nothing else
-            // can observe the accumulators mid-run.
-            PowerSegment &last = timeline_.back();
-            double last_end = last.endNs;
-            double energy = energy_mj_;
-            for (uint64_t k = 1; k < reps; ++k) {
-                energy += delta_mj;
-                double end = now + duration_ns;
-                if (end > last_end)
-                    last_end = end;
-                now = end;
-            }
-            energy_mj_ = energy;
-            last.endNs = last_end;
-        }
-        return now;
+        if (timeline_.empty())
+            return nullptr;
+        PowerSegment &last = timeline_.back();
+        if (last.state != state || last.milliwatts != rate(state) ||
+            last.endNs != now_ns)
+            return nullptr;
+        return &last;
     }
+
+    /** The energy accumulator, for the same inline replay. */
+    double *energySlot() { return &energy_mj_; }
 
     /** Total energy in millijoules. */
     double energyMillijoules() const { return energy_mj_; }

@@ -149,34 +149,6 @@ class SimMachine
         now_ns_ += ns;
     }
 
-    /**
-     * Charge @p count back-to-back occurrences of @p cost units each.
-     * Bit-identical to @p count advanceCompute(cost) calls — identical
-     * IEEE values flow through the identical sequence of additions to
-     * the energy, timeline and clock accumulators — with the
-     * loop-invariant conversions hoisted out of the loop. This is the
-     * native backend's charge replay, which sees runs of thousands of
-     * identically-priced instructions at a time.
-     */
-    void
-    advanceComputeRepeat(uint64_t cost, uint64_t count)
-    {
-        if (count == 0)
-            return;
-        double ns = static_cast<double>(cost) * spec_.nsPerCostUnit;
-        if (!(ns > 0)) {
-            // Degenerate spec (zero/negative/NaN ns-per-unit): the
-            // accumulate() merge arm below would not apply; replay the
-            // plain per-occurrence loop, which is exact by definition.
-            for (uint64_t k = 0; k < count; ++k)
-                advanceCompute(cost);
-            return;
-        }
-        compute_units_ += cost * count;
-        now_ns_ = power_.accumulateRepeat(now_ns_, ns, compute_state_,
-                                          count);
-    }
-
     /** Advance the clock by raw @p ns in @p state (I/O, waiting...). */
     void
     advanceTime(double ns, PowerState state)
@@ -200,6 +172,17 @@ class SimMachine
 
     /** Accumulated compute cost units (the machine's "work counter"). */
     uint64_t computeUnits() const { return compute_units_; }
+
+    /** The power state compute time is charged in. */
+    PowerState computeState() const { return compute_state_; }
+
+    /**
+     * The clock and the work counter themselves, for code that replays
+     * advanceCompute() inline on an open run (PowerModel::openRun):
+     * the native-C backend's generated charge path.
+     */
+    double *clockSlot() { return &now_ns_; }
+    uint64_t *computeUnitsSlot() { return &compute_units_; }
 
     // --- Console / input / files ------------------------------------------
     std::string &console() { return console_; }

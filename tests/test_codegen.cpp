@@ -3,10 +3,11 @@
  * Native-C backend tests: the differential oracle between the
  * interpreter and the compiled backend. The two must agree bit-exactly
  * — guest outputs AND every charged simulated-time unit — across the
- * full 17-workload suite, both networks, solo and fleet, faults on and
- * off. A host toolchain is a hard requirement here: falling back to
- * the interpreter would silently turn every oracle check into a
- * tautology, so its absence is a test failure, not a skip.
+ * full 17-workload suite, both networks, local and ideal runs, solo
+ * and fleet, faults on and off. A host toolchain is a hard requirement
+ * here: falling back to the interpreter would silently turn every
+ * oracle check into a tautology, so its absence is a test failure, not
+ * a skip.
  */
 #include <gtest/gtest.h>
 
@@ -394,6 +395,31 @@ TEST(CodegenArtifacts, ExitKillsPendingCompiles)
     EXPECT_EQ(cache.count(".tmp"), 0u);
 }
 
+TEST(CodegenArtifacts, CompilerInheritsNoDescriptors)
+{
+    ScopedCacheDir cache;
+    ASSERT_TRUE(codegen::toolchainAvailable());
+    // No O_CLOEXEC: a child that inherits descriptors holds the write
+    // end open until it exits.
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    codegen::LoweredModule slow = handWritten("inherits_nothing", 1000);
+    EXPECT_TRUE(codegen::startCompile(slow));
+    ::close(fds[1]);
+    char byte = 0;
+    EXPECT_EQ(::read(fds[0], &byte, 1), 0);
+    // EOF came while cc was still compiling, not because it exited. A
+    // child spawned a moment ago may not show its argv in /proc yet.
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+    while (processesMentioning(cache.path()) == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_NE(processesMentioning(cache.path()), 0u);
+    ::close(fds[0]);
+    EXPECT_NE(codegen::getOrCompile(slow), nullptr);
+}
+
 TEST(CodegenArtifacts, ColdLocalRunStartsTheServerModule)
 {
     ScopedCacheDir cache;
@@ -464,42 +490,42 @@ namespace {
  * digests the failing test prints, and says why.
  */
 const std::map<std::string, std::string> kGeneratedCGolden = {
-    {"164.gzip mobile", "c4216991a0a33c10"},
-    {"164.gzip server", "a06bff5137225c67"},
-    {"175.vpr mobile", "ad4a63be255a2e47"},
-    {"175.vpr server", "2ad7a6b8bf061926"},
-    {"177.mesa mobile", "b7d9f8c11013bbb1"},
-    {"177.mesa server", "9dfd5470df801658"},
-    {"179.art mobile", "382dd81d2e48504c"},
-    {"179.art server", "96451715b4ba8891"},
-    {"183.equake mobile", "0e8e9795c9b53db6"},
-    {"183.equake server", "cc964281b9177db3"},
-    {"188.ammp mobile", "35e55c9ad313937b"},
-    {"188.ammp server", "be026f39d37356e3"},
-    {"300.twolf mobile", "fb2bab3e1f0436e2"},
-    {"300.twolf server", "f56bbeabd46e8bec"},
-    {"401.bzip2 mobile", "59323a117638649b"},
-    {"401.bzip2 server", "9e001950cdc460ac"},
-    {"429.mcf mobile", "33542f9d2d07f54f"},
-    {"429.mcf server", "628ce6fe2e829344"},
-    {"433.milc mobile", "afcffb802d872e27"},
-    {"433.milc server", "f2ed6ed8762aa946"},
-    {"445.gobmk mobile", "befdc818fa019d39"},
-    {"445.gobmk server", "512dd115db862bc9"},
-    {"456.hmmer mobile", "a1387864409d8be0"},
-    {"456.hmmer server", "f03088ae60579449"},
-    {"458.sjeng mobile", "df8fc1568326d7de"},
-    {"458.sjeng server", "abf87fbddbf5c6d4"},
-    {"462.libquantum mobile", "a44520d6ec8fee26"},
-    {"462.libquantum server", "7aa546e1ac59627c"},
-    {"464.h264ref mobile", "06740a334bdc2631"},
-    {"464.h264ref server", "0f3cb175677ba75a"},
-    {"470.lbm mobile", "dcfffc985fb66928"},
-    {"470.lbm server", "008b1cb6106c7d38"},
-    {"482.sphinx3 mobile", "95a5ea9a9c5ea637"},
-    {"482.sphinx3 server", "6622ee78531b0495"},
-    {"chess mobile", "e425dfb16c927953"},
-    {"chess server", "1fb3f2a2c8dcb7f3"},
+    {"164.gzip mobile", "3b9192ab0ecfb717"},
+    {"164.gzip server", "e84cfed593713b47"},
+    {"175.vpr mobile", "7710204a649c6ffc"},
+    {"175.vpr server", "5c546b7f05d4e8ea"},
+    {"177.mesa mobile", "96ba6d723334eab8"},
+    {"177.mesa server", "e3dd9c9b89de5f92"},
+    {"179.art mobile", "ec99bbee24e1e368"},
+    {"179.art server", "65d0af2c62e8fb4b"},
+    {"183.equake mobile", "7f8d9f4b32ee7b2a"},
+    {"183.equake server", "38ec6652b5e2e03c"},
+    {"188.ammp mobile", "558757156a538bbb"},
+    {"188.ammp server", "dba76cd2bb6977a7"},
+    {"300.twolf mobile", "677187a6018ca4a7"},
+    {"300.twolf server", "7b30d96e74c810e0"},
+    {"401.bzip2 mobile", "f017f19e7be52d39"},
+    {"401.bzip2 server", "a4dddf6a96433972"},
+    {"429.mcf mobile", "a793d9a4485c5695"},
+    {"429.mcf server", "50f82864430310a1"},
+    {"433.milc mobile", "4c9106c2523e902f"},
+    {"433.milc server", "88b2f01cf2c5a92e"},
+    {"445.gobmk mobile", "1b386861162f2048"},
+    {"445.gobmk server", "7039cc739bfe8646"},
+    {"456.hmmer mobile", "5515dc2a50663ab3"},
+    {"456.hmmer server", "3f0bd50508a40ec5"},
+    {"458.sjeng mobile", "7a30ecac93b935cb"},
+    {"458.sjeng server", "67bfdfc729f9a55e"},
+    {"462.libquantum mobile", "ff25210832156ffb"},
+    {"462.libquantum server", "0ba1793e67ae539f"},
+    {"464.h264ref mobile", "0fbc9055c5e2476f"},
+    {"464.h264ref server", "2fb28191b9ddb601"},
+    {"470.lbm mobile", "813a1abcbe3c4f27"},
+    {"470.lbm server", "a5f32a86ae997e3d"},
+    {"482.sphinx3 mobile", "e7377495ca18ca6a"},
+    {"482.sphinx3 server", "37256ff5baff15e9"},
+    {"chess mobile", "bfbdfefa2635a73e"},
+    {"chess server", "75af9120bf30be97"},
 };
 
 } // namespace
@@ -704,7 +730,7 @@ TEST(UseRule, UseInUnreachableBlockIsExemptOnBothBackends)
 }
 
 // ---------------------------------------------------------------------------
-// Differential oracle: all 17 workloads x 2 networks, solo
+// Differential oracle: all 17 workloads x 2 networks, local and ideal, solo
 // ---------------------------------------------------------------------------
 
 class CodegenOracle : public ::testing::TestWithParam<std::string>
@@ -727,6 +753,30 @@ TEST_P(CodegenOracle, CompiledMatchesInterpretedOnBothNetworks)
             backendConfig(interp::BackendKind::NativeC, slow),
             spec->evalInput);
         expectIdentical(interp_report, native_report);
+    }
+}
+
+TEST_P(CodegenOracle, CompiledMatchesInterpretedLocalAndIdeal)
+{
+    ASSERT_TRUE(codegen::toolchainAvailable());
+    const WorkloadSpec *spec = workloadById(GetParam());
+    ASSERT_NE(spec, nullptr);
+    core::Program prog = compileWorkload(*spec);
+
+    // Ideal mode swaps the mobile spec and compute state around each
+    // target; the native charge table must follow both swaps.
+    for (bool ideal : {false, true}) {
+        SCOPED_TRACE(spec->id + (ideal ? " ideal" : " local"));
+        SystemConfig interp_cfg =
+            backendConfig(interp::BackendKind::Interpreter, false);
+        SystemConfig native_cfg =
+            backendConfig(interp::BackendKind::NativeC, false);
+        for (SystemConfig *cfg : {&interp_cfg, &native_cfg}) {
+            cfg->forceLocal = !ideal;
+            cfg->idealOffload = ideal;
+        }
+        expectIdentical(prog.run(interp_cfg, spec->evalInput),
+                        prog.run(native_cfg, spec->evalInput));
     }
 }
 

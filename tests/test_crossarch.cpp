@@ -4,10 +4,12 @@
  * the memory unification must also hold for a big-endian mobile device
  * (endianness translation), a 32-bit server (no address-size
  * conversion), and a 64-bit ARM server — "to support various
- * combinations of architectures" (paper Sec. 2).
+ * combinations of architectures" (paper Sec. 2) — on both execution
+ * backends.
  */
 #include <gtest/gtest.h>
 
+#include "codegen/artifact.hpp"
 #include "core/nativeoffloader.hpp"
 
 using namespace nol;
@@ -110,6 +112,26 @@ TEST_P(CrossArch, OffloadedMatchesLocal)
     EXPECT_GT(off.offloads, 0u) << pair.name;
     EXPECT_EQ(off.exitValue, local.exitValue) << pair.name;
     EXPECT_EQ(off.console, local.console) << pair.name;
+
+    // The native-C backend must match the interpreter bit for bit on
+    // every layout: a big-endian mobile keeps its guest memory in
+    // big-endian byte order, which the generated code must not read
+    // as little-endian.
+    ASSERT_TRUE(codegen::toolchainAvailable());
+    for (const char *mode : {"local", "802.11ac", "ideal"}) {
+        SCOPED_TRACE(std::string(pair.name) + " " + mode);
+        runtime::SystemConfig cfg;
+        cfg.network = net::makeWifi80211ac();
+        cfg.forceLocal = std::string(mode) == "local";
+        cfg.idealOffload = std::string(mode) == "ideal";
+        runtime::RunReport interp_report = prog.run(cfg, input);
+        cfg.backend = interp::BackendKind::NativeC;
+        runtime::RunReport native_report = prog.run(cfg, input);
+        std::string why;
+        EXPECT_TRUE(runtime::reportsBitIdentical(interp_report,
+                                                 native_report, &why))
+            << "first divergent field: " << why;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
