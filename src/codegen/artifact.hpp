@@ -19,7 +19,7 @@
 #include <memory>
 #include <string>
 
-#include "codegen/abi.hpp"
+#include "codegen/abi.h"
 #include "codegen/cemitter.hpp"
 
 namespace nol::codegen {

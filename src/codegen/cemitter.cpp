@@ -1,7 +1,5 @@
 #include "codegen/cemitter.hpp"
 
-#include "codegen/abi.hpp"
-
 #include <cinttypes>
 #include <cstdarg>
 #include <cstddef>
@@ -10,6 +8,8 @@
 #include <cstring>
 #include <unordered_map>
 
+#include "codegen/abi.h"
+#include "interp/guestops.h"
 #include "ir/function.hpp"
 #include "ir/instruction.hpp"
 #include "support/logging.hpp"
@@ -25,54 +25,19 @@ using ir::Opcode;
 
 namespace {
 
-/**
- * The C-side half of the ABI contract in abi.hpp. Declaration-for-
- * declaration identical; see that header before touching this.
- */
-const char *kAbiPreamble = R"(#include <stddef.h>
-#include <stdint.h>
-#include <string.h>
-
-typedef struct NolVal { int64_t i; double f; } NolVal;
-typedef struct NolChargeItem {
-    uint32_t cost; uint32_t kind; uint32_t count;
-} NolChargeItem;
-typedef struct NolCost { uint64_t units; double ns; double energy; } NolCost;
-struct NolCtx;
-typedef NolVal (*NolFn)(struct NolCtx *, NolVal *);
-typedef struct NolCtx {
-    void *host;
-    const uint64_t *globals;
-    const uint64_t *fnaddrs;
-    uint64_t sp;
-    uint64_t stack_limit;
-    double *now;
-    double *energy;
-    uint64_t *units;
-    uint64_t *steps;
-    uint64_t step_limit;
-    double *seg_end;
-    const NolCost *costs;
-    uint32_t open;
-    uint32_t mem_direct;
-    const uint64_t *mem_tags;
-    uint8_t *const *mem_data;
-    _Bool *const *mem_dirty;
-    void (*charge)(struct NolCtx *, const NolChargeItem *, uint32_t,
-                   uint32_t);
-    uint64_t (*load_scalar)(struct NolCtx *, uint64_t, uint32_t);
-    void (*store_scalar)(struct NolCtx *, uint64_t, uint32_t, uint64_t);
-    NolVal (*call_external)(struct NolCtx *, uint32_t, NolVal *, uint32_t);
-    NolVal (*call_indirect)(struct NolCtx *, uint64_t, uint32_t, NolVal *,
-                            uint32_t);
-    void (*machine_asm)(struct NolCtx *, uint32_t);
-    void (*trap)(struct NolCtx *, uint32_t, uint32_t);
-} NolCtx;
-)";
+/** The ABI contract and the guest operations, as the host compiles
+ *  them; embedded at build time by src/codegen/embed.cmake. */
+const char *kAbiHeader =
+#include "abi.inc"
+    ;
+const char *kGuestOps =
+#include "guestops.inc"
+    ;
 
 /**
- * The preamble's helpers, after the layout checks and constants the
- * emitter prints from abi.hpp and PagedMemory.
+ * The preamble's charge and access helpers, after the layout checks
+ * and constants the emitter prints from the host's NolCtx and
+ * PagedMemory.
  *
  * nol_charge replays what the host's charge thunk would: per
  * occurrence, SimMachine::advanceCompute's additions in its order,
@@ -85,19 +50,6 @@ typedef struct NolCtx {
  * observer and big-endian layouts go to the host.
  */
 const char *kPreambleHelpers = R"(
-static uint64_t nol_mask(uint32_t bits) {
-    return bits >= 64 ? ~(uint64_t)0 : (((uint64_t)1 << bits) - 1);
-}
-static int64_t nol_sext(uint64_t v, uint32_t bits) {
-    uint64_t m, x;
-    if (bits >= 64) return (int64_t)v;
-    m = (uint64_t)1 << (bits - 1);
-    x = v & nol_mask(bits);
-    return (int64_t)((x ^ m) - m);
-}
-static double nol_f64(uint64_t b) {
-    double d; memcpy(&d, &b, 8); return d;
-}
 static void nol_charge(NolCtx *ctx, const NolChargeItem *nc, uint32_t n,
                        uint32_t total, uint32_t fn_id) {
     double now, energy;
@@ -240,7 +192,8 @@ f64Lit(double d)
     uint64_t bits;
     std::memcpy(&bits, &d, 8);
     char buf[40];
-    std::snprintf(buf, sizeof buf, "nol_f64(0x%016" PRIx64 "ULL)", bits);
+    std::snprintf(buf, sizeof buf, "nol_f64_from(0x%016" PRIx64 "ULL)",
+                  bits);
     return buf;
 }
 
@@ -269,8 +222,8 @@ class Emitter
     {
         Charge c{static_cast<uint32_t>(sim::opcodeCost(inst->op())),
                  static_cast<uint32_t>(sim::costKind(inst->op()))};
-        NOL_ASSERT(c.cost >= 1 && c.cost < kNolCostSlots &&
-                       c.kind < kNolCostKinds,
+        NOL_ASSERT(c.cost >= 1 && c.cost < NOL_COST_SLOTS &&
+                       c.kind < NOL_COST_KINDS,
                    "charge (%u, %u) is outside the charge table", c.cost,
                    c.kind);
         pending_.push_back(c);
@@ -333,6 +286,14 @@ class Emitter
     std::string exprI(const ir::Value *v);
     std::string exprF(const ir::Value *v);
     std::string exprWhole(const ir::Value *v);
+
+    /** Width of @p inst's first operand: its integer width, or the
+     *  pointer width for a pointer. */
+    uint32_t operandWidth(const ir::Instruction *inst) const
+    {
+        const ir::Type *ty = inst->operand(0)->type();
+        return ty->isInt() ? intWidth(ty) : dl_.spec().pointerSize * 8;
+    }
 
     std::string var(const ir::Instruction *inst)
     {
@@ -448,7 +409,7 @@ Emitter::exprWhole(const ir::Value *v)
 LoweredModule
 Emitter::run()
 {
-    out_ = kAbiPreamble;
+    out_ = kAbiHeader;
     // A field added on one side only fails the module's compile
     // instead of corrupting memory.
     line("_Static_assert(sizeof(NolCtx) == %zu, \"NolCtx size\");",
@@ -456,9 +417,9 @@ Emitter::run()
     for (const auto &field : kCtxFields)
         line("_Static_assert(offsetof(NolCtx, %s) == %zu, \"NolCtx.%s\");",
              field.name, field.offset, field.name);
-    line("enum { NOL_COST_SLOTS = %u, NOL_CACHE_WAYS = %zu, "
-         "NOL_PAGE_SIZE = %" PRIu64 " };",
-         kNolCostSlots, sim::PagedMemory::kCacheWays, sim::kPageSize);
+    line("enum { NOL_CACHE_WAYS = %zu, NOL_PAGE_SIZE = %" PRIu64 " };",
+         sim::PagedMemory::kCacheWays, sim::kPageSize);
+    out_ += kGuestOps;
     out_ += kPreambleHelpers;
     for (const auto &g : m_.globals()) {
         globalIdx_[g.get()] = lowered_.globals.size();
@@ -568,8 +529,8 @@ Emitter::emitInst(const ir::Instruction *inst, size_t fn_id)
         line("    ctx->sp = (ctx->sp - %sULL) & ~(uint64_t)%sULL;",
              std::to_string(size).c_str(),
              std::to_string(align - 1).c_str());
-        line("    if (ctx->sp < ctx->stack_limit) ctx->trap(ctx, 2, %zu);",
-             fn_id);
+        line("    if (ctx->sp < ctx->stack_limit) ctx->trap(ctx, %d, %zu);",
+             NOL_TRAP_STACK_OVERFLOW, fn_id);
         line("    s%zu = ctx->sp; s%zu_live = 1;", slot, slot);
         line("  }");
         line("  %s.i = (int64_t)s%zu;", v.c_str(), slot);
@@ -586,17 +547,14 @@ Emitter::emitInst(const ir::Instruction *inst, size_t fn_id)
             "(uint64_t)(" + exprI(inst->operand(0)) + ")";
         const ir::Type *ty = inst->accessType();
         if (ty->isFloat()) {
-            if (isF32(ty)) {
-                line("  { uint32_t b = (uint32_t)nol_load(ctx, %s, 4, %u, "
-                     "%zu); float nf;",
-                     addr.c_str(), ck, fn_id);
-                line("    memcpy(&nf, &b, 4); %s.f = (double)nf; }",
-                     v.c_str());
-            } else {
-                line("  { uint64_t b = nol_load(ctx, %s, 8, %u, %zu);",
-                     addr.c_str(), ck, fn_id);
-                line("    memcpy(&%s.f, &b, 8); }", v.c_str());
-            }
+            if (isF32(ty))
+                line("  %s.f = nol_f32_from((uint32_t)nol_load(ctx, %s, 4, "
+                     "%u, %zu));",
+                     v.c_str(), addr.c_str(), ck, fn_id);
+            else
+                line("  %s.f = nol_f64_from(nol_load(ctx, %s, 8, %u, "
+                     "%zu));",
+                     v.c_str(), addr.c_str(), ck, fn_id);
         } else if (ty->isPointer() || ty->isFunction()) {
             line("  %s.i = (int64_t)nol_load(ctx, %s, %u, %u, %zu);",
                  v.c_str(), addr.c_str(), dl_.spec().pointerSize, ck,
@@ -616,22 +574,12 @@ Emitter::emitInst(const ir::Instruction *inst, size_t fn_id)
             "(uint64_t)(" + exprI(inst->operand(1)) + ")";
         const ir::Type *ty = inst->accessType();
         if (ty->isFloat()) {
-            if (isF32(ty)) {
-                line("  { float nf = (float)(%s); uint32_t b;",
-                     exprF(inst->operand(0)).c_str());
-                line("    memcpy(&b, &nf, 4);");
-                line("    nol_store(ctx, %s, 4, (uint64_t)b, %u, %zu); }",
-                     addr.c_str(), ck, fn_id);
-            } else {
-                line("  { double d = %s; uint64_t b;",
-                     exprF(inst->operand(0)).c_str());
-                line("    memcpy(&b, &d, 8);");
-                line("    nol_store(ctx, %s, 8, b, %u, %zu); }",
-                     addr.c_str(), ck, fn_id);
-            }
+            uint32_t bytes = isF32(ty) ? 4 : 8;
+            line("  nol_store(ctx, %s, %u, nol_f%u_bits(%s), %u, %zu);",
+                 addr.c_str(), bytes, bytes * 8,
+                 exprF(inst->operand(0)).c_str(), ck, fn_id);
         } else if (ty->isPointer() || ty->isFunction()) {
-            line("  nol_store(ctx, %s, %u, (uint64_t)(%s) & nol_mask(%u), "
-                 "%u, %zu);",
+            line("  nol_store(ctx, %s, %u, nol_low(%s, %u), %u, %zu);",
                  addr.c_str(), dl_.spec().pointerSize,
                  exprI(inst->operand(0)).c_str(), ptr_bits, ck, fn_id);
         } else {
@@ -643,203 +591,51 @@ Emitter::emitInst(const ir::Instruction *inst, size_t fn_id)
         }
         break;
       }
-      case Opcode::Add:
-      case Opcode::Sub:
-      case Opcode::Mul:
-      case Opcode::SDiv:
-      case Opcode::UDiv:
-      case Opcode::SRem:
-      case Opcode::URem:
-      case Opcode::And:
-      case Opcode::Or:
-      case Opcode::Xor:
-      case Opcode::Shl:
-      case Opcode::LShr:
-      case Opcode::AShr: {
-        std::string v = var(inst);
-        uint32_t width = intWidth(inst->type());
-        uint32_t shift_mask = width == 1 ? 0 : width - 1;
-        line("  { int64_t ba = %s, bb = %s;",
-             exprI(inst->operand(0)).c_str(),
-             exprI(inst->operand(1)).c_str());
-        // Arithmetic runs on uint64 (defined wrap) and the result is
-        // sign-extended to the type width — bitwise identical to the
-        // interpreter's int64 arithmetic on canonical values. Signed
-        // division by -1 negates, so INT64_MIN / -1 wraps instead of
-        // trapping.
-        switch (inst->op()) {
-          case Opcode::Add:
-            line("    %s.i = nol_sext((uint64_t)ba + (uint64_t)bb, %u); }",
-                 v.c_str(), width);
-            break;
-          case Opcode::Sub:
-            line("    %s.i = nol_sext((uint64_t)ba - (uint64_t)bb, %u); }",
-                 v.c_str(), width);
-            break;
-          case Opcode::Mul:
-            line("    %s.i = nol_sext((uint64_t)ba * (uint64_t)bb, %u); }",
-                 v.c_str(), width);
-            break;
-          case Opcode::SDiv:
-            line("    if (bb == 0) ctx->trap(ctx, 0, %zu);", fn_id);
-            line("    %s.i = nol_sext(bb == -1 ? 0 - (uint64_t)ba : "
-                 "(uint64_t)(ba / bb), %u); }",
-                 v.c_str(), width);
-            break;
-          case Opcode::UDiv:
-            line("    { uint64_t ua = (uint64_t)ba & nol_mask(%u), ub = "
-                 "(uint64_t)bb & nol_mask(%u);",
-                 width, width);
-            line("      if (ub == 0) ctx->trap(ctx, 0, %zu);", fn_id);
-            line("      %s.i = nol_sext(ua / ub, %u); } }", v.c_str(),
-                 width);
-            break;
-          case Opcode::SRem:
-            line("    if (bb == 0) ctx->trap(ctx, 1, %zu);", fn_id);
-            line("    %s.i = nol_sext(bb == -1 ? 0 : (uint64_t)(ba %% bb), "
-                 "%u); }",
-                 v.c_str(), width);
-            break;
-          case Opcode::URem:
-            line("    { uint64_t ua = (uint64_t)ba & nol_mask(%u), ub = "
-                 "(uint64_t)bb & nol_mask(%u);",
-                 width, width);
-            line("      if (ub == 0) ctx->trap(ctx, 1, %zu);", fn_id);
-            line("      %s.i = nol_sext(ua %% ub, %u); } }", v.c_str(),
-                 width);
-            break;
-          case Opcode::And:
-            line("    %s.i = nol_sext((uint64_t)(ba & bb), %u); }",
-                 v.c_str(), width);
-            break;
-          case Opcode::Or:
-            line("    %s.i = nol_sext((uint64_t)(ba | bb), %u); }",
-                 v.c_str(), width);
-            break;
-          case Opcode::Xor:
-            line("    %s.i = nol_sext((uint64_t)(ba ^ bb), %u); }",
-                 v.c_str(), width);
-            break;
-          case Opcode::Shl:
-            line("    { uint64_t ua = (uint64_t)ba & nol_mask(%u);", width);
-            line("      uint64_t sh = ((uint64_t)bb & nol_mask(%u)) & %u;",
-                 width, shift_mask);
-            line("      %s.i = nol_sext(ua << sh, %u); } }", v.c_str(),
-                 width);
-            break;
-          case Opcode::LShr:
-            line("    { uint64_t ua = (uint64_t)ba & nol_mask(%u);", width);
-            line("      uint64_t sh = ((uint64_t)bb & nol_mask(%u)) & %u;",
-                 width, shift_mask);
-            line("      %s.i = nol_sext(ua >> sh, %u); } }", v.c_str(),
-                 width);
-            break;
-          case Opcode::AShr:
-            line("    { uint64_t ua = (uint64_t)ba & nol_mask(%u);", width);
-            line("      uint64_t sh = ((uint64_t)bb & nol_mask(%u)) & %u;",
-                 width, shift_mask);
-            line("      %s.i = nol_sext((uint64_t)(nol_sext(ua, %u) >> "
-                 "sh), %u); } }",
-                 v.c_str(), width, width);
-            break;
-          default:
-            break;
-        }
+      // ---- Guest operations: a call of guestops.h's helper ------------
+#define NOL_INT_CASE(OP, FN)                                               \
+      case Opcode::OP:                                                     \
+        line("  %s.i = " #FN "(%s, %s, %u);", var(inst).c_str(),           \
+             exprI(inst->operand(0)).c_str(),                              \
+             exprI(inst->operand(1)).c_str(), operandWidth(inst));         \
         break;
-      }
-      case Opcode::FAdd:
-      case Opcode::FSub:
-      case Opcode::FMul:
-      case Opcode::FDiv: {
-        std::string v = var(inst);
-        const char *op = inst->op() == Opcode::FAdd   ? "+"
-                         : inst->op() == Opcode::FSub ? "-"
-                         : inst->op() == Opcode::FMul ? "*"
-                                                      : "/";
-        line("  { double fr = (%s) %s (%s);",
-             exprF(inst->operand(0)).c_str(), op,
-             exprF(inst->operand(1)).c_str());
-        if (isF32(inst->type()))
-            line("    %s.f = (double)(float)fr; }", v.c_str());
-        else
-            line("    %s.f = fr; }", v.c_str());
+      NOL_GUEST_INT_OPS(NOL_INT_CASE)
+#undef NOL_INT_CASE
+#define NOL_DIV_CASE(OP, FN)                                               \
+      case Opcode::OP:                                                     \
+        line("  { uint32_t t = " #FN "(%s, %s, %u, &%s.i);",              \
+             exprI(inst->operand(0)).c_str(),                              \
+             exprI(inst->operand(1)).c_str(), operandWidth(inst),          \
+             var(inst).c_str());                                           \
+        line("    if (t) ctx->trap(ctx, t, %zu); }", fn_id);               \
         break;
-      }
-      case Opcode::ICmpEq:
-      case Opcode::ICmpNe:
-      case Opcode::ICmpSlt:
-      case Opcode::ICmpSle:
-      case Opcode::ICmpSgt:
-      case Opcode::ICmpSge:
-      case Opcode::ICmpUlt:
-      case Opcode::ICmpUle:
-      case Opcode::ICmpUgt:
-      case Opcode::ICmpUge: {
-        std::string v = var(inst);
-        const ir::Type *opty = inst->operand(0)->type();
-        uint32_t width = opty->isInt() ? intWidth(opty) : ptr_bits;
-        bool is_signed = false;
-        const char *op = "==";
-        switch (inst->op()) {
-          case Opcode::ICmpEq: op = "=="; break;
-          case Opcode::ICmpNe: op = "!="; break;
-          case Opcode::ICmpSlt: op = "<"; is_signed = true; break;
-          case Opcode::ICmpSle: op = "<="; is_signed = true; break;
-          case Opcode::ICmpSgt: op = ">"; is_signed = true; break;
-          case Opcode::ICmpSge: op = ">="; is_signed = true; break;
-          case Opcode::ICmpUlt: op = "<"; break;
-          case Opcode::ICmpUle: op = "<="; break;
-          case Opcode::ICmpUgt: op = ">"; break;
-          case Opcode::ICmpUge: op = ">="; break;
-          default: break;
-        }
-        if (is_signed) {
-            // Signed compares run on the canonical (sign-extended)
-            // int64 values, exactly like the interpreter.
-            line("  %s.i = ((%s) %s (%s)) ? 1 : 0;", v.c_str(),
-                 exprI(inst->operand(0)).c_str(), op,
-                 exprI(inst->operand(1)).c_str());
-        } else {
-            line("  %s.i = (((uint64_t)(%s) & nol_mask(%u)) %s "
-                 "((uint64_t)(%s) & nol_mask(%u))) ? 1 : 0;",
-                 v.c_str(), exprI(inst->operand(0)).c_str(), width, op,
-                 exprI(inst->operand(1)).c_str(), width);
-        }
+      NOL_GUEST_DIV_OPS(NOL_DIV_CASE)
+#undef NOL_DIV_CASE
+#define NOL_FLOAT_CASE(OP, FN)                                             \
+      case Opcode::OP:                                                     \
+        line("  %s.f = " #FN "(%s, %s, %d);", var(inst).c_str(),           \
+             exprF(inst->operand(0)).c_str(),                              \
+             exprF(inst->operand(1)).c_str(), isF32(inst->type()));        \
         break;
-      }
-      case Opcode::FCmpEq:
-      case Opcode::FCmpNe:
-      case Opcode::FCmpLt:
-      case Opcode::FCmpLe:
-      case Opcode::FCmpGt:
-      case Opcode::FCmpGe: {
-        std::string v = var(inst);
-        const char *op = "==";
-        switch (inst->op()) {
-          case Opcode::FCmpEq: op = "=="; break;
-          case Opcode::FCmpNe: op = "!="; break;
-          case Opcode::FCmpLt: op = "<"; break;
-          case Opcode::FCmpLe: op = "<="; break;
-          case Opcode::FCmpGt: op = ">"; break;
-          case Opcode::FCmpGe: op = ">="; break;
-          default: break;
-        }
-        line("  %s.i = ((%s) %s (%s)) ? 1 : 0;", v.c_str(),
-             exprF(inst->operand(0)).c_str(), op,
-             exprF(inst->operand(1)).c_str());
+      NOL_GUEST_FLOAT_OPS(NOL_FLOAT_CASE)
+#undef NOL_FLOAT_CASE
+#define NOL_FCMP_CASE(OP, FN)                                              \
+      case Opcode::OP:                                                     \
+        line("  %s.i = " #FN "(%s, %s);", var(inst).c_str(),               \
+             exprF(inst->operand(0)).c_str(),                              \
+             exprF(inst->operand(1)).c_str());                             \
         break;
-      }
+      NOL_GUEST_FCMP_OPS(NOL_FCMP_CASE)
+#undef NOL_FCMP_CASE
       case Opcode::Trunc:
-        line("  %s.i = nol_sext((uint64_t)(%s), %u);", var(inst).c_str(),
+      case Opcode::PtrToInt:
+        line("  %s.i = nol_trunc(%s, %u);", var(inst).c_str(),
              exprI(inst->operand(0)).c_str(), intWidth(inst->type()));
         break;
-      case Opcode::ZExt: {
-        uint32_t src_w = intWidth(inst->operand(0)->type());
-        line("  %s.i = nol_sext((uint64_t)(%s) & nol_mask(%u), %u);",
-             var(inst).c_str(), exprI(inst->operand(0)).c_str(), src_w,
+      case Opcode::ZExt:
+        line("  %s.i = nol_zext(%s, %u, %u);", var(inst).c_str(),
+             exprI(inst->operand(0)).c_str(), operandWidth(inst),
              intWidth(inst->type()));
         break;
-      }
       case Opcode::SExt:
       case Opcode::FPExt:
       case Opcode::Bitcast:
@@ -848,29 +644,20 @@ Emitter::emitInst(const ir::Instruction *inst, size_t fn_id)
              exprWhole(inst->operand(0)).c_str());
         break;
       case Opcode::FPToSI:
-        line("  %s.i = nol_sext((uint64_t)(int64_t)(%s), %u);",
-             var(inst).c_str(), exprF(inst->operand(0)).c_str(),
-             intWidth(inst->type()));
+        line("  %s.i = nol_fptosi(%s, %u);", var(inst).c_str(),
+             exprF(inst->operand(0)).c_str(), intWidth(inst->type()));
         break;
       case Opcode::SIToFP:
-        if (isF32(inst->type()))
-            line("  %s.f = (double)(float)(double)(%s);",
-                 var(inst).c_str(), exprI(inst->operand(0)).c_str());
-        else
-            line("  %s.f = (double)(%s);", var(inst).c_str(),
-                 exprI(inst->operand(0)).c_str());
+        line("  %s.f = nol_sitofp(%s, %d);", var(inst).c_str(),
+             exprI(inst->operand(0)).c_str(), isF32(inst->type()));
         break;
       case Opcode::FPTrunc:
-        line("  %s.f = (double)(float)(%s);", var(inst).c_str(),
+        line("  %s.f = nol_fptrunc(%s);", var(inst).c_str(),
              exprF(inst->operand(0)).c_str());
         break;
-      case Opcode::PtrToInt:
-        line("  %s.i = nol_sext((uint64_t)(%s), %u);", var(inst).c_str(),
-             exprI(inst->operand(0)).c_str(), intWidth(inst->type()));
-        break;
       case Opcode::IntToPtr:
-        line("  %s.i = (int64_t)((uint64_t)(%s) & nol_mask(%u));",
-             var(inst).c_str(), exprI(inst->operand(0)).c_str(), ptr_bits);
+        line("  %s.i = nol_inttoptr(%s, %u);", var(inst).c_str(),
+             exprI(inst->operand(0)).c_str(), ptr_bits);
         break;
       case Opcode::FieldAddr: {
         uint64_t off = dl_.fieldOffset(inst->structType(),
@@ -973,7 +760,7 @@ Emitter::emitInst(const ir::Instruction *inst, size_t fn_id)
         break;
       case Opcode::Unreachable:
         flushCharges(fn_id);
-        line("  ctx->trap(ctx, 3, %zu);", fn_id);
+        line("  ctx->trap(ctx, %d, %zu);", NOL_TRAP_UNREACHABLE, fn_id);
         line("  return (NolVal){0, 0.0};");
         break;
     }

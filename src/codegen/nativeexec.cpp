@@ -139,10 +139,10 @@ NativeExec::sync()
     if (!std::equal(key, key + 4, costs_key_)) {
         std::copy(key, key + 4, costs_key_);
         costs_positive_ = true;
-        for (uint32_t kind = 0; kind < kNolCostKinds; ++kind) {
-            for (uint32_t cost = 1; cost < kNolCostSlots; ++cost) {
+        for (uint32_t kind = 0; kind < NOL_COST_KINDS; ++kind) {
+            for (uint32_t cost = 1; cost < NOL_COST_SLOTS; ++cost) {
                 // advanceCompute's operands, computed as it does.
-                NolCost &c = costs_[kind * kNolCostSlots + cost];
+                NolCost &c = costs_[kind * NOL_COST_SLOTS + cost];
                 c.units = sim::scaledCost(
                     cost, static_cast<sim::CostKind>(kind), spec);
                 c.ns = static_cast<double>(c.units) * spec.nsPerCostUnit;
@@ -264,17 +264,7 @@ void
 NativeExec::trapThunk(NolCtx *ctx, uint32_t kind, uint32_t fn_id)
 {
     auto *self = static_cast<NativeExec *>(ctx->host);
-    switch (kind) {
-      case kTrapDivZero:
-        fatal("guest division by zero");
-      case kTrapRemZero:
-        fatal("guest remainder by zero");
-      case kTrapStackOverflow:
-        fatal("guest stack overflow in %s", self->fnName(fn_id));
-      case kTrapUnreachable:
-      default:
-        panic("guest reached 'unreachable' in %s", self->fnName(fn_id));
-    }
+    raiseTrap(kind, self->fnName(fn_id));
 }
 
 } // namespace nol::codegen

@@ -16,7 +16,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "codegen/abi.hpp"
+#include "codegen/abi.h"
 #include "codegen/artifact.hpp"
 #include "codegen/cemitter.hpp"
 #include "interp/execbackend.hpp"
@@ -91,7 +91,7 @@ class NativeExec final : public interp::ExecBackend
      *  compute-state rate. NaN never matches, so it forces a rebuild. */
     double costs_key_[4] = {NAN, NAN, NAN, NAN};
     bool costs_positive_ = false; ///< every entry's ns > 0
-    NolCost costs_[kNolCostKinds * kNolCostSlots] = {};
+    NolCost costs_[NOL_COST_KINDS * NOL_COST_SLOTS] = {};
     NolCtx ctx_{};
 };
 

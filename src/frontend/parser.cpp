@@ -93,6 +93,36 @@ class Parser
               what.c_str());
     }
 
+    /** Nesting levels taken while one construct is parsed; see
+     *  kMaxNesting. */
+    class Nest
+    {
+      public:
+        /** Take one level now if @p enter, else only on deeper(). */
+        explicit Nest(Parser &p, bool enter = true) : p_(p)
+        {
+            if (enter)
+                deeper();
+        }
+        ~Nest() { p_.depth_ -= levels_; }
+        Nest(const Nest &) = delete;
+        Nest &operator=(const Nest &) = delete;
+
+        void
+        deeper()
+        {
+            ++levels_;
+            if (++p_.depth_ > kMaxNesting) {
+                p_.error("nesting deeper than " +
+                         std::to_string(kMaxNesting) + " levels");
+            }
+        }
+
+      private:
+        Parser &p_;
+        int levels_ = 0;
+    };
+
     // --- Type recognition ----------------------------------------------------
     bool
     startsType(const Token &tok) const
@@ -198,13 +228,17 @@ class Parser
     std::unique_ptr<TypeExpr>
     parseDeclarator(std::unique_ptr<TypeExpr> base, std::string *name_out)
     {
+        Nest nest(*this, false);
         int stars = 0;
-        while (match(Tok::Star))
+        while (match(Tok::Star)) {
+            nest.deeper();
             ++stars;
+        }
         base = wrapPointers(std::move(base), stars);
 
         // Pointer-to-function: (*name)(params)
         if (check(Tok::LParen) && peek(1).kind == Tok::Star) {
+            nest.deeper();
             advance(); // (
             advance(); // *
             if (name_out != nullptr && check(Tok::Identifier))
@@ -246,6 +280,7 @@ class Parser
         // Array suffixes, innermost dimension last.
         std::vector<int64_t> dims;
         while (match(Tok::LBracket)) {
+            nest.deeper();
             dims.push_back(parseArraySize());
             expect(Tok::RBracket, "after array size");
         }
@@ -479,6 +514,7 @@ class Parser
     std::unique_ptr<Init>
     parseInit()
     {
+        Nest nest(*this);
         auto init = std::make_unique<Init>();
         init->line = peek().line;
         if (match(Tok::LBrace)) {
@@ -513,6 +549,7 @@ class Parser
     std::unique_ptr<Stmt>
     parseStmt()
     {
+        Nest nest(*this);
         int line = peek().line;
         switch (peek().kind) {
           case Tok::LBrace:
@@ -692,6 +729,7 @@ class Parser
           case Tok::CaretAssign:
           case Tok::ShlAssign:
           case Tok::ShrAssign: {
+            Nest nest(*this);
             auto expr = std::make_unique<Expr>(ExprKind::Assign);
             expr->line = peek().line;
             expr->op = advance().kind;
@@ -710,6 +748,7 @@ class Parser
         auto cond = parseBinary(0);
         if (!match(Tok::Question))
             return cond;
+        Nest nest(*this);
         auto expr = std::make_unique<Expr>(ExprKind::Conditional);
         expr->line = peek().line;
         expr->lhs = std::move(cond);
@@ -750,10 +789,12 @@ class Parser
     parseBinary(int min_prec)
     {
         auto lhs = parseUnary();
+        Nest chain(*this, false);
         while (true) {
             int prec = precedence(peek().kind);
             if (prec < 0 || prec < min_prec)
                 return lhs;
+            chain.deeper();
             Tok op = advance().kind;
             auto rhs = parseBinary(prec + 1);
             auto expr = std::make_unique<Expr>(ExprKind::Binary);
@@ -768,6 +809,7 @@ class Parser
     std::unique_ptr<Expr>
     parseUnary()
     {
+        Nest nest(*this);
         int line = peek().line;
         switch (peek().kind) {
           case Tok::Minus:
@@ -832,6 +874,7 @@ class Parser
     parsePostfix()
     {
         auto expr = parsePrimary();
+        Nest chain(*this, false);
         while (true) {
             int line = peek().line;
             if (match(Tok::LParen)) {
@@ -875,6 +918,7 @@ class Parser
             } else {
                 return expr;
             }
+            chain.deeper();
         }
     }
 
@@ -922,6 +966,7 @@ class Parser
     std::vector<Token> toks_;
     std::string unit_;
     size_t pos_ = 0;
+    int depth_ = 0; ///< nesting levels taken; see Nest
     std::set<std::string> typedefs_;
     std::set<std::string> struct_names_;
     std::map<std::string, std::string> struct_aliases_;

@@ -4,6 +4,7 @@
 
 #include "arch/endian.hpp"
 #include "frontend/builtins.hpp"
+#include "interp/guestops.h"
 #include "sim/costmodel.hpp"
 
 namespace nol::interp {
@@ -51,6 +52,21 @@ ExecBackend::chargeExternalCall(const ir::Function &callee)
                                machine_.spec());
     }
     machine_.advanceCompute(cost);
+}
+
+void
+ExecBackend::raiseTrap(uint32_t kind, const char *fn_name)
+{
+    switch (kind) {
+      case NOL_TRAP_DIV_ZERO:
+        fatal("guest division by zero");
+      case NOL_TRAP_REM_ZERO:
+        fatal("guest remainder by zero");
+      case NOL_TRAP_STACK_OVERFLOW:
+        fatal("guest stack overflow in %s", fn_name);
+      default:
+        panic("guest reached 'unreachable' in %s", fn_name);
+    }
 }
 
 std::string

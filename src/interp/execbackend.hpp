@@ -190,6 +190,10 @@ class ExecBackend
 
     static constexpr uint64_t kUnlistedCallCost = 25;
 
+    /** Raise guest trap @p kind (a NOL_TRAP_* of guestops.h) in function
+     *  @p fn_name: a FatalError, or a PanicError for 'unreachable'. */
+    [[noreturn]] static void raiseTrap(uint32_t kind, const char *fn_name);
+
     sim::SimMachine &machine_;
     const ir::Module &module_;
     const ProgramImage &image_;

@@ -1,9 +1,9 @@
 #include "interp/interp.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "arch/endian.hpp"
+#include "interp/guestops.h"
 #include "ir/verifier.hpp"
 #include "sim/costmodel.hpp"
 
@@ -37,8 +37,8 @@ struct Op {
     uint32_t a = 0, b = 0, c = 0;
     /** Alloca: size. FieldAddr: offset. IndexAddr: stride. ZExt and
      *  integer Load/Store: source width in bits. IntToPtr and pointer
-     *  Load/Store: address mask. Calls: first argument in argSlots.
-     *  Switch: first case in cases. */
+     *  Load/Store: pointer width in bits. Calls: first argument in
+     *  argSlots. Switch: first case in cases. */
     uint64_t imm = 0;
     const ir::Instruction *inst = nullptr;
 };
@@ -213,7 +213,7 @@ Interp::decode(ir::Function &fn) const
                 } else if (acc->isPointer() || acc->isFunction()) {
                     op.aux = static_cast<uint8_t>(Access::Ptr);
                     op.width = ptrSize();
-                    op.imm = maskOf(ptr_bits);
+                    op.imm = ptr_bits;
                 } else {
                     op.aux = static_cast<uint8_t>(Access::Int);
                     op.imm = intWidth(acc);
@@ -239,7 +239,7 @@ Interp::decode(ir::Function &fn) const
                 op.imm = intWidth(inst.operand(0)->type());
                 break;
               case Opcode::IntToPtr:
-                op.imm = maskOf(ptr_bits);
+                op.imm = ptr_bits;
                 break;
               case Opcode::FieldAddr:
                 op.imm = dl_.fieldOffset(inst.structType(),
@@ -402,7 +402,7 @@ Interp::execFunction(ir::Function *fn, const RtVal *args,
             if (addr == 0) { // loop re-entry reuses the slot
                 sp_ = (sp_ - op.imm) & ~(static_cast<uint64_t>(op.b) - 1);
                 if (sp_ < machine_.stackBase() - sim::kStackSize)
-                    fatal("guest stack overflow in %s", fn->name().c_str());
+                    raiseTrap(NOL_TRAP_STACK_OVERFLOW, fn->name().c_str());
                 addr = sp_;
             }
             s[op.dst] = RtVal::ofPtr(addr);
@@ -412,24 +412,19 @@ Interp::execFunction(ir::Function *fn, const RtVal *args,
             uint64_t addr = s[op.a].ptr();
             RtVal out;
             switch (static_cast<Access>(op.aux)) {
-              case Access::F32: {
-                uint32_t bits = static_cast<uint32_t>(loadScalarAt(addr, 4));
-                float narrow;
-                std::memcpy(&narrow, &bits, 4);
-                out.f = narrow;
+              case Access::F32:
+                out.f = nol_f32_from(
+                    static_cast<uint32_t>(loadScalarAt(addr, 4)));
                 break;
-              }
-              case Access::F64: {
-                uint64_t bits = loadScalarAt(addr, 8);
-                std::memcpy(&out.f, &bits, 8);
+              case Access::F64:
+                out.f = nol_f64_from(loadScalarAt(addr, 8));
                 break;
-              }
               case Access::Ptr:
                 out.i = static_cast<int64_t>(loadScalarAt(addr, op.width));
                 break;
               case Access::Int:
-                out.i = signExtend(loadScalarAt(addr, op.width),
-                                   static_cast<uint32_t>(op.imm));
+                out.i = nol_sext(loadScalarAt(addr, op.width),
+                                 static_cast<uint32_t>(op.imm));
                 break;
             }
             s[op.dst] = out;
@@ -439,21 +434,15 @@ Interp::execFunction(ir::Function *fn, const RtVal *args,
             const RtVal &value = s[op.a];
             uint64_t addr = s[op.b].ptr();
             switch (static_cast<Access>(op.aux)) {
-              case Access::F32: {
-                float narrow = static_cast<float>(value.f);
-                uint32_t bits;
-                std::memcpy(&bits, &narrow, 4);
-                storeScalarAt(addr, 4, bits);
+              case Access::F32:
+                storeScalarAt(addr, 4, nol_f32_bits(value.f));
                 break;
-              }
-              case Access::F64: {
-                uint64_t bits;
-                std::memcpy(&bits, &value.f, 8);
-                storeScalarAt(addr, 8, bits);
+              case Access::F64:
+                storeScalarAt(addr, 8, nol_f64_bits(value.f));
                 break;
-              }
               case Access::Ptr:
-                storeScalarAt(addr, op.width, value.ptr() & op.imm);
+                storeScalarAt(addr, op.width,
+                              nol_low(value.i, static_cast<uint32_t>(op.imm)));
                 break;
               case Access::Int:
                 storeScalarAt(addr, op.width,
@@ -462,169 +451,42 @@ Interp::execFunction(ir::Function *fn, const RtVal *args,
             }
             break;
           }
-          // ---- Integer arithmetic ------------------------------------
-          // Guest integers wrap: add/sub/mul run unsigned, since signed
-          // overflow is undefined on the host.
-          case Opcode::Add:
-            s[op.dst] = RtVal::ofInt(signExtend(
-                static_cast<uint64_t>(s[op.a].i) +
-                    static_cast<uint64_t>(s[op.b].i),
-                op.width));
+          // ---- Guest operations: a direct call of guestops.h's helper -
+#define NOL_INT_CASE(OP, FN)                                             \
+          case Opcode::OP:                                               \
+            s[op.dst] = RtVal::ofInt(FN(s[op.a].i, s[op.b].i, op.width)); \
             break;
-          case Opcode::Sub:
-            s[op.dst] = RtVal::ofInt(signExtend(
-                static_cast<uint64_t>(s[op.a].i) -
-                    static_cast<uint64_t>(s[op.b].i),
-                op.width));
-            break;
-          case Opcode::Mul:
-            s[op.dst] = RtVal::ofInt(signExtend(
-                static_cast<uint64_t>(s[op.a].i) *
-                    static_cast<uint64_t>(s[op.b].i),
-                op.width));
-            break;
-          // Dividing by -1 negates, and wraps INT64_MIN / -1 to
-          // INT64_MIN (remainder 0) where the host division would trap.
-          case Opcode::SDiv: {
-            int64_t a = s[op.a].i;
-            int64_t b = s[op.b].i;
-            if (b == 0)
-                fatal("guest division by zero");
-            uint64_t q = b == -1 ? 0 - static_cast<uint64_t>(a)
-                                 : static_cast<uint64_t>(a / b);
-            s[op.dst] = RtVal::ofInt(signExtend(q, op.width));
-            break;
+          NOL_GUEST_INT_OPS(NOL_INT_CASE)
+#undef NOL_INT_CASE
+#define NOL_DIV_CASE(OP, FN)                                             \
+          case Opcode::OP: {                                             \
+            int64_t r = 0;                                               \
+            if (uint32_t trap = FN(s[op.a].i, s[op.b].i, op.width, &r))  \
+                raiseTrap(trap, fn->name().c_str());                     \
+            s[op.dst] = RtVal::ofInt(r);                                 \
+            break;                                                       \
           }
-          case Opcode::SRem: {
-            int64_t a = s[op.a].i;
-            int64_t b = s[op.b].i;
-            if (b == 0)
-                fatal("guest remainder by zero");
-            uint64_t r = b == -1 ? 0 : static_cast<uint64_t>(a % b);
-            s[op.dst] = RtVal::ofInt(signExtend(r, op.width));
+          NOL_GUEST_DIV_OPS(NOL_DIV_CASE)
+#undef NOL_DIV_CASE
+#define NOL_FLOAT_CASE(OP, FN)                                           \
+          case Opcode::OP:                                               \
+            s[op.dst] = RtVal::ofFloat(FN(s[op.a].f, s[op.b].f, op.aux)); \
             break;
-          }
-          case Opcode::UDiv:
-          case Opcode::URem: {
-            uint64_t ua = static_cast<uint64_t>(s[op.a].i) & maskOf(op.width);
-            uint64_t ub = static_cast<uint64_t>(s[op.b].i) & maskOf(op.width);
-            if (ub == 0) {
-                fatal(op.op == Opcode::UDiv ? "guest division by zero"
-                                            : "guest remainder by zero");
-            }
-            s[op.dst] = RtVal::ofInt(signExtend(
-                op.op == Opcode::UDiv ? ua / ub : ua % ub, op.width));
+          NOL_GUEST_FLOAT_OPS(NOL_FLOAT_CASE)
+#undef NOL_FLOAT_CASE
+#define NOL_FCMP_CASE(OP, FN)                                            \
+          case Opcode::OP:                                               \
+            s[op.dst] = RtVal::ofInt(FN(s[op.a].f, s[op.b].f));          \
             break;
-          }
-          case Opcode::And:
-            s[op.dst] = RtVal::ofInt(signExtend(
-                static_cast<uint64_t>(s[op.a].i & s[op.b].i), op.width));
-            break;
-          case Opcode::Or:
-            s[op.dst] = RtVal::ofInt(signExtend(
-                static_cast<uint64_t>(s[op.a].i | s[op.b].i), op.width));
-            break;
-          case Opcode::Xor:
-            s[op.dst] = RtVal::ofInt(signExtend(
-                static_cast<uint64_t>(s[op.a].i ^ s[op.b].i), op.width));
-            break;
-          case Opcode::Shl:
-          case Opcode::LShr:
-          case Opcode::AShr: {
-            uint64_t ua = static_cast<uint64_t>(s[op.a].i) & maskOf(op.width);
-            uint64_t shift = static_cast<uint64_t>(s[op.b].i) &
-                             maskOf(op.width) &
-                             (op.width == 1 ? 0 : op.width - 1);
-            int64_t r;
-            if (op.op == Opcode::Shl)
-                r = static_cast<int64_t>(ua << shift);
-            else if (op.op == Opcode::LShr)
-                r = static_cast<int64_t>(ua >> shift);
-            else
-                r = signExtend(ua, op.width) >> shift;
-            s[op.dst] =
-                RtVal::ofInt(signExtend(static_cast<uint64_t>(r), op.width));
-            break;
-          }
-          // ---- Float arithmetic ---------------------------------------
-          case Opcode::FAdd:
-          case Opcode::FSub:
-          case Opcode::FMul:
-          case Opcode::FDiv: {
-            double a = s[op.a].f;
-            double b = s[op.b].f;
-            double r = op.op == Opcode::FAdd   ? a + b
-                       : op.op == Opcode::FSub ? a - b
-                       : op.op == Opcode::FMul ? a * b
-                                               : a / b;
-            if (op.aux)
-                r = static_cast<float>(r);
-            s[op.dst] = RtVal::ofFloat(r);
-            break;
-          }
-          // ---- Comparisons ---------------------------------------------
-          case Opcode::ICmpEq:
-          case Opcode::ICmpNe:
-          case Opcode::ICmpSlt:
-          case Opcode::ICmpSle:
-          case Opcode::ICmpSgt:
-          case Opcode::ICmpSge:
-          case Opcode::ICmpUlt:
-          case Opcode::ICmpUle:
-          case Opcode::ICmpUgt:
-          case Opcode::ICmpUge: {
-            int64_t a = s[op.a].i;
-            int64_t b = s[op.b].i;
-            uint64_t ua = static_cast<uint64_t>(a) & maskOf(op.width);
-            uint64_t ub = static_cast<uint64_t>(b) & maskOf(op.width);
-            bool r = false;
-            switch (op.op) {
-              case Opcode::ICmpEq: r = ua == ub; break;
-              case Opcode::ICmpNe: r = ua != ub; break;
-              case Opcode::ICmpSlt: r = a < b; break;
-              case Opcode::ICmpSle: r = a <= b; break;
-              case Opcode::ICmpSgt: r = a > b; break;
-              case Opcode::ICmpSge: r = a >= b; break;
-              case Opcode::ICmpUlt: r = ua < ub; break;
-              case Opcode::ICmpUle: r = ua <= ub; break;
-              case Opcode::ICmpUgt: r = ua > ub; break;
-              case Opcode::ICmpUge: r = ua >= ub; break;
-              default: break;
-            }
-            s[op.dst] = RtVal::ofInt(r ? 1 : 0);
-            break;
-          }
-          case Opcode::FCmpEq:
-          case Opcode::FCmpNe:
-          case Opcode::FCmpLt:
-          case Opcode::FCmpLe:
-          case Opcode::FCmpGt:
-          case Opcode::FCmpGe: {
-            double a = s[op.a].f;
-            double b = s[op.b].f;
-            bool r = false;
-            switch (op.op) {
-              case Opcode::FCmpEq: r = a == b; break;
-              case Opcode::FCmpNe: r = a != b; break;
-              case Opcode::FCmpLt: r = a < b; break;
-              case Opcode::FCmpLe: r = a <= b; break;
-              case Opcode::FCmpGt: r = a > b; break;
-              case Opcode::FCmpGe: r = a >= b; break;
-              default: break;
-            }
-            s[op.dst] = RtVal::ofInt(r ? 1 : 0);
-            break;
-          }
-          // ---- Conversions ---------------------------------------------
+          NOL_GUEST_FCMP_OPS(NOL_FCMP_CASE)
+#undef NOL_FCMP_CASE
           case Opcode::Trunc:
-            s[op.dst] = RtVal::ofInt(
-                signExtend(static_cast<uint64_t>(s[op.a].i), op.width));
+          case Opcode::PtrToInt:
+            s[op.dst] = RtVal::ofInt(nol_trunc(s[op.a].i, op.width));
             break;
           case Opcode::ZExt:
-            s[op.dst] = RtVal::ofInt(signExtend(
-                static_cast<uint64_t>(s[op.a].i) &
-                    maskOf(static_cast<uint32_t>(op.imm)),
-                op.width));
+            s[op.dst] = RtVal::ofInt(nol_zext(
+                s[op.a].i, static_cast<uint32_t>(op.imm), op.width));
             break;
           case Opcode::SExt:
           case Opcode::FPExt:
@@ -632,26 +494,17 @@ Interp::execFunction(ir::Function *fn, const RtVal *args,
             s[op.dst] = s[op.a];
             break;
           case Opcode::FPToSI:
-            s[op.dst] = RtVal::ofInt(signExtend(
-                static_cast<uint64_t>(static_cast<int64_t>(s[op.a].f)),
-                op.width));
+            s[op.dst] = RtVal::ofInt(nol_fptosi(s[op.a].f, op.width));
             break;
-          case Opcode::SIToFP: {
-            double r = static_cast<double>(s[op.a].i);
-            if (op.aux)
-                r = static_cast<float>(r);
-            s[op.dst] = RtVal::ofFloat(r);
+          case Opcode::SIToFP:
+            s[op.dst] = RtVal::ofFloat(nol_sitofp(s[op.a].i, op.aux));
             break;
-          }
           case Opcode::FPTrunc:
-            s[op.dst] = RtVal::ofFloat(static_cast<float>(s[op.a].f));
-            break;
-          case Opcode::PtrToInt:
-            s[op.dst] = RtVal::ofInt(signExtend(s[op.a].ptr(), op.width));
+            s[op.dst] = RtVal::ofFloat(nol_fptrunc(s[op.a].f));
             break;
           case Opcode::IntToPtr:
-            s[op.dst] =
-                RtVal::ofPtr(static_cast<uint64_t>(s[op.a].i) & op.imm);
+            s[op.dst] = RtVal::ofInt(
+                nol_inttoptr(s[op.a].i, static_cast<uint32_t>(op.imm)));
             break;
           // ---- Addressing ----------------------------------------------
           case Opcode::FieldAddr:
@@ -706,7 +559,7 @@ Interp::execFunction(ir::Function *fn, const RtVal *args,
           case Opcode::Ret:
             return op.aux ? s[op.a] : RtVal{};
           case Opcode::Unreachable:
-            panic("guest reached 'unreachable' in %s", fn->name().c_str());
+            raiseTrap(NOL_TRAP_UNREACHABLE, fn->name().c_str());
         }
         ++pc;
     }

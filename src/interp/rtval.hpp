@@ -45,24 +45,6 @@ struct RtVal {
     uint64_t ptr() const { return static_cast<uint64_t>(i); }
 };
 
-/** All-ones mask of @p bits (bits in [1,64]). */
-constexpr uint64_t
-maskOf(uint32_t bits)
-{
-    return bits >= 64 ? ~0ull : (1ull << bits) - 1;
-}
-
-/** Sign-extend the low @p bits of @p v to 64 bits. */
-constexpr int64_t
-signExtend(uint64_t v, uint32_t bits)
-{
-    if (bits >= 64)
-        return static_cast<int64_t>(v);
-    uint64_t m = 1ull << (bits - 1);
-    uint64_t x = v & maskOf(bits);
-    return static_cast<int64_t>((x ^ m) - m);
-}
-
 } // namespace nol::interp
 
 #endif // NOL_INTERP_RTVAL_HPP

@@ -11,11 +11,15 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -31,6 +35,7 @@
 #include "core/nativeoffloader.hpp"
 #include "frontend/codegen.hpp"
 #include "interp/externals.hpp"
+#include "interp/guestops.h"
 #include "interp/interp.hpp"
 #include "interp/loader.hpp"
 #include "ir/irbuilder.hpp"
@@ -490,42 +495,42 @@ namespace {
  * digests the failing test prints, and says why.
  */
 const std::map<std::string, std::string> kGeneratedCGolden = {
-    {"164.gzip mobile", "3b9192ab0ecfb717"},
-    {"164.gzip server", "e84cfed593713b47"},
-    {"175.vpr mobile", "7710204a649c6ffc"},
-    {"175.vpr server", "5c546b7f05d4e8ea"},
-    {"177.mesa mobile", "96ba6d723334eab8"},
-    {"177.mesa server", "e3dd9c9b89de5f92"},
-    {"179.art mobile", "ec99bbee24e1e368"},
-    {"179.art server", "65d0af2c62e8fb4b"},
-    {"183.equake mobile", "7f8d9f4b32ee7b2a"},
-    {"183.equake server", "38ec6652b5e2e03c"},
-    {"188.ammp mobile", "558757156a538bbb"},
-    {"188.ammp server", "dba76cd2bb6977a7"},
-    {"300.twolf mobile", "677187a6018ca4a7"},
-    {"300.twolf server", "7b30d96e74c810e0"},
-    {"401.bzip2 mobile", "f017f19e7be52d39"},
-    {"401.bzip2 server", "a4dddf6a96433972"},
-    {"429.mcf mobile", "a793d9a4485c5695"},
-    {"429.mcf server", "50f82864430310a1"},
-    {"433.milc mobile", "4c9106c2523e902f"},
-    {"433.milc server", "88b2f01cf2c5a92e"},
-    {"445.gobmk mobile", "1b386861162f2048"},
-    {"445.gobmk server", "7039cc739bfe8646"},
-    {"456.hmmer mobile", "5515dc2a50663ab3"},
-    {"456.hmmer server", "3f0bd50508a40ec5"},
-    {"458.sjeng mobile", "7a30ecac93b935cb"},
-    {"458.sjeng server", "67bfdfc729f9a55e"},
-    {"462.libquantum mobile", "ff25210832156ffb"},
-    {"462.libquantum server", "0ba1793e67ae539f"},
-    {"464.h264ref mobile", "0fbc9055c5e2476f"},
-    {"464.h264ref server", "2fb28191b9ddb601"},
-    {"470.lbm mobile", "813a1abcbe3c4f27"},
-    {"470.lbm server", "a5f32a86ae997e3d"},
-    {"482.sphinx3 mobile", "e7377495ca18ca6a"},
-    {"482.sphinx3 server", "37256ff5baff15e9"},
-    {"chess mobile", "bfbdfefa2635a73e"},
-    {"chess server", "75af9120bf30be97"},
+    {"164.gzip mobile", "cc96e1fe27ab7609"},
+    {"164.gzip server", "1b78b38fc2c61a2c"},
+    {"175.vpr mobile", "29d243316a01c539"},
+    {"175.vpr server", "e3b9052bca7debfc"},
+    {"177.mesa mobile", "57dbb56af276e9ca"},
+    {"177.mesa server", "4a9da3c22f8dd5cf"},
+    {"179.art mobile", "631ea1e35ec78602"},
+    {"179.art server", "efd8b4f08afc9ffa"},
+    {"183.equake mobile", "34ca53c5e6482f13"},
+    {"183.equake server", "6a01b2d62c65ba54"},
+    {"188.ammp mobile", "6ab79f82ea030eb7"},
+    {"188.ammp server", "fee1422535fc21ad"},
+    {"300.twolf mobile", "823591b7bda7eb65"},
+    {"300.twolf server", "1fe98e1de890f74f"},
+    {"401.bzip2 mobile", "d891a70f6c1df5d6"},
+    {"401.bzip2 server", "9a1cd7352862ed6a"},
+    {"429.mcf mobile", "dbf66189bfe6109b"},
+    {"429.mcf server", "f87d050361c57067"},
+    {"433.milc mobile", "5422c96230a6d47a"},
+    {"433.milc server", "7827f8829bf25800"},
+    {"445.gobmk mobile", "48d32277d5911c1b"},
+    {"445.gobmk server", "3c03e60603c9bac0"},
+    {"456.hmmer mobile", "bccdce85538b389e"},
+    {"456.hmmer server", "fdcc0cd9420562c5"},
+    {"458.sjeng mobile", "ae42860e6cc65092"},
+    {"458.sjeng server", "4fc3473e16602561"},
+    {"462.libquantum mobile", "a47e28536d55592f"},
+    {"462.libquantum server", "cf14ee20f1afdc91"},
+    {"464.h264ref mobile", "621756d6417d9c7a"},
+    {"464.h264ref server", "03dcab282ecae73b"},
+    {"470.lbm mobile", "92c7ffcfca622098"},
+    {"470.lbm server", "a2a2e7c7c26f6e19"},
+    {"482.sphinx3 mobile", "d91385015e6561c3"},
+    {"482.sphinx3 server", "f7f7447841095089"},
+    {"chess mobile", "0a21853a902cc133"},
+    {"chess server", "d7159eee00ffcb7a"},
 };
 
 } // namespace
@@ -585,6 +590,31 @@ TEST(CodegenLowering, Int64MinByMinusOneWrapsOnBothBackends)
         backendConfig(interp::BackendKind::NativeC, false), run_input);
     EXPECT_EQ(interp_report.console, "-9223372036854775808 0\n");
     expectIdentical(interp_report, native_report);
+}
+
+TEST(CodegenLowering, OutOfRangeFloatToIntIsInt64MinOnBothBackends)
+{
+    ASSERT_TRUE(codegen::toolchainAvailable());
+    // The host compiler folds these constant conversions, and a plain C
+    // cast is undefined there: FPToSI's definition is INT64_MIN, then
+    // wrapped to the width.
+    core::CompileRequest req;
+    req.name = "fptosi";
+    req.source = R"(
+        int main() {
+            long a = (long)1e300;
+            int c = (int)1e300;
+            printf("%ld %d\n", a, c);
+            return 0;
+        }
+    )";
+    core::Program prog = core::Program::compile(req);
+    for (interp::BackendKind backend :
+         {interp::BackendKind::Interpreter, interp::BackendKind::NativeC}) {
+        SCOPED_TRACE(interp::backendKindName(backend));
+        RunReport report = prog.run(backendConfig(backend, false), RunInput{});
+        EXPECT_EQ(report.console, "-9223372036854775808 0\n");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -727,6 +757,450 @@ TEST(UseRule, UseInUnreachableBlockIsExemptOnBothBackends)
     EXPECT_EQ(native.call(fn, {}).i, 42);
     EXPECT_EQ(native_machine.computeUnits(), interp_machine.computeUnits());
     EXPECT_EQ(native_machine.nowNs(), interp_machine.nowNs());
+}
+
+// ---------------------------------------------------------------------------
+// Guest operations on edge operands: one module, both backends
+// ---------------------------------------------------------------------------
+
+namespace {
+
+using interp::RtVal;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+const double kNaN = std::nan("");
+
+/** Edge operands of an integer at @p w bits, canonical: 0, ±1, min,
+ *  max and the shift counts w-1, w and 64. At one bit a true value is
+ *  1 (a compare's) or -1 (sign-extended); both occur. */
+std::vector<int64_t>
+intEdges(uint32_t w)
+{
+    if (w == 1)
+        return {0, 1, -1};
+    std::vector<int64_t> out;
+    for (uint64_t v : {uint64_t{0}, uint64_t{1}, ~uint64_t{0},
+                       uint64_t{1} << (w - 1), nol_mask(w - 1),
+                       uint64_t{w} - 1, uint64_t{w}, uint64_t{64}}) {
+        int64_t canonical = nol_sext(v, w);
+        if (std::find(out.begin(), out.end(), canonical) == out.end())
+            out.push_back(canonical);
+    }
+    return out;
+}
+
+/** @p values as operands of a float type: rounded through float if
+ *  @p f32, each bit pattern once. */
+std::vector<double>
+floatsOf(const std::vector<double> &values, bool f32)
+{
+    std::vector<double> out;
+    for (double v : values) {
+        double r = nol_round(v, f32);
+        if (std::none_of(out.begin(), out.end(), [&](double o) {
+                return nol_f64_bits(o) == nol_f64_bits(r);
+            }))
+            out.push_back(r);
+    }
+    return out;
+}
+
+/** NaN, ±inf, ±1e300, ±2^63 and its neighbours, ±0.5, ±0.0, and each
+ *  integer width's bounds and the values just past them. */
+std::vector<double>
+floatEdges(bool f32)
+{
+    std::vector<double> out = {
+        kNaN, kInf, -kInf, 1e300, -1e300,
+        0x1p63, -0x1p63, 0x1p63 - 1024, -0x1p63 - 2048, 0.5, -0.5, 1.5,
+        -1.5, -0.0, 0.0};
+    for (int w : {8, 16, 32}) {
+        double bound = std::ldexp(1.0, w - 1);
+        for (double v : {bound, -bound, bound - 1, -bound - 1, bound - 0.5,
+                         2 * bound})
+            out.push_back(v);
+    }
+    return floatsOf(out, f32);
+}
+
+/** The value, as an exact string: integers in decimal, doubles by bit
+ *  pattern so NaNs and -0.0 compare exactly. */
+std::string
+showValue(const RtVal &v, bool is_float)
+{
+    if (!is_float)
+        return std::to_string(v.i);
+    uint64_t bits;
+    std::memcpy(&bits, &v.f, 8);
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%a (0x%016llx)", v.f,
+                  static_cast<unsigned long long>(bits));
+    return buf;
+}
+
+/**
+ * A module of guest operations on edge operands. Each operation and
+ * operand type gets two functions: one takes the operands as
+ * arguments; the other takes a case index and computes each case from
+ * IR constants, the form the host compiler folds in generated C.
+ */
+class EdgeModule
+{
+  public:
+    struct Case {
+        std::string label;
+        ir::Function *argFn;
+        std::vector<RtVal> args;
+        ir::Function *constFn;
+        int64_t index;
+        bool floatResult;
+    };
+
+    EdgeModule() : m_("edges"), b_(m_) {}
+
+    ir::Module &module() { return m_; }
+    const std::vector<Case> &cases() const { return cases_; }
+
+    /** Add @p op from operands of types @p from to a result of type
+     *  @p to, on each operand tuple of @p operands; as arguments only
+     *  if @p args_only. */
+    void
+    add(ir::Opcode op, std::vector<const ir::Type *> from, const ir::Type *to,
+        const std::vector<std::vector<RtVal>> &operands,
+        bool args_only = false)
+    {
+        std::string name = std::string(ir::opcodeName(op)) + "." +
+                           typeName(from[0]) + "." + typeName(to) + "." +
+                           std::to_string(m_.functions().size());
+        const ir::FunctionType *arg_ty = m_.types().functionTy(to, from);
+        ir::Function *arg_fn = m_.createFunction(name + ".args", arg_ty);
+        arg_fn->materializeArgs();
+        b_.setInsertPoint(arg_fn->createBlock("entry"));
+        std::vector<ir::Value *> arg_values;
+        for (size_t i = 0; i < from.size(); ++i)
+            arg_values.push_back(arg_fn->arg(i));
+        b_.ret(apply(op, arg_values, to));
+        if (args_only) {
+            for (const std::vector<RtVal> &args : operands)
+                cases_.push_back({name + label(from, args), arg_fn, args,
+                                  nullptr, 0, to->isFloat()});
+            return;
+        }
+
+        const ir::FunctionType *const_ty =
+            m_.types().functionTy(to, {m_.types().i32()});
+        ir::Function *const_fn = m_.createFunction(name + ".consts", const_ty);
+        const_fn->materializeArgs();
+        ir::BasicBlock *entry = const_fn->createBlock("entry");
+        ir::BasicBlock *none = const_fn->createBlock("none");
+        b_.setInsertPoint(none);
+        b_.unreachable();
+        b_.setInsertPoint(entry);
+        ir::Instruction *sw = b_.switch_(const_fn->arg(0), none);
+        for (size_t k = 0; k < operands.size(); ++k) {
+            ir::BasicBlock *bb = const_fn->createBlock("c" + std::to_string(k));
+            sw->addCase(static_cast<int64_t>(k));
+            sw->addSuccessor(bb);
+            b_.setInsertPoint(bb);
+            std::vector<ir::Value *> consts;
+            for (size_t i = 0; i < from.size(); ++i)
+                consts.push_back(constantOf(from[i], operands[k][i]));
+            b_.ret(apply(op, consts, to));
+            cases_.push_back({name + label(from, operands[k]), arg_fn,
+                              operands[k], const_fn, static_cast<int64_t>(k),
+                              to->isFloat()});
+        }
+    }
+
+  private:
+    static std::string
+    label(const std::vector<const ir::Type *> &from,
+          const std::vector<RtVal> &operands)
+    {
+        std::string out = "(";
+        for (size_t i = 0; i < from.size(); ++i)
+            out += (i ? ", " : "") +
+                   showValue(operands[i], from[i]->isFloat());
+        return out + ")";
+    }
+
+    static std::string
+    typeName(const ir::Type *type)
+    {
+        if (type->isInt())
+            return "i" + std::to_string(
+                             static_cast<const ir::IntType *>(type)->bits());
+        if (type->isFloat())
+            return "f" + std::to_string(
+                             static_cast<const ir::FloatType *>(type)->bits());
+        return "ptr";
+    }
+
+    ir::Value *
+    constantOf(const ir::Type *type, const RtVal &v)
+    {
+        if (type->isInt())
+            return m_.constInt(static_cast<const ir::IntType *>(type), v.i);
+        if (type->isFloat())
+            return m_.constFloat(static_cast<const ir::FloatType *>(type),
+                                 v.f);
+        NOL_ASSERT(v.i == 0, "the only pointer constant is null");
+        return m_.constNull(static_cast<const ir::PointerType *>(type));
+    }
+
+    ir::Value *
+    apply(ir::Opcode op, const std::vector<ir::Value *> &operands,
+          const ir::Type *to)
+    {
+        if (operands.size() == 1)
+            return b_.cast(op, operands[0], to);
+        if (to == m_.types().i1() && operands[0]->type() != to)
+            return b_.cmp(op, operands[0], operands[1]);
+        return b_.binary(op, operands[0], operands[1]);
+    }
+
+    ir::Module m_;
+    ir::IRBuilder b_;
+    std::vector<Case> cases_;
+};
+
+/** Run every case of @p edges on @p backend, as arguments and as
+ *  constants: the value, or the FatalError a trap raised. */
+std::vector<std::string>
+runEdgeCases(const EdgeModule &edges, interp::ExecBackend &backend)
+{
+    std::vector<std::string> out;
+    auto run = [&](ir::Function *fn, const std::vector<RtVal> &args,
+                   bool is_float) -> std::string {
+        try {
+            return showValue(backend.call(fn, args), is_float);
+        } catch (const FatalError &e) {
+            return std::string("FatalError: ") + e.what();
+        }
+    };
+    for (const EdgeModule::Case &c : edges.cases()) {
+        out.push_back(run(c.argFn, c.args, c.floatResult));
+        out.push_back(c.constFn == nullptr
+                          ? out.back()
+                          : run(c.constFn, {RtVal::ofInt(c.index)},
+                                c.floatResult));
+    }
+    return out;
+}
+
+std::vector<RtVal>
+ints(std::initializer_list<int64_t> values)
+{
+    std::vector<RtVal> out;
+    for (int64_t v : values)
+        out.push_back(RtVal::ofInt(v));
+    return out;
+}
+
+} // namespace
+
+TEST(GuestOps, BothBackendsAgreeOnEdgeOperands)
+{
+    ASSERT_TRUE(codegen::toolchainAvailable());
+    EdgeModule edges;
+    ir::Module &m = edges.module();
+    ir::TypeContext &types = m.types();
+    const uint32_t kWidths[] = {1, 8, 16, 32, 64};
+
+    // Integer binary ops and compares at every width.
+    const ir::Opcode kIntOps[] = {
+        ir::Opcode::Add, ir::Opcode::Sub, ir::Opcode::Mul, ir::Opcode::SDiv,
+        ir::Opcode::UDiv, ir::Opcode::SRem, ir::Opcode::URem, ir::Opcode::And,
+        ir::Opcode::Or, ir::Opcode::Xor, ir::Opcode::Shl, ir::Opcode::LShr,
+        ir::Opcode::AShr};
+    const ir::Opcode kICmps[] = {
+        ir::Opcode::ICmpEq, ir::Opcode::ICmpNe, ir::Opcode::ICmpSlt,
+        ir::Opcode::ICmpSle, ir::Opcode::ICmpSgt, ir::Opcode::ICmpSge,
+        ir::Opcode::ICmpUlt, ir::Opcode::ICmpUle, ir::Opcode::ICmpUgt,
+        ir::Opcode::ICmpUge};
+    for (uint32_t w : kWidths) {
+        const ir::Type *ty = types.intTy(w);
+        std::vector<std::vector<RtVal>> pairs;
+        for (int64_t a : intEdges(w))
+            for (int64_t b : intEdges(w))
+                pairs.push_back(ints({a, b}));
+        for (ir::Opcode op : kIntOps)
+            edges.add(op, {ty, ty}, ty, pairs);
+        for (ir::Opcode op : kICmps)
+            edges.add(op, {ty, ty}, types.i1(), pairs);
+    }
+
+    // Float compares, with NaN operands, and float arithmetic at both
+    // precisions.
+    const ir::Opcode kFCmps[] = {
+        ir::Opcode::FCmpEq, ir::Opcode::FCmpNe, ir::Opcode::FCmpLt,
+        ir::Opcode::FCmpLe, ir::Opcode::FCmpGt, ir::Opcode::FCmpGe};
+    std::vector<std::vector<RtVal>> fpairs;
+    for (double a : {kNaN, -kInf, -1.0, -0.0, 0.0, 0.5, kInf})
+        for (double b : {kNaN, -kInf, -1.0, -0.0, 0.0, 0.5,
+                         kInf})
+            fpairs.push_back({RtVal::ofFloat(a), RtVal::ofFloat(b)});
+    for (ir::Opcode op : kFCmps)
+        edges.add(op, {types.f64(), types.f64()}, types.i1(), fpairs);
+    for (const ir::FloatType *ty : {types.f32(), types.f64()}) {
+        std::vector<double> values =
+            floatsOf({kNaN, kInf, -0.0, 0.1, 3.4e38, 1e300}, ty->bits() == 32);
+        std::vector<std::vector<RtVal>> pairs;
+        for (double a : values)
+            for (double b : values)
+                pairs.push_back({RtVal::ofFloat(a), RtVal::ofFloat(b)});
+        for (ir::Opcode op : {ir::Opcode::FAdd, ir::Opcode::FSub,
+                              ir::Opcode::FMul, ir::Opcode::FDiv})
+            edges.add(op, {ty, ty}, ty, pairs);
+    }
+
+    // Conversions on each width's bounds and the float edges.
+    for (uint32_t from : kWidths) {
+        std::vector<std::vector<RtVal>> values;
+        for (int64_t v : intEdges(from))
+            values.push_back(ints({v}));
+        for (uint32_t to : kWidths) {
+            if (to < from)
+                edges.add(ir::Opcode::Trunc, {types.intTy(from)},
+                          types.intTy(to), values);
+            if (to > from) {
+                edges.add(ir::Opcode::ZExt, {types.intTy(from)},
+                          types.intTy(to), values);
+                edges.add(ir::Opcode::SExt, {types.intTy(from)},
+                          types.intTy(to), values);
+            }
+        }
+        if (from > 1) {
+            for (const ir::FloatType *to : {types.f32(), types.f64()})
+                edges.add(ir::Opcode::SIToFP, {types.intTy(from)}, to, values);
+            edges.add(ir::Opcode::IntToPtr, {types.intTy(from)},
+                      types.pointerTo(types.i8()), values);
+        }
+    }
+    for (const ir::FloatType *from : {types.f32(), types.f64()}) {
+        std::vector<std::vector<RtVal>> values;
+        for (double v : floatEdges(from->bits() == 32))
+            values.push_back({RtVal::ofFloat(v)});
+        for (uint32_t to : kWidths)
+            edges.add(ir::Opcode::FPToSI, {from}, types.intTy(to), values);
+        if (from == types.f64())
+            edges.add(ir::Opcode::FPTrunc, {from}, types.f32(), values);
+        else
+            edges.add(ir::Opcode::FPExt, {from}, types.f64(), values);
+    }
+    // Pointers: null is the only constant that folds.
+    const ir::Type *ptr = types.pointerTo(types.i8());
+    for (uint32_t to : kWidths) {
+        edges.add(ir::Opcode::PtrToInt, {ptr}, types.intTy(to),
+                  {ints({0})});
+        edges.add(ir::Opcode::PtrToInt, {ptr}, types.intTy(to),
+                  {ints({1}), ints({0x7fffffff}), ints({0x80000000}),
+                   ints({0xffffffff})},
+                  /*args_only=*/true);
+    }
+    EXPECT_TRUE(ir::verifyModule(m).empty());
+
+    sim::SimMachine interp_machine(sim::MachineRole::Mobile,
+                                   arch::makeArm32());
+    interp::ProgramImage interp_image = interp::loadProgram(m, interp_machine);
+    interp::DefaultEnv interp_env;
+    interp::Interp interp(interp_machine, m, interp_image, interp_env);
+    std::vector<std::string> interp_results = runEdgeCases(edges, interp);
+
+    sim::SimMachine native_machine(sim::MachineRole::Mobile,
+                                   arch::makeArm32());
+    interp::ProgramImage native_image = interp::loadProgram(m, native_machine);
+    interp::DefaultEnv native_env;
+    auto prepared = codegen::PreparedModule::prepare(codegen::emitModule(
+        m, interp::effectiveLayout(m, native_machine)));
+    ASSERT_NE(prepared, nullptr);
+    codegen::NativeExec native(prepared, native_machine, m, native_image,
+                               native_env);
+    std::vector<std::string> native_results = runEdgeCases(edges, native);
+
+    ASSERT_EQ(interp_results.size(), 2 * edges.cases().size());
+    ASSERT_EQ(native_results.size(), interp_results.size());
+    size_t mismatches = 0;
+    for (size_t k = 0; k < edges.cases().size() && mismatches < 20; ++k) {
+        const std::string &expected = interp_results[2 * k];
+        for (const std::string *got :
+             {&interp_results[2 * k + 1], &native_results[2 * k],
+              &native_results[2 * k + 1]}) {
+            if (*got != expected) {
+                ++mismatches;
+                ADD_FAILURE() << edges.cases()[k].label << ": interpreter "
+                              << "with arguments gives " << expected
+                              << ", " << (got == &native_results[2 * k]
+                                              ? "native-C with arguments"
+                                          : got == &native_results[2 * k + 1]
+                                              ? "native-C with constants"
+                                              : "interpreter with constants")
+                              << " gives " << *got;
+            }
+        }
+    }
+}
+
+TEST(GuestOps, TrapsRaiseOneDiagnosticOnBothBackends)
+{
+    ASSERT_TRUE(codegen::toolchainAvailable());
+    ir::Module m("traps");
+    ir::IRBuilder b(m);
+    const ir::Type *i32 = m.types().i32();
+    auto define = [&](const char *name, std::vector<const ir::Type *> params) {
+        ir::Function *fn =
+            m.createFunction(name, m.types().functionTy(i32, params));
+        fn->materializeArgs();
+        b.setInsertPoint(fn->createBlock("entry"));
+        return fn;
+    };
+    // Each frame of "deep" takes 1 MiB of the 16 MiB guest stack.
+    ir::Function *deep = define("deep", {});
+    b.alloca_(m.types().arrayOf(m.types().i8(), 1 << 20));
+    b.ret(b.call(deep, {}));
+    ir::Function *stop = define("stop", {});
+    b.unreachable();
+    ir::Function *quotient = define("quotient", {i32, i32});
+    b.ret(b.binary(ir::Opcode::SDiv, quotient->arg(0), quotient->arg(1)));
+    ir::Function *remainder = define("remainder", {i32, i32});
+    b.ret(b.binary(ir::Opcode::URem, remainder->arg(0), remainder->arg(1)));
+    EXPECT_TRUE(ir::verifyModule(m).empty());
+
+    const std::vector<std::pair<ir::Function *, std::string>> expected = {
+        {deep, "FatalError: guest stack overflow in deep"},
+        {stop, "PanicError: guest reached 'unreachable' in stop"},
+        {quotient, "FatalError: guest division by zero"},
+        {remainder, "FatalError: guest remainder by zero"},
+    };
+    auto outcome = [](interp::ExecBackend &backend, ir::Function *fn) {
+        try {
+            backend.call(fn, ints({7, 0}));
+            return std::string("returned");
+        } catch (const FatalError &e) {
+            return std::string("FatalError: ") + e.what();
+        } catch (const PanicError &e) {
+            return std::string("PanicError: ") + e.what();
+        }
+    };
+
+    sim::SimMachine interp_machine(sim::MachineRole::Mobile,
+                                   arch::makeArm32());
+    interp::ProgramImage interp_image = interp::loadProgram(m, interp_machine);
+    interp::DefaultEnv interp_env;
+    interp::Interp interp(interp_machine, m, interp_image, interp_env);
+    sim::SimMachine native_machine(sim::MachineRole::Mobile,
+                                   arch::makeArm32());
+    interp::ProgramImage native_image = interp::loadProgram(m, native_machine);
+    interp::DefaultEnv native_env;
+    auto prepared = codegen::PreparedModule::prepare(codegen::emitModule(
+        m, interp::effectiveLayout(m, native_machine)));
+    ASSERT_NE(prepared, nullptr);
+    codegen::NativeExec native(prepared, native_machine, m, native_image,
+                               native_env);
+    for (const auto &[fn, message] : expected) {
+        EXPECT_EQ(outcome(interp, fn), message);
+        EXPECT_EQ(outcome(native, fn), message);
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -18,9 +18,19 @@ using namespace nol::frontend;
 namespace {
 
 std::unique_ptr<ir::Module>
-compile(const char *src)
+compile(const std::string &src)
 {
     return compileSource(src, "test.c");
+}
+
+/** @p text written @p n times. */
+std::string
+repeat(const std::string &text, int n)
+{
+    std::string out;
+    for (int i = 0; i < n; ++i)
+        out += text;
+    return out;
 }
 
 } // namespace
@@ -84,6 +94,69 @@ TEST(Parser, RejectsGarbage)
 {
     EXPECT_THROW(parse("int main() { return @; }", "t"), FatalError);
     EXPECT_THROW(parse("int 3x;", "t"), FatalError);
+}
+
+TEST(Parser, DeepNestingEndsInADiagnostic)
+{
+    // Each of these overflowed the host stack before the parser bounded
+    // the nesting; the diagnostic names the line it stops on.
+    const int kDeep = 20000;
+    const struct {
+        const char *what;
+        std::string source;
+        const char *where;
+    } inputs[] = {
+        {"parentheses",
+         "int main() { return " + repeat("(", kDeep) + "1" +
+             repeat(")", kDeep) + "; }",
+         "test.c:1:"},
+        {"braces",
+         "int main() " + repeat("{", kDeep) + " return 0; " +
+             repeat("}", kDeep),
+         "test.c:1:"},
+        {"unary chain",
+         "int main() { return " + repeat("- ", kDeep) + "1; }", "test.c:1:"},
+        {"nested calls",
+         "int f(int x) { return x; }\nint main() { return " +
+             repeat("f(", kDeep) + "1" + repeat(")", kDeep) + "; }",
+         "test.c:2:"},
+        {"nested initializers",
+         "int a[1] = " + repeat("{", kDeep) + "1" + repeat("}", kDeep) +
+             ";\nint main() { return a[0]; }",
+         "test.c:1:"},
+        {"operator chain",
+         "int main() {\n  return 1" + repeat(" + 1", kDeep) + "; }",
+         "test.c:2:"},
+        {"pointer declarator",
+         "int " + repeat("*", kDeep) + "p;\nint main() { return 0; }",
+         "test.c:1:"},
+    };
+    for (const auto &input : inputs) {
+        SCOPED_TRACE(input.what);
+        try {
+            compile(input.source);
+            ADD_FAILURE() << "compiled";
+        } catch (const FatalError &e) {
+            std::string msg = e.what();
+            EXPECT_EQ(msg.rfind(input.where, 0), 0u) << msg;
+            EXPECT_NE(msg.find("nesting deeper than 256 levels"),
+                      std::string::npos)
+                << msg;
+        }
+    }
+}
+
+TEST(Parser, NestingAtTheLimitCompiles)
+{
+    // main's body holds kMaxNesting blocks, one inside the other.
+    EXPECT_NO_THROW(compile("int main() {" + repeat("{", kMaxNesting) +
+                            repeat("}", kMaxNesting) + " return 0; }"));
+    EXPECT_THROW(compile("int main() {" + repeat("{", kMaxNesting + 1) +
+                         repeat("}", kMaxNesting + 1) + " return 0; }"),
+                 FatalError);
+    // Well past C11's 63 levels of parentheses.
+    EXPECT_NO_THROW(compile("int main() { return " + repeat("(", 200) +
+                            "1" + repeat(")", 200) + "; }"));
 }
 
 TEST(CodeGen, EmitsVerifiedModule)
