@@ -16,6 +16,8 @@
 
 namespace nol::frontend {
 
+struct Expr;
+
 // ---------------------------------------------------------------------------
 // Declared types (syntax only; resolved to ir::Type by codegen)
 // ---------------------------------------------------------------------------
@@ -35,7 +37,7 @@ struct TypeExpr {
     std::string name;                  ///< struct/typedef name (Named)
     bool isStructTag = false;          ///< Named came from "struct X"
     std::unique_ptr<TypeExpr> inner;   ///< pointee / element / return type
-    int64_t arraySize = 0;             ///< Array
+    std::shared_ptr<const Expr> arraySize; ///< Array; folded by codegen
     std::vector<std::unique_ptr<TypeExpr>> params; ///< Function
     bool variadic = false;             ///< Function
 
@@ -194,8 +196,8 @@ struct Decl {
     // Typedef
     std::unique_ptr<TypeExpr> aliased;
 
-    // Enum
-    std::vector<std::pair<std::string, int64_t>> enumerators;
+    // Enum: values are folded by codegen; null is the previous one plus 1
+    std::vector<std::pair<std::string, std::unique_ptr<Expr>>> enumerators;
 
     // GlobalVar
     std::unique_ptr<TypeExpr> type;

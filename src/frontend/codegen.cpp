@@ -8,6 +8,7 @@
 
 #include "frontend/builtins.hpp"
 #include "frontend/parser.hpp"
+#include "interp/guestops.h"
 #include "ir/cfgutils.hpp"
 #include "ir/irbuilder.hpp"
 #include "ir/verifier.hpp"
@@ -141,10 +142,10 @@ class CodeGen
           }
           case TypeExpr::Kind::Array: {
             QualType inner = resolveType(*te.inner, line);
-            if (te.arraySize <= 0)
-                err(line, "array size must be positive");
-            return {types().arrayOf(inner.ty,
-                                    static_cast<uint64_t>(te.arraySize)),
+            int64_t size = foldConstant(*te.arraySize, "array size");
+            if (size <= 0)
+                err(te.arraySize->line, "array size must be positive");
+            return {types().arrayOf(inner.ty, static_cast<uint64_t>(size)),
                     inner.isUnsigned};
           }
           case TypeExpr::Kind::Function: {
@@ -191,8 +192,13 @@ class CodeGen
     void
     declareEnum(const Decl &decl)
     {
-        for (const auto &[name, value] : decl.enumerators)
-            enum_consts_[name] = value;
+        int64_t next = 0;
+        for (const auto &[name, value] : decl.enumerators) {
+            if (value != nullptr)
+                next = foldConstant(*value, "enumerator value");
+            enum_consts_[name] = next;
+            next = nol_add(next, 1, 64);
+        }
     }
 
     void
@@ -233,6 +239,8 @@ class CodeGen
     void
     declareGlobal(const Decl &decl)
     {
+        if (globals_.count(decl.name) != 0)
+            err(decl.line, "redefinition of global '" + decl.name + "'");
         QualType qt = resolveType(*decl.type, decl.line);
         ir::Initializer init = ir::Initializer::zero();
         if (decl.init != nullptr)
@@ -245,6 +253,14 @@ class CodeGen
 
     // --- Constant initializers -------------------------------------------
 
+    /**
+     * The value of the integer constant expression @p expr, or nullopt
+     * if it is not one. This is the frontend's one integer constant
+     * evaluator: array sizes, enumerators, case labels and global
+     * initializers all fold here. It computes with the guest's 64-bit
+     * arithmetic (guestops.h), so an overflow wraps as it would at run
+     * time; a zero divisor is not constant.
+     */
     std::optional<int64_t>
     foldInt(const Expr &expr)
     {
@@ -257,38 +273,51 @@ class CodeGen
                 return it->second;
             return std::nullopt;
           }
-          case ExprKind::Unary:
-            if (expr.op == Tok::Minus) {
-                auto v = foldInt(*expr.lhs);
-                return v ? std::optional<int64_t>(-*v) : std::nullopt;
-            }
-            if (expr.op == Tok::Tilde) {
-                auto v = foldInt(*expr.lhs);
-                return v ? std::optional<int64_t>(~*v) : std::nullopt;
-            }
+          case ExprKind::Unary: {
+            auto v = foldInt(*expr.lhs);
+            if (!v)
+                return std::nullopt;
+            if (expr.op == Tok::Minus)
+                return nol_sub(0, *v, 64);
+            if (expr.op == Tok::Tilde)
+                return nol_xor(*v, -1, 64);
             return std::nullopt;
+          }
           case ExprKind::Binary: {
             auto l = foldInt(*expr.lhs);
             auto r = foldInt(*expr.rhs);
             if (!l || !r)
                 return std::nullopt;
+            int64_t out = 0;
             switch (expr.op) {
-              case Tok::Plus: return *l + *r;
-              case Tok::Minus: return *l - *r;
-              case Tok::Star: return *l * *r;
-              case Tok::Slash: return *r == 0 ? std::optional<int64_t>()
-                                              : std::optional<int64_t>(*l / *r);
-              case Tok::Shl: return *l << *r;
-              case Tok::Shr: return *l >> *r;
-              case Tok::Pipe: return *l | *r;
-              case Tok::Amp: return *l & *r;
-              case Tok::Caret: return *l ^ *r;
+              case Tok::Plus: return nol_add(*l, *r, 64);
+              case Tok::Minus: return nol_sub(*l, *r, 64);
+              case Tok::Star: return nol_mul(*l, *r, 64);
+              case Tok::Slash:
+                if (nol_sdiv(*l, *r, 64, &out) != NOL_TRAP_NONE)
+                    return std::nullopt;
+                return out;
+              case Tok::Shl: return nol_shl(*l, *r, 64);
+              case Tok::Shr: return nol_ashr(*l, *r, 64);
+              case Tok::Pipe: return nol_or(*l, *r, 64);
+              case Tok::Amp: return nol_and(*l, *r, 64);
+              case Tok::Caret: return nol_xor(*l, *r, 64);
               default: return std::nullopt;
             }
           }
           default:
             return std::nullopt;
         }
+    }
+
+    /** foldInt(@p expr), which @p what requires to be constant. */
+    int64_t
+    foldConstant(const Expr &expr, const char *what)
+    {
+        auto v = foldInt(expr);
+        if (!v)
+            err(expr.line, std::string(what) + " must be an integer constant");
+        return *v;
     }
 
     std::optional<double>
@@ -597,13 +626,30 @@ class CodeGen
         }
     }
 
+    /** Lower the body of an if, else, while, do or for, which C scopes
+     *  as a block even without braces (C11 6.8.4, 6.8.5). */
     void
-    lowerLocalVar(const VarDeclarator &var)
+    lowerBody(const Stmt &stmt)
+    {
+        pushScope();
+        lowerStmt(stmt);
+        popScope();
+    }
+
+    /** Lower local @p var. Its slot goes at the insert point, or before
+     *  the terminator of @p slot_bb if given. */
+    void
+    lowerLocalVar(const VarDeclarator &var,
+                  ir::BasicBlock *slot_bb = nullptr)
     {
         QualType qt = resolveType(*var.type, var.line);
         if (qt.ty->isVoid())
             err(var.line, "variable of void type");
+        ir::BasicBlock *resume = b_.insertBlock();
+        if (slot_bb != nullptr)
+            b_.setInsertPoint(slot_bb, slot_bb->size() - 1);
         ir::Instruction *slot = b_.alloca_(qt.ty, var.name);
+        b_.setInsertPoint(resume);
         declareVar(var.name, slot, qt, var.line);
         if (var.init == nullptr)
             return;
@@ -689,13 +735,13 @@ class CodeGen
         b_.condBr(cond, then_bb, else_bb);
 
         b_.setInsertPoint(then_bb);
-        lowerStmt(*stmt.then);
+        lowerBody(*stmt.then);
         if (!b_.insertBlock()->isTerminated())
             b_.br(merge_bb);
 
         if (stmt.otherwise != nullptr) {
             b_.setInsertPoint(else_bb);
-            lowerStmt(*stmt.otherwise);
+            lowerBody(*stmt.otherwise);
             if (!b_.insertBlock()->isTerminated())
                 b_.br(merge_bb);
         }
@@ -725,7 +771,7 @@ class CodeGen
 
         b_.setInsertPoint(body_bb);
         flow_.push_back({exit_bb, cond_bb});
-        lowerStmt(*stmt.then);
+        lowerBody(*stmt.then);
         flow_.pop_back();
         if (!b_.insertBlock()->isTerminated())
             b_.br(cond_bb);
@@ -754,7 +800,7 @@ class CodeGen
         b_.br(body_bb);
         b_.setInsertPoint(body_bb);
         flow_.push_back({exit_bb, cond_bb});
-        lowerStmt(*stmt.then);
+        lowerBody(*stmt.then);
         flow_.pop_back();
         if (!b_.insertBlock()->isTerminated())
             b_.br(cond_bb);
@@ -800,7 +846,7 @@ class CodeGen
 
         b_.setInsertPoint(body_bb);
         flow_.push_back({exit_bb, step_bb});
-        lowerStmt(*stmt.then);
+        lowerBody(*stmt.then);
         flow_.pop_back();
         if (!b_.insertBlock()->isTerminated())
             b_.br(step_bb);
@@ -840,15 +886,13 @@ class CodeGen
                     b_.br(label_bb); // fall through
                 b_.setInsertPoint(label_bb);
                 if (child->kind == StmtKind::Case) {
-                    auto folded = foldInt(*child->cond);
-                    if (!folded)
-                        err(child->line, "case value must be constant");
+                    int64_t value = foldConstant(*child->cond, "case value");
                     for (int64_t seen : seen_cases) {
-                        if (seen == *folded)
+                        if (seen == value)
                             err(child->line, "duplicate case value");
                     }
-                    seen_cases.push_back(*folded);
-                    sw->addCase(*folded);
+                    seen_cases.push_back(value);
+                    sw->addCase(value);
                     sw->addSuccessor(label_bb);
                 } else {
                     if (has_default)
@@ -857,7 +901,18 @@ class CodeGen
                     sw->setSuccessor(0, label_bb);
                 }
             } else {
-                lowerStmt(*child);
+                // Only the switch itself ends a block here.
+                if (b_.insertBlock()->isTerminated())
+                    err(child->line, "statement before the first case label");
+                if (child->kind != StmtKind::VarDecl) {
+                    lowerStmt(*child);
+                    continue;
+                }
+                // Each later label jumps into the declaration's scope,
+                // so its slot goes before the switch, which dominates
+                // every label.
+                for (const auto &var : child->decls)
+                    lowerLocalVar(var, sw->parent());
             }
         }
         popScope();
@@ -1000,6 +1055,10 @@ class CodeGen
     lowerLValue(const Expr &expr)
     {
         switch (expr.kind) {
+          case ExprKind::StringLit: {
+            ir::GlobalVariable *str = internString(expr.strValue);
+            return {str, {str->valueType(), false}};
+          }
           case ExprKind::Ident: {
             const VarInfo *var = lookupVar(expr.name);
             if (var == nullptr)
@@ -1018,7 +1077,9 @@ class CodeGen
             }
             err(expr.line, "expression is not assignable");
           case ExprKind::Index: {
-            RV base = lowerArrayBase(*expr.lhs, expr.line);
+            RV base = lowerExpr(*expr.lhs);
+            if (!base.qt.ty->isPointer())
+                err(expr.line, "indexed value is not a pointer or array");
             RV index = lowerExpr(*expr.rhs);
             if (!index.qt.ty->isInt())
                 err(expr.line, "array index must be an integer");
@@ -1064,32 +1125,6 @@ class CodeGen
         }
     }
 
-    /** Base pointer for indexing: arrays decay, pointers load. */
-    RV
-    lowerArrayBase(const Expr &expr, int line)
-    {
-        // If the expression denotes an array lvalue, use its decayed
-        // address directly; otherwise evaluate it as a pointer rvalue.
-        if (expr.kind == ExprKind::Ident) {
-            const VarInfo *var = lookupVar(expr.name);
-            if (var != nullptr && var->qt.ty->isArray())
-                return decayArray({var->addr, var->qt});
-        }
-        if (expr.kind == ExprKind::Member || expr.kind == ExprKind::Index) {
-            LV lv = lowerLValue(expr);
-            if (lv.qt.ty->isArray())
-                return decayArray(lv);
-            RV loaded{b_.load(lv.addr), lv.qt};
-            if (!loaded.qt.ty->isPointer())
-                err(line, "indexed value is not a pointer or array");
-            return loaded;
-        }
-        RV value = lowerExpr(expr);
-        if (!value.qt.ty->isPointer())
-            err(line, "indexed value is not a pointer or array");
-        return value;
-    }
-
     /** Signedness of field @p idx of @p st (side table). */
     bool
     fieldIsUnsigned(const ir::StructType *st, size_t idx) const
@@ -1098,6 +1133,23 @@ class CodeGen
         if (it == field_unsigned_.end() || idx >= it->second.size())
             return false;
         return it->second[idx];
+    }
+
+    /** Lvalue conversion of @p lv: an array or a function decays to a
+     *  pointer, a scalar is loaded. */
+    RV
+    loadLValue(LV lv, int line, const std::string &name = "")
+    {
+        if (lv.qt.ty->isArray())
+            return decayArray(lv);
+        if (lv.qt.ty->isFunction())
+            return {lv.addr, {lv.addr->type(), false}};
+        if (lv.qt.ty->isStruct())
+            err(line, "struct rvalues are not supported; take a pointer "
+                      "instead");
+        if (!lv.qt.ty->isScalar())
+            err(line, "cannot read a value of type " + lv.qt.ty->str());
+        return {b_.load(lv.addr, name), lv.qt};
     }
 
     /** Array lvalue → pointer-to-first-element rvalue. */
@@ -1131,11 +1183,8 @@ class CodeGen
           case ExprKind::FloatLit:
             return {module_->constFloat(types().f64(), expr.floatValue),
                     {types().f64(), false}};
-          case ExprKind::StringLit: {
-            ir::GlobalVariable *str = internString(expr.strValue);
-            const ir::Type *i8p = types().pointerTo(types().i8());
-            return {b_.cast(Opcode::Bitcast, str, i8p), {i8p, false}};
-          }
+          case ExprKind::StringLit:
+            return decayArray(lowerLValue(expr));
           case ExprKind::Ident:
             return lowerIdent(expr);
           case ExprKind::Unary:
@@ -1149,15 +1198,8 @@ class CodeGen
           case ExprKind::Call:
             return lowerCall(expr);
           case ExprKind::Index:
-          case ExprKind::Member: {
-            LV lv = lowerLValue(expr);
-            if (lv.qt.ty->isArray())
-                return decayArray(lv);
-            if (lv.qt.ty->isStruct())
-                err(expr.line, "struct rvalues are not supported; take a "
-                               "pointer instead");
-            return {b_.load(lv.addr), lv.qt};
-          }
+          case ExprKind::Member:
+            return loadLValue(lowerLValue(expr), expr.line);
           case ExprKind::Cast: {
             QualType target = resolveType(*expr.typeArg, expr.line);
             RV value = lowerExpr(*expr.lhs);
@@ -1167,15 +1209,46 @@ class CodeGen
             QualType target = resolveType(*expr.typeArg, expr.line);
             return {emitSizeof(target.ty), {types().i64(), true}};
           }
-          case ExprKind::SizeofExpr: {
-            QualType qt = typeOfExpr(*expr.lhs);
-            return {emitSizeof(qt.ty), {types().i64(), true}};
-          }
+          case ExprKind::SizeofExpr:
+            return {emitSizeof(lowerSizeofOperand(*expr.lhs).ty),
+                    {types().i64(), true}};
           case ExprKind::PostIncDec:
             return lowerIncDec(*expr.lhs, expr.isIncrement,
                                /*want_old=*/true, expr.line);
         }
         panic("unhandled expression kind");
+    }
+
+    /**
+     * The type of sizeof's operand, which C does not evaluate: it lowers
+     * into a block no branch reaches (removeUnreachableBlocks drops it),
+     * and the strings and builtins it declared are dropped here. An
+     * lvalue is typed before lvalue conversion, so arrays, structs and
+     * string literals keep their own type.
+     */
+    QualType
+    lowerSizeofOperand(const Expr &expr)
+    {
+        ir::BasicBlock *resume = b_.insertBlock();
+        size_t functions = module_->functions().size();
+        size_t globals = module_->globals().size();
+        auto strings = strings_;
+        b_.setInsertPoint(newBlock("sizeof.operand"));
+        bool lvalue =
+            expr.kind == ExprKind::StringLit || expr.kind == ExprKind::Index ||
+            expr.kind == ExprKind::Member ||
+            (expr.kind == ExprKind::Unary && expr.op == Tok::Star) ||
+            (expr.kind == ExprKind::Ident &&
+             enum_consts_.count(expr.name) == 0 &&
+             lookupVar(expr.name) != nullptr);
+        QualType qt = lvalue ? lowerLValue(expr).qt : lowerExpr(expr).qt;
+        b_.setInsertPoint(resume);
+        while (module_->functions().size() > functions)
+            module_->removeFunction(module_->functions().back().get());
+        while (module_->globals().size() > globals)
+            module_->removeGlobal(module_->globals().back().get());
+        strings_ = std::move(strings);
+        return qt;
     }
 
     RV
@@ -1185,15 +1258,8 @@ class CodeGen
         if (en != enum_consts_.end())
             return {module_->constI32(en->second), {types().i32(), false}};
 
-        const VarInfo *var = lookupVar(expr.name);
-        if (var != nullptr) {
-            if (var->qt.ty->isArray())
-                return decayArray({var->addr, var->qt});
-            if (var->qt.ty->isStruct())
-                err(expr.line, "struct rvalues are not supported; take a "
-                               "pointer instead");
-            return {b_.load(var->addr, expr.name), var->qt};
-        }
+        if (const VarInfo *var = lookupVar(expr.name))
+            return loadLValue({var->addr, var->qt}, expr.line, expr.name);
         if (ir::Function *fn = module_->functionByName(expr.name))
             return {fn, {fn->type(), false}};
         err(expr.line, "unknown identifier '" + expr.name + "'");
@@ -1226,6 +1292,8 @@ class CodeGen
           }
           case Tok::Tilde: {
             RV value = lowerExpr(*expr.lhs);
+            if (!value.qt.ty->isInt())
+                err(expr.line, "operand of '~' is not an integer");
             RV widened =
                 convert(value, commonType(value.qt, value.qt, expr.line),
                         expr.line);
@@ -1233,14 +1301,8 @@ class CodeGen
                 static_cast<const ir::IntType *>(widened.qt.ty), -1);
             return {b_.binary(Opcode::Xor, widened.v, ones), widened.qt};
           }
-          case Tok::Star: {
-            LV lv = lowerLValue(expr);
-            if (lv.qt.ty->isArray())
-                return decayArray(lv);
-            if (lv.qt.ty->isStruct())
-                err(expr.line, "struct rvalues are not supported");
-            return {b_.load(lv.addr), lv.qt};
-          }
+          case Tok::Star:
+            return loadLValue(lowerLValue(expr), expr.line);
           case Tok::Amp: {
             // &function is just the function value.
             if (expr.lhs->kind == ExprKind::Ident) {
@@ -1266,6 +1328,8 @@ class CodeGen
     lowerIncDec(const Expr &target, bool increment, bool want_old, int line)
     {
         LV lv = lowerLValue(target);
+        if (!lv.qt.ty->isScalar())
+            err(line, "++/-- on unsupported type");
         ir::Value *old_value = b_.load(lv.addr);
         ir::Value *new_value = nullptr;
         if (lv.qt.ty->isPointer()) {
@@ -1276,13 +1340,11 @@ class CodeGen
                 static_cast<const ir::FloatType *>(lv.qt.ty), 1.0);
             new_value = b_.binary(increment ? Opcode::FAdd : Opcode::FSub,
                                   old_value, one);
-        } else if (lv.qt.ty->isInt()) {
+        } else {
             ir::Value *one = module_->constInt(
                 static_cast<const ir::IntType *>(lv.qt.ty), 1);
             new_value = b_.binary(increment ? Opcode::Add : Opcode::Sub,
                                   old_value, one);
-        } else {
-            err(line, "++/-- on unsupported type");
         }
         b_.store(new_value, lv.addr);
         return {want_old ? old_value : new_value, lv.qt};
@@ -1303,7 +1365,7 @@ class CodeGen
             bool lp = lhs.qt.ty->isPointer();
             bool rp = rhs.qt.ty->isPointer();
             if (lp && rp && expr.op == Tok::Minus)
-                return lowerPtrDiff(lhs, rhs, expr.line);
+                return lowerPtrDiff(lhs, rhs);
             if (lp && !rp) {
                 ir::Value *idx =
                     convert(rhs, {types().i64(), rhs.qt.isUnsigned},
@@ -1356,14 +1418,13 @@ class CodeGen
     }
 
     RV
-    lowerPtrDiff(RV lhs, RV rhs, int line)
+    lowerPtrDiff(RV lhs, RV rhs)
     {
         const ir::Type *elem =
             static_cast<const ir::PointerType *>(lhs.qt.ty)->pointee();
         ir::Value *a = b_.cast(Opcode::PtrToInt, lhs.v, types().i64());
         ir::Value *c = b_.cast(Opcode::PtrToInt, rhs.v, types().i64());
         ir::Value *bytes = b_.binary(Opcode::Sub, a, c);
-        (void)line;
         ir::Value *size = emitSizeof(elem);
         return {b_.binary(Opcode::SDiv, bytes, size),
                 {types().i64(), false}};
@@ -1470,27 +1531,34 @@ class CodeGen
         ir::BasicBlock *true_bb = newBlock("cond.true");
         ir::BasicBlock *false_bb = newBlock("cond.false");
         ir::BasicBlock *merge_bb = newBlock("cond.end");
-
-        // Determine the result type by peeking at both branches' types.
-        QualType true_qt = typeOfExpr(*expr.rhs);
-        QualType false_qt = typeOfExpr(*expr.third);
-        QualType result;
-        if (true_qt.ty->isPointer())
-            result = true_qt;
-        else if (false_qt.ty->isPointer())
-            result = false_qt;
-        else
-            result = commonType(true_qt, false_qt, expr.line);
-
-        ir::Instruction *slot = b_.alloca_(result.ty, "condtmp");
+        ir::BasicBlock *cond_bb = b_.insertBlock();
         b_.condBr(cond, true_bb, false_bb);
 
         b_.setInsertPoint(true_bb);
-        b_.store(convert(lowerExpr(*expr.rhs), result, expr.line).v, slot);
+        RV true_rv = lowerExpr(*expr.rhs);
+        ir::BasicBlock *true_end = b_.insertBlock();
+        b_.setInsertPoint(false_bb);
+        RV false_rv = lowerExpr(*expr.third);
+        ir::BasicBlock *false_end = b_.insertBlock();
+
+        // The result has the arms' common type; a pointer arm wins. Its
+        // slot goes before the branch.
+        QualType result;
+        if (true_rv.qt.ty->isPointer())
+            result = true_rv.qt;
+        else if (false_rv.qt.ty->isPointer())
+            result = false_rv.qt;
+        else
+            result = commonType(true_rv.qt, false_rv.qt, expr.line);
+        b_.setInsertPoint(cond_bb, cond_bb->insts().size() - 1);
+        ir::Instruction *slot = b_.alloca_(result.ty, "condtmp");
+
+        b_.setInsertPoint(true_end);
+        b_.store(convert(true_rv, result, expr.line).v, slot);
         b_.br(merge_bb);
 
-        b_.setInsertPoint(false_bb);
-        b_.store(convert(lowerExpr(*expr.third), result, expr.line).v, slot);
+        b_.setInsertPoint(false_end);
+        b_.store(convert(false_rv, result, expr.line).v, slot);
         b_.br(merge_bb);
 
         b_.setInsertPoint(merge_bb);
@@ -1500,23 +1568,21 @@ class CodeGen
     RV
     lowerAssign(const Expr &expr)
     {
+        LV lv = lowerLValue(*expr.lhs);
         // Struct assignment lowers to memcpy (layout-aware on each arch
         // via the sizeof intrinsic).
-        QualType lhs_qt = typeOfExpr(*expr.lhs);
-        if (lhs_qt.ty->isStruct() && expr.op == Tok::Assign) {
-            LV dst = lowerLValue(*expr.lhs);
+        if (lv.qt.ty->isStruct() && expr.op == Tok::Assign) {
             LV src = lowerLValue(*expr.rhs);
-            if (dst.qt.ty != src.qt.ty)
+            if (lv.qt.ty != src.qt.ty)
                 err(expr.line, "struct assignment with mismatched types");
             ir::Function *memcpy_fn = declareBuiltin(*module_, "memcpy");
             const ir::Type *i8p = types().pointerTo(types().i8());
-            ir::Value *d = b_.cast(Opcode::Bitcast, dst.addr, i8p);
+            ir::Value *d = b_.cast(Opcode::Bitcast, lv.addr, i8p);
             ir::Value *s = b_.cast(Opcode::Bitcast, src.addr, i8p);
-            b_.call(memcpy_fn, {d, s, emitSizeof(dst.qt.ty)});
+            b_.call(memcpy_fn, {d, s, emitSizeof(lv.qt.ty)});
             return {d, {i8p, false}};
         }
 
-        LV lv = lowerLValue(*expr.lhs);
         if (expr.op == Tok::Assign) {
             RV value = convert(lowerExpr(*expr.rhs), lv.qt, expr.line);
             b_.store(value.v, lv.addr);
@@ -1524,6 +1590,8 @@ class CodeGen
         }
 
         // Compound assignment: load, combine, store.
+        if (!lv.qt.ty->isScalar())
+            err(expr.line, "compound assignment to an array or struct");
         ir::Value *old_value = b_.load(lv.addr);
         RV lhs_rv{old_value, lv.qt};
         RV rhs = lowerExpr(*expr.rhs);
@@ -1645,174 +1713,6 @@ class CodeGen
             call = b_.callIndirect(fn_ptr, fn_type, std::move(args));
         return {call, {fn_type->returnType(), false}};
     }
-
-    // --- Static expression typing (no code emitted) -----------------------
-
-    /**
-     * Compute the type an expression would have, without emitting IR.
-     * Used where the result type must be known before lowering
-     * (conditionals, sizeof expr, struct assignment detection).
-     */
-    QualType
-    typeOfExpr(const Expr &expr)
-    {
-        switch (expr.kind) {
-          case ExprKind::IntLit:
-            if (expr.charLike)
-                return {types().i8(), false};
-            if (expr.intValue > 0x7fffffffll || expr.intValue < -0x80000000ll)
-                return {types().i64(), false};
-            return {types().i32(), false};
-          case ExprKind::FloatLit:
-            return {types().f64(), false};
-          case ExprKind::StringLit:
-            return {types().pointerTo(types().i8()), false};
-          case ExprKind::Ident: {
-            if (enum_consts_.count(expr.name))
-                return {types().i32(), false};
-            const VarInfo *var = lookupVar(expr.name);
-            if (var != nullptr) {
-                if (var->qt.ty->isArray()) {
-                    const auto *arr =
-                        static_cast<const ir::ArrayType *>(var->qt.ty);
-                    return {types().pointerTo(arr->element()),
-                            var->qt.isUnsigned};
-                }
-                return var->qt;
-            }
-            if (ir::Function *fn = module_->functionByName(expr.name))
-                return {fn->type(), false};
-            err(expr.line, "unknown identifier '" + expr.name + "'");
-          }
-          case ExprKind::Unary:
-            switch (expr.op) {
-              case Tok::Star: {
-                QualType inner = typeOfExpr(*expr.lhs);
-                if (!inner.ty->isPointer())
-                    err(expr.line, "dereference of non-pointer");
-                return {static_cast<const ir::PointerType *>(inner.ty)
-                            ->pointee(),
-                        inner.isUnsigned};
-              }
-              case Tok::Amp: {
-                QualType inner = typeOfExpr(*expr.lhs);
-                return {types().pointerTo(inner.ty), inner.isUnsigned};
-              }
-              case Tok::Bang:
-                return {types().i32(), false};
-              case Tok::Minus:
-              case Tok::Tilde: {
-                QualType inner = typeOfExpr(*expr.lhs);
-                if (inner.ty->isFloat())
-                    return inner;
-                return commonType(inner, inner, expr.line);
-              }
-              default:
-                return typeOfExpr(*expr.lhs);
-            }
-          case ExprKind::Binary: {
-            if (expr.op == Tok::AmpAmp || expr.op == Tok::PipePipe ||
-                expr.op == Tok::Eq || expr.op == Tok::Ne ||
-                expr.op == Tok::Lt || expr.op == Tok::Gt ||
-                expr.op == Tok::Le || expr.op == Tok::Ge) {
-                return {types().i32(), false};
-            }
-            QualType lhs = typeOfExpr(*expr.lhs);
-            QualType rhs = typeOfExpr(*expr.rhs);
-            if (lhs.ty->isPointer() && rhs.ty->isPointer())
-                return {types().i64(), false}; // pointer difference
-            if (lhs.ty->isPointer())
-                return lhs;
-            if (rhs.ty->isPointer())
-                return rhs;
-            return commonType(lhs, rhs, expr.line);
-          }
-          case ExprKind::Assign:
-            return typeOfExpr(*expr.lhs);
-          case ExprKind::Conditional: {
-            QualType true_qt = typeOfExpr(*expr.rhs);
-            if (true_qt.ty->isPointer())
-                return true_qt;
-            QualType false_qt = typeOfExpr(*expr.third);
-            if (false_qt.ty->isPointer())
-                return false_qt;
-            return commonType(true_qt, false_qt, expr.line);
-          }
-          case ExprKind::Call: {
-            if (expr.lhs->kind == ExprKind::Ident &&
-                lookupVar(expr.lhs->name) == nullptr) {
-                ir::Function *fn =
-                    module_->functionByName(expr.lhs->name);
-                if (fn == nullptr && findBuiltin(expr.lhs->name))
-                    fn = declareBuiltin(*module_, expr.lhs->name);
-                if (fn != nullptr)
-                    return {fn->functionType()->returnType(), false};
-            }
-            QualType callee = typeOfExpr(*expr.lhs);
-            if (callee.ty->isPointer()) {
-                const ir::Type *pointee =
-                    static_cast<const ir::PointerType *>(callee.ty)
-                        ->pointee();
-                if (pointee->isFunction())
-                    return {static_cast<const ir::FunctionType *>(pointee)
-                                ->returnType(),
-                            false};
-            }
-            err(expr.line, "called value is not a function");
-          }
-          case ExprKind::Index: {
-            QualType base = typeOfExpr(*expr.lhs);
-            if (!base.ty->isPointer())
-                err(expr.line, "indexed value is not a pointer or array");
-            const ir::Type *elem =
-                static_cast<const ir::PointerType *>(base.ty)->pointee();
-            if (elem->isArray())
-                return {types().pointerTo(
-                            static_cast<const ir::ArrayType *>(elem)
-                                ->element()),
-                        base.isUnsigned};
-            return {elem, base.isUnsigned};
-          }
-          case ExprKind::Member: {
-            QualType base = typeOfExpr(*expr.lhs);
-            const ir::Type *struct_ty = base.ty;
-            if (expr.isArrow) {
-                if (!base.ty->isPointer())
-                    err(expr.line, "'->' on non-pointer");
-                struct_ty = static_cast<const ir::PointerType *>(base.ty)
-                                ->pointee();
-            }
-            if (!struct_ty->isStruct())
-                err(expr.line, "member access on non-struct");
-            const auto *st =
-                static_cast<const ir::StructType *>(struct_ty);
-            int idx = st->fieldIndex(expr.name);
-            if (idx < 0)
-                err(expr.line, "no field '" + expr.name + "'");
-            const ir::Type *field =
-                st->field(static_cast<size_t>(idx)).type;
-            bool is_unsigned =
-                fieldIsUnsigned(st, static_cast<size_t>(idx));
-            if (field->isArray())
-                return {types().pointerTo(
-                            static_cast<const ir::ArrayType *>(field)
-                                ->element()),
-                        is_unsigned};
-            return {field, is_unsigned};
-          }
-          case ExprKind::Cast:
-            return resolveType(*expr.typeArg, expr.line);
-          case ExprKind::SizeofType:
-          case ExprKind::SizeofExpr:
-            return {types().i64(), true};
-          case ExprKind::PostIncDec:
-            return typeOfExpr(*expr.lhs);
-        }
-        panic("unhandled expression kind in typeOfExpr");
-    }
-
-    // Member lvalue typing needs the *undecayed* struct/array type; the
-    // lowerLValue path handles that separately.
 
     const TranslationUnit &tu_;
     std::unique_ptr<ir::Module> module_;

@@ -1,6 +1,5 @@
 #include "frontend/parser.hpp"
 
-#include <map>
 #include <set>
 
 #include "frontend/lexer.hpp"
@@ -278,48 +277,20 @@ class Parser
             *name_out = advance().text;
 
         // Array suffixes, innermost dimension last.
-        std::vector<int64_t> dims;
+        std::vector<std::unique_ptr<Expr>> dims;
         while (match(Tok::LBracket)) {
             nest.deeper();
-            dims.push_back(parseArraySize());
+            dims.push_back(parseConditional());
             expect(Tok::RBracket, "after array size");
         }
         for (size_t i = dims.size(); i > 0; --i) {
             auto arr = std::make_unique<TypeExpr>();
             arr->kind = TypeExpr::Kind::Array;
-            arr->arraySize = dims[i - 1];
+            arr->arraySize = std::move(dims[i - 1]);
             arr->inner = std::move(base);
             base = std::move(arr);
         }
         return base;
-    }
-
-    /** Constant array dimension: literals, enum constants, * and +. */
-    int64_t
-    parseArraySize()
-    {
-        int64_t value = parseArrayTerm();
-        while (check(Tok::Star) || check(Tok::Plus)) {
-            bool mul = advance().kind == Tok::Star;
-            int64_t rhs = parseArrayTerm();
-            value = mul ? value * rhs : value + rhs;
-        }
-        return value;
-    }
-
-    int64_t
-    parseArrayTerm()
-    {
-        if (check(Tok::IntLiteral))
-            return advance().intValue;
-        if (check(Tok::Identifier)) {
-            auto it = enum_consts_.find(peek().text);
-            if (it != enum_consts_.end()) {
-                advance();
-                return it->second;
-            }
-        }
-        error("array size must be an integer constant");
     }
 
     // --- Top level ----------------------------------------------------------
@@ -435,11 +406,8 @@ class Parser
         decl->name = !typedef_name.empty() ? typedef_name : tag;
         if (decl->name.empty())
             error("anonymous struct without typedef name");
-        struct_names_.insert(decl->name);
-        if (!tag.empty() && tag != decl->name) {
-            struct_aliases_[tag] = decl->name;
+        if (!tag.empty() && tag != decl->name)
             decl->structTag = tag;
-        }
         tu.decls.push_back(std::move(decl));
     }
 
@@ -453,17 +421,12 @@ class Parser
 
         auto decl = std::make_unique<Decl>(DeclKind::Enum);
         decl->line = peek().line;
-        int64_t next = 0;
         while (!check(Tok::RBrace)) {
             std::string name = expect(Tok::Identifier, "enumerator").text;
-            if (match(Tok::Assign)) {
-                bool neg = match(Tok::Minus);
-                int64_t v = expect(Tok::IntLiteral, "enum value").intValue;
-                next = neg ? -v : v;
-            }
-            decl->enumerators.emplace_back(name, next);
-            enum_consts_[name] = next;
-            ++next;
+            std::unique_ptr<Expr> value;
+            if (match(Tok::Assign))
+                value = parseConditional();
+            decl->enumerators.emplace_back(std::move(name), std::move(value));
             if (!match(Tok::Comma))
                 break;
         }
@@ -968,9 +931,6 @@ class Parser
     size_t pos_ = 0;
     int depth_ = 0; ///< nesting levels taken; see Nest
     std::set<std::string> typedefs_;
-    std::set<std::string> struct_names_;
-    std::map<std::string, std::string> struct_aliases_;
-    std::map<std::string, int64_t> enum_consts_;
 };
 
 } // namespace

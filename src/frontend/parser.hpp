@@ -1,8 +1,9 @@
 /**
  * @file
- * Recursive-descent parser for MiniC. Tracks typedef/struct/enum names
- * to disambiguate declarations from expressions (the classic C lexer
- * hack, kept inside the parser).
+ * Recursive-descent parser for MiniC. Tracks typedef names to
+ * disambiguate declarations from expressions (the classic C lexer hack,
+ * kept inside the parser); it evaluates nothing, and codegen types and
+ * folds what it builds.
  */
 #ifndef NOL_FRONTEND_PARSER_HPP
 #define NOL_FRONTEND_PARSER_HPP

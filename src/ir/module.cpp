@@ -82,6 +82,19 @@ Module::globalByName(const std::string &name) const
     return nullptr;
 }
 
+void
+Module::removeGlobal(GlobalVariable *gv)
+{
+    for (size_t i = 0; i < globals_.size(); ++i) {
+        if (globals_[i].get() == gv) {
+            globals_.erase(globals_.begin() + static_cast<ptrdiff_t>(i));
+            return;
+        }
+    }
+    panic("global %s not found in module %s", gv->name().c_str(),
+          name_.c_str());
+}
+
 ConstInt *
 Module::constInt(const IntType *type, int64_t value)
 {

@@ -77,6 +77,9 @@ class Module
     /** Find a global by name; nullptr if absent. */
     GlobalVariable *globalByName(const std::string &name) const;
 
+    /** Remove (destroy) the global @p gv. */
+    void removeGlobal(GlobalVariable *gv);
+
     // --- Constants ----------------------------------------------------------
     /** Integer constant of @p type. */
     ConstInt *constInt(const IntType *type, int64_t value);

@@ -5,12 +5,15 @@
  */
 #include <gtest/gtest.h>
 
+#include "frontend/builtins.hpp"
 #include "frontend/codegen.hpp"
 #include "frontend/lexer.hpp"
 #include "frontend/parser.hpp"
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
 #include "support/logging.hpp"
+#include "support/rng.hpp"
+#include "workloads/workloads.hpp"
 
 using namespace nol;
 using namespace nol::frontend;
@@ -31,6 +34,28 @@ repeat(const std::string &text, int n)
     for (int i = 0; i < n; ++i)
         out += text;
     return out;
+}
+
+/** @p source cut at the start of each token; a piece keeps the
+ *  whitespace and comments that follow its token. */
+std::vector<std::string>
+tokenPieces(const std::string &source)
+{
+    std::vector<size_t> line_start{0};
+    for (size_t i = 0; i < source.size(); ++i) {
+        if (source[i] == '\n')
+            line_start.push_back(i + 1);
+    }
+    std::vector<size_t> starts;
+    for (const Token &tok : lex(source, "t")) {
+        if (tok.kind != Tok::Eof)
+            starts.push_back(line_start[tok.line - 1] + tok.col - 1);
+    }
+    starts.push_back(source.size());
+    std::vector<std::string> pieces;
+    for (size_t i = 0; i + 1 < starts.size(); ++i)
+        pieces.push_back(source.substr(starts[i], starts[i + 1] - starts[i]));
+    return pieces;
 }
 
 } // namespace
@@ -433,6 +458,268 @@ TEST(CodeGen, VariadicPromotions)
                 inst->callee()->name() == "printf") {
                 EXPECT_EQ(inst->operand(1)->type()->str(), "i32");
                 EXPECT_EQ(inst->operand(2)->type()->str(), "double");
+            }
+        }
+    }
+}
+
+TEST(CodeGen, ConstantsFoldWithTheGuestsArithmetic)
+{
+    // Each fold wraps as the guest's 64-bit arithmetic does; the host's
+    // operators trapped (INT64_MIN / -1) or overflowed on these.
+    auto mod = compile(R"(
+        enum { BIG = 9223372036854775807, WRAPPED };
+        long quot = (-9223372036854775807 - 1) / -1;
+        long shl = 1 << 70;
+        long sum = 9223372036854775807 + 1;
+        long neg = -(-9223372036854775807 - 1);
+        long next = WRAPPED;
+        int pick(long x) {
+            switch (x) {
+              case (-9223372036854775807 - 1) / -1: return 1;
+              default: return 0;
+            }
+        }
+    )");
+    const int64_t kMin = INT64_MIN;
+    EXPECT_EQ(mod->globalByName("quot")->init().intValue, kMin);
+    EXPECT_EQ(mod->globalByName("shl")->init().intValue, 64); // 70 mod 64
+    EXPECT_EQ(mod->globalByName("sum")->init().intValue, kMin);
+    EXPECT_EQ(mod->globalByName("neg")->init().intValue, kMin);
+    EXPECT_EQ(mod->globalByName("next")->init().intValue, kMin);
+    const ir::Instruction *sw = nullptr;
+    for (const auto &bb : mod->functionByName("pick")->blocks()) {
+        for (const auto &inst : bb->insts()) {
+            if (inst->op() == ir::Opcode::Switch)
+                sw = inst.get();
+        }
+    }
+    ASSERT_NE(sw, nullptr);
+    EXPECT_EQ(sw->caseValues(), std::vector<int64_t>{kMin});
+
+    // An array size that wraps negative is rejected; a zero divisor is
+    // not constant.
+    EXPECT_THROW(compile("int a[9223372036854775807 * 2];"), FatalError);
+    EXPECT_THROW(compile("long z = 1 / 0;"), FatalError);
+    EXPECT_THROW(compile("int f(int x) { switch (x) { case 1 / 0: "
+                         "return 1; } return 0; }"),
+                 FatalError);
+}
+
+TEST(CodeGen, ConstantExpressionDimensionsAndEnumerators)
+{
+    auto mod = compile(R"(
+        enum { N = 4, M = N * 2 + 1 };
+        enum { A = 1 << 3, B, C = -B / 4 };
+        int a[N * 2 + 1][M - N];
+        int b = B;
+        int c = C;
+    )");
+    const ir::Type *a = mod->globalByName("a")->valueType();
+    EXPECT_EQ(a->str(), "[9 x [5 x i32]]");
+    EXPECT_EQ(mod->globalByName("b")->init().intValue, 9);
+    EXPECT_EQ(mod->globalByName("c")->init().intValue, -2);
+
+    // Each diagnostic names the line of the offending expression.
+    const struct {
+        const char *source;
+        const char *message;
+    } bad[] = {
+        {"int x;\nint a[x];", "test.c:2: array size must be an integer "
+                               "constant"},
+        {"int a[2 - 2];", "test.c:1: array size must be positive"},
+        {"int f(int n) {\n  int a[n]; return 0; }",
+         "test.c:2: array size must be an integer constant"},
+        {"int x;\nenum { A = x };",
+         "test.c:2: enumerator value must be an integer constant"},
+        {"enum {\n  A = 1 / 0 };",
+         "test.c:2: enumerator value must be an integer constant"},
+        {"int f(int x) { switch (x) {\n  case x: return 1; } return 0; }",
+         "test.c:2: case value must be an integer constant"},
+    };
+    for (const auto &input : bad) {
+        SCOPED_TRACE(input.source);
+        try {
+            compile(input.source);
+            ADD_FAILURE() << "compiled";
+        } catch (const FatalError &e) {
+            EXPECT_STREQ(e.what(), input.message);
+        }
+    }
+}
+
+TEST(CodeGen, MisuseEndsInADiagnosticNamingTheLine)
+{
+    // Each of these panicked or crashed: the lowering emitted IR the
+    // builder or the verifier rejects, or created a second global of
+    // one name.
+    const struct {
+        const char *source;
+        const char *message;
+    } bad[] = {
+        {"int f(double d) {\n  return ~d; }",
+         "test.c:2: operand of '~' is not an integer"},
+        {"int head;\nint head;", "test.c:2: redefinition of global 'head'"},
+        {"int f(void *vp) {\n  return *vp; }",
+         "test.c:2: cannot read a value of type void"},
+        {"typedef struct { int x; } S;\nint f(S *s) { *s += 1; return 0; }",
+         "test.c:2: compound assignment to an array or struct"},
+        {"int f() { int a[3];\n  a++; return 0; }",
+         "test.c:2: ++/-- on unsupported type"},
+        {"typedef struct { int x; } S; S arr[2];\n"
+         "int f() { return arr[0][1]; }",
+         "test.c:2: struct rvalues are not supported; take a pointer "
+         "instead"},
+        {"int f(int x) { switch (x) {\n  x = 1; case 1: return 0; } "
+         "return 1; }",
+         "test.c:2: statement before the first case label"},
+        {"int f(int c) { if (c) int y;\n  y = 1; return y; }",
+         "test.c:2: unknown variable 'y'"},
+        {"int f(int c) { while (c) int y;\n  y = 1; return y; }",
+         "test.c:2: unknown variable 'y'"},
+    };
+    for (const auto &input : bad) {
+        SCOPED_TRACE(input.source);
+        try {
+            compile(input.source);
+            ADD_FAILURE() << "compiled";
+        } catch (const FatalError &e) {
+            EXPECT_STREQ(e.what(), input.message);
+        }
+    }
+}
+
+TEST(CodeGen, SwitchBodyDeclarationsReachEveryLaterLabel)
+{
+    // A label jumps into the scope of a declaration before it, live or
+    // dead; the slot sits before the switch, which dominates each label.
+    // The verifier rejected the first and the second read freed memory.
+    for (const char *body : {"case 1: int y = x + 1; return y; "
+                             "case 2: y = 2; return y;",
+                             "case 1: return 0; int y; "
+                             "case 2: y = 2; return y;"}) {
+        SCOPED_TRACE(body);
+        auto mod = compile(std::string("int f(int x) { switch (x) { ") +
+                           body + " } return 0; }");
+        const ir::BasicBlock *entry = mod->functionByName("f")->entry();
+        bool slot_in_entry = false;
+        for (const auto &inst : entry->insts())
+            slot_in_entry |= inst->op() == ir::Opcode::Alloca &&
+                             inst->name() == "y";
+        EXPECT_TRUE(slot_in_entry);
+    }
+}
+
+TEST(CodeGen, SizeofEvaluatesNothingAndLeavesNoTrace)
+{
+    // sizeof lowers its operand only for the type, inside a loop here:
+    // no instruction, block, loop block, string or builtin declaration
+    // of it may reach the module, which must print exactly as the one
+    // that names the type. The printer omits the type sizeof asks the
+    // layout for, so it is appended.
+    const char *program = R"(
+        int f() { return 1; }
+        long g(int t) {
+            int i = 0;
+            int a = 1;
+            long s = 0;
+            for (int k = 0; k < 3; k++)
+                s += sizeof(%s);
+            return s + i + a;
+        }
+    )";
+    auto text = [&](const std::string &operand) {
+        std::string source(program);
+        source.replace(source.find("%s"), 2, operand);
+        auto mod = compile(source);
+        std::string out = ir::printModule(*mod);
+        for (const auto &bb : mod->functionByName("g")->blocks()) {
+            for (const auto &inst : bb->insts()) {
+                if (inst->op() == ir::Opcode::Call &&
+                    inst->callee()->name() == kSizeofIntrinsic)
+                    out += "; sizeof " + inst->accessType()->str() + "\n";
+            }
+        }
+        return out;
+    };
+    const struct {
+        const char *operand;
+        const char *type;
+    } cases[] = {
+        {"i++", "int"},
+        {"f()", "int"},
+        {"a && f()", "int"},
+        {"t ? f() : 2", "int"},
+        {"\"abc\"", "char[4]"},
+        {"strlen(\"xyz\")", "long"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.operand);
+        EXPECT_EQ(text(c.operand), text(c.type));
+    }
+}
+
+TEST(SourceMutation, EveryMutantCompilesOrEndsInAFatalError)
+{
+    // Each mutant makes 1-3 token edits to one of the 18 programs:
+    // delete, duplicate, swap, or replace with or insert a token from
+    // kTokens. Whatever the input, the frontend must return a module or
+    // throw FatalError; a PanicError, a signal or a sanitizer report is
+    // a frontend bug. The edits are printed so a failure reproduces.
+    static const char *const kTokens[] = {
+        ";", ",", "(", ")", "{", "}", "[", "]", "*", "&", "-", "~", "!",
+        "=", "+=", "++", "?", ":", ".", "->", "0", "1", "1.5", "\"s\"",
+        "'c'", "9223372036854775807", "int", "char", "double", "void",
+        "struct", "typedef", "enum", "if", "while", "return", "break",
+        "sizeof", "switch", "case", "default", "x",
+    };
+    const int kMutantsPerProgram = 50;
+    std::vector<workloads::WorkloadSpec> programs = workloads::allWorkloads();
+    programs.push_back(workloads::makeChess(3));
+    Rng rng(1);
+    for (const auto &spec : programs) {
+        const std::vector<std::string> pieces = tokenPieces(spec.source);
+        for (int m = 0; m < kMutantsPerProgram; ++m) {
+            std::vector<std::string> mutant = pieces;
+            std::string edits;
+            for (int64_t e = rng.range(1, 3); e > 0; --e) {
+                size_t at = rng.below(mutant.size());
+                size_t other = rng.below(mutant.size());
+                std::string tok =
+                    std::string(kTokens[rng.below(std::size(kTokens))]) + " ";
+                std::string where = " " + std::to_string(at);
+                switch (rng.below(5)) {
+                  case 0:
+                    edits += " delete" + where;
+                    mutant.erase(mutant.begin() + at);
+                    break;
+                  case 1:
+                    edits += " duplicate" + where;
+                    mutant.insert(mutant.begin() + at, mutant[at]);
+                    break;
+                  case 2:
+                    edits += " swap" + where + " " + std::to_string(other);
+                    std::swap(mutant[at], mutant[other]);
+                    break;
+                  case 3:
+                    edits += " replace" + where + " " + tok;
+                    mutant[at] = tok;
+                    break;
+                  default:
+                    edits += " insert" + where + " " + tok;
+                    mutant.insert(mutant.begin() + at, tok);
+                    break;
+                }
+            }
+            std::string source;
+            for (const std::string &piece : mutant)
+                source += piece;
+            try {
+                compileSource(source, spec.id + ".c");
+            } catch (const FatalError &) {
+            } catch (const std::exception &e) {
+                ADD_FAILURE() << spec.id << " mutant " << m << ":" << edits
+                              << ": " << e.what();
             }
         }
     }

@@ -167,10 +167,10 @@ TEST(Interp, FunctionPointers)
         int main() {
             int s = 0;
             for (int i = 0; i < 2; i++) { OP f = ops[i]; s += f(3, 4); }
-            return s;
+            return s + (*ops[1])(2, 5);
         }
     )");
-    EXPECT_EQ(r.ret, 7 + 12);
+    EXPECT_EQ(r.ret, 7 + 12 + 10);
 }
 
 TEST(Interp, PrintfFormatting)
@@ -362,6 +362,73 @@ TEST(Interp, ExpressionTypesFollowTheirLowering)
         }
     )");
     EXPECT_EQ(r.console, "4 4 8 5000000000\n");
+}
+
+TEST(Interp, SizeofTypesItsOperandBeforeLvalueConversion)
+{
+    // An array object and a string literal keep their array type, as in
+    // C; a struct object, through a name or a pointer, its struct type.
+    const char *src = R"(
+        typedef struct { char c; double d; int i; } S;
+        int main() {
+            int a[3];
+            S s;
+            S *p = &s;
+            printf("%d %d %d %d %d %d\n", (int)sizeof a, (int)sizeof "abc",
+                   (int)sizeof s, (int)sizeof *p, (int)sizeof(S),
+                   (int)sizeof a[0]);
+            return 0;
+        }
+    )";
+    EXPECT_EQ(run(src, arch::makeArm32()).console, "12 4 24 24 24 4\n");
+    EXPECT_EQ(run(src, arch::makeX86_64()).console, "12 4 24 24 24 4\n");
+    EXPECT_EQ(run(src, arch::makeIa32()).console, "12 4 16 16 16 4\n");
+}
+
+TEST(Interp, ConditionalTakesItsArmsCommonType)
+{
+    RunResult r = run(R"(
+        int main() {
+            int a = 1;
+            int b = 0;
+            int arr[2];
+            arr[1] = 7;
+            int nested = a ? (b ? 10 : 20) : 30;
+            int logical = b ? 1 : (a && b ? 2 : 3);
+            int both = (a || b) ? (a && 1) : 5;
+            long wide = a ? 'c' : 5000000000;
+            double mixed = b ? 1 : 2.5;
+            int *left = a ? arr : 0;
+            int *right = a ? 0 : arr;
+            printf("%d %d %d %ld %.1f %d %d\n", nested, logical, both, wide,
+                   mixed, left[1], right == 0);
+            return 0;
+        }
+    )");
+    EXPECT_EQ(r.console, "20 3 1 99 2.5 7 1\n");
+}
+
+TEST(Interp, StructAssignmentThroughPointersAndElements)
+{
+    RunResult r = run(R"(
+        typedef struct { int x; double y; } P;
+        P as[2];
+        P bs[2];
+        int main() {
+            P *p = &as[0];
+            P *q = &bs[1];
+            bs[1].x = 5;
+            bs[1].y = 2.5;
+            *p = *q;
+            int i = 1;
+            int j = 1;
+            bs[1].x = 6;
+            as[i] = bs[j];
+            printf("%d %.1f %d %.1f\n", as[0].x, as[0].y, as[1].x, as[1].y);
+            return 0;
+        }
+    )");
+    EXPECT_EQ(r.console, "5 2.5 6 2.5\n");
 }
 
 TEST(Interp, MobileSlowerThanServerOnSameProgram)
