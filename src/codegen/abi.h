@@ -27,18 +27,18 @@ typedef struct NolVal {
 
 /* One run-length-encoded charge: count consecutive executions of an
  * instruction costing cost units. kind is the sim::CostKind selecting
- * the ArchSpec scale applied at charge time (0 none, 1 arith, 2 mem);
- * scales are read per occurrence because runIdeal swaps them mid-run. */
+ * the ArchSpec scale (0 none, 1 arith, 2 mem); the charge table entry
+ * kind * NOL_COST_SLOTS + cost holds what one execution adds. */
 typedef struct NolChargeItem {
     uint32_t cost;
     uint32_t kind;
     uint32_t count;
 } NolChargeItem;
 
-/* What one occurrence of a (cost, kind) charge adds on the machine's
- * current spec, compute state and rate: the scaled cost units, the ns
- * they take and the energy delta, the exact operands
- * SimMachine::advanceCompute() would add. */
+/* One entry of the machine's charge table (sim::Charge): what one
+ * occurrence of a (cost, kind) charge adds at the machine's current
+ * pricing and compute rate, the scaled cost units, the ns they take and
+ * the energy delta. runIdeal's pricing swap rebuilds the table in place. */
 typedef struct NolCost {
     uint64_t units;
     double ns;
@@ -69,14 +69,14 @@ typedef struct NolCtx {
     uint64_t sp;
     uint64_t stack_limit;
 
-    /* Charges: advanceCompute() replayed on an open run */
+    /* Charges: SimMachine::charge() replayed on an open run */
     double *now;          /* SimMachine clock */
     double *energy;       /* PowerModel energy accumulator */
     uint64_t *units;      /* SimMachine compute units */
     uint64_t *steps;      /* the backend's executed-instruction count */
     uint64_t step_limit;
     double *seg_end;      /* derived: end of the open run's segment */
-    const NolCost *costs; /* derived: NOL_COST_KINDS x NOL_COST_SLOTS */
+    const NolCost *costs; /* the charge table, kinds x slots */
     uint32_t open;        /* derived: PowerModel::openRun holds */
     /* Memory: PagedMemory's translation cache */
     uint32_t mem_direct;  /* derived: little-endian, no touch observer */
@@ -84,7 +84,7 @@ typedef struct NolCtx {
     uint8_t *const *mem_data;
     bool *const *mem_dirty;
 
-    /* Host thunks. Slow charge path: replays with advanceCompute. */
+    /* Host thunks. Slow charge path: replays with SimMachine::charge. */
     void (*charge)(struct NolCtx *, const NolChargeItem *, uint32_t n,
                    uint32_t fn_id);
     /* Slow access paths: miss, page crossing, odd size, observer,

@@ -40,8 +40,8 @@ const char *kGuestOps =
  * PagedMemory.
  *
  * nol_charge replays what the host's charge thunk would: per
- * occurrence, SimMachine::advanceCompute's additions in its order,
- * with the operands the host computed (ctx->costs). That is exact only
+ * occurrence, SimMachine::charge's additions in its order, with the
+ * operands of the machine's charge table (ctx->costs). That is exact only
  * on an open run (PowerModel::openRun) with room under the step limit,
  * where accumulate() merely extends the last segment to the new clock;
  * anything else goes to the host. nol_load and nol_store charge the
@@ -197,12 +197,6 @@ f64Lit(double d)
     return buf;
 }
 
-/** One pending per-occurrence charge, before RLE compression. */
-struct Charge {
-    uint32_t cost;
-    uint32_t kind; ///< a sim::CostKind value
-};
-
 class Emitter
 {
   public:
@@ -217,16 +211,19 @@ class Emitter
     void emitFunction(const ir::Function *fn, size_t fn_id);
     void emitInst(const ir::Instruction *inst, size_t fn_id);
 
-    /** Queue the cost-model charge for one execution of @p inst. */
+    /** Queue the cost-model charge for one execution of @p inst,
+     *  run-length encoded. */
     void pushCharge(const ir::Instruction *inst)
     {
-        Charge c{static_cast<uint32_t>(sim::opcodeCost(inst->op())),
-                 static_cast<uint32_t>(sim::costKind(inst->op()))};
-        NOL_ASSERT(c.cost >= 1 && c.cost < NOL_COST_SLOTS &&
-                       c.kind < NOL_COST_KINDS,
-                   "charge (%u, %u) is outside the charge table", c.cost,
-                   c.kind);
-        pending_.push_back(c);
+        uint32_t cost = static_cast<uint32_t>(sim::opcodeCost(inst->op()));
+        uint32_t kind = static_cast<uint32_t>(sim::costKind(inst->op()));
+        NOL_ASSERT(cost >= 1 && cost < NOL_COST_SLOTS && kind < NOL_COST_KINDS,
+                   "charge (%u, %u) is outside the charge table", cost, kind);
+        if (!pending_.empty() && pending_.back().cost == cost &&
+            pending_.back().kind == kind)
+            ++pending_.back().count;
+        else
+            pending_.push_back({cost, kind, 1});
     }
 
     /**
@@ -237,9 +234,11 @@ class Emitter
     uint32_t popSelfCharge()
     {
         NOL_ASSERT(!pending_.empty(), "no self charge queued");
-        Charge self = pending_.back();
-        pending_.pop_back();
-        return self.cost << 2 | self.kind;
+        NolChargeItem &self = pending_.back();
+        uint32_t packed = self.cost << 2 | self.kind;
+        if (--self.count == 0)
+            pending_.pop_back();
+        return packed;
     }
 
     /**
@@ -253,20 +252,11 @@ class Emitter
     {
         if (pending_.empty())
             return;
-        std::vector<NolChargeItem> items;
-        for (const Charge &c : pending_) {
-            if (!items.empty() && items.back().cost == c.cost &&
-                items.back().kind == c.kind) {
-                ++items.back().count;
-            } else {
-                items.push_back({c.cost, c.kind, 1});
-            }
-        }
-        size_t total = pending_.size();
-        pending_.clear();
+        size_t total = 0;
         line("  { static const NolChargeItem nc[] = {");
         std::string row = "      ";
-        for (const NolChargeItem &it : items) {
+        for (const NolChargeItem &it : pending_) {
+            total += it.count;
             row += "{" + std::to_string(it.cost) + "," +
                    std::to_string(it.kind) + "," +
                    std::to_string(it.count) + "},";
@@ -278,8 +268,9 @@ class Emitter
         if (row != "      ")
             line("%s", row.c_str());
         line("    };");
-        line("    nol_charge(ctx, nc, %zu, %zu, %zu); }", items.size(), total,
-             fn_id);
+        line("    nol_charge(ctx, nc, %zu, %zu, %zu); }", pending_.size(),
+             total, fn_id);
+        pending_.clear();
     }
 
     // --- Operand rendering ---------------------------------------------
@@ -317,7 +308,7 @@ class Emitter
     std::unordered_map<const ir::Value *, size_t> instIdx_;
     std::unordered_map<const ir::Instruction *, size_t> allocaIdx_;
     std::unordered_map<const ir::BasicBlock *, size_t> blockIdx_;
-    std::vector<Charge> pending_;
+    std::vector<NolChargeItem> pending_;
 };
 
 void
@@ -488,7 +479,6 @@ Emitter::emitFunction(const ir::Function *fn, size_t fn_id)
     line("static NolVal nol_f%zu(NolCtx *ctx, NolVal *a)", fn_id);
     line("{");
     line("  uint64_t saved_sp = ctx->sp;");
-    line("  (void)saved_sp; (void)a;");
     // One NolVal per value-producing instruction. Each is written by
     // exactly one instruction which always assigns the same field(s),
     // so the {0, 0.0} init makes every assignment equivalent to a
@@ -497,8 +487,6 @@ Emitter::emitFunction(const ir::Function *fn, size_t fn_id)
         line("  NolVal v%zu = {0, 0.0};", i);
     for (size_t i = 0; i < n_allocas; ++i)
         line("  uint64_t s%zu = 0; int s%zu_live = 0;", i, i);
-    for (size_t i = 0; i < n_vals; ++i)
-        line("  (void)v%zu;", i);
 
     for (const auto &bb : fn->blocks()) {
         line("L%zu:;", blockIdx_.at(bb.get()));

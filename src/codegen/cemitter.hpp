@@ -3,7 +3,7 @@
  * Lowers a typed IR module to a single C translation unit whose
  * execution is observationally identical to the interpreter: same
  * outputs, same guest memory traffic, and the same sequence of
- * SimMachine::advanceCompute calls (cost accounting is replayed
+ * SimMachine::charge calls (cost accounting is replayed
  * per-instruction-occurrence, in original order, through run-length-
  * encoded charge tables flushed at every host interaction point).
  */

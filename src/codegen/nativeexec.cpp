@@ -1,13 +1,15 @@
 #include "codegen/nativeexec.hpp"
 
-#include <algorithm>
-
-#include "sim/costmodel.hpp"
 #include "support/logging.hpp"
 
 namespace nol::codegen {
 
 using interp::RtVal;
+
+static_assert(sizeof(NolCost) == sizeof(sim::Charge) &&
+                  NOL_COST_KINDS == sim::kCostKinds &&
+                  NOL_COST_SLOTS == sim::kCostSlots,
+              "NolCost must mirror the machine's charge table");
 
 std::shared_ptr<const PreparedModule>
 PreparedModule::prepare(LoweredModule lowered)
@@ -54,11 +56,11 @@ NativeExec::NativeExec(std::shared_ptr<const PreparedModule> prepared,
     ctx_.sp = machine.stackBase();
     ctx_.stack_limit = machine.stackBase() - sim::kStackSize;
     ctx_.now = machine.clockSlot();
-    ctx_.energy = machine.power().energySlot();
+    ctx_.energy = machine.energySlot();
     ctx_.units = machine.computeUnitsSlot();
     ctx_.steps = &steps_;
     ctx_.step_limit = kStepLimit;
-    ctx_.costs = costs_;
+    ctx_.costs = reinterpret_cast<const NolCost *>(machine.charges());
     const sim::PagedMemory &mem = machine.mem();
     ctx_.mem_tags = mem.cacheTags();
     ctx_.mem_data = mem.cacheData();
@@ -130,35 +132,11 @@ NativeExec::invoke(NolFn fn_ptr, const ir::Function *fn,
 void
 NativeExec::sync()
 {
-    sim::SimMachine &m = machine_;
-    const arch::ArchSpec &spec = m.spec();
-    sim::PowerState state = m.computeState();
-    double mw = m.power().rate(state);
-    const double key[4] = {spec.nsPerCostUnit, spec.arithCostScale,
-                           spec.memCostScale, mw};
-    if (!std::equal(key, key + 4, costs_key_)) {
-        std::copy(key, key + 4, costs_key_);
-        costs_positive_ = true;
-        for (uint32_t kind = 0; kind < NOL_COST_KINDS; ++kind) {
-            for (uint32_t cost = 1; cost < NOL_COST_SLOTS; ++cost) {
-                // advanceCompute's operands, computed as it does.
-                NolCost &c = costs_[kind * NOL_COST_SLOTS + cost];
-                c.units = sim::scaledCost(
-                    cost, static_cast<sim::CostKind>(kind), spec);
-                c.ns = static_cast<double>(c.units) * spec.nsPerCostUnit;
-                c.energy = mw * c.ns * 1e-9;
-                costs_positive_ = costs_positive_ && c.ns > 0;
-            }
-        }
-    }
-    // A zero or negative charge would leave the run (accumulate()
-    // skips it), so such a spec charges on the host throughout.
-    sim::PowerSegment *run =
-        costs_positive_ ? m.power().openRun(m.nowNs(), state) : nullptr;
+    sim::PowerSegment *run = machine_.openComputeRun();
     ctx_.open = run != nullptr;
     ctx_.seg_end = run != nullptr ? &run->endNs : nullptr;
     ctx_.mem_direct = endian() == arch::Endianness::Little &&
-                      !m.mem().hasTouchObserver();
+                      !machine_.mem().hasTouchObserver();
 }
 
 void
@@ -166,16 +144,13 @@ NativeExec::chargeThunk(NolCtx *ctx, const NolChargeItem *items, uint32_t n,
                         uint32_t fn_id)
 {
     auto *self = static_cast<NativeExec *>(ctx->host);
-    sim::SimMachine &m = self->machine_;
     for (uint32_t i = 0; i < n; ++i) {
         const NolChargeItem &item = items[i];
         if (item.count > kStepLimit - self->steps_)
             panic("step limit exceeded in %s", self->fnName(fn_id));
         self->steps_ += item.count;
-        uint64_t units = sim::scaledCost(
-            item.cost, static_cast<sim::CostKind>(item.kind), m.spec());
         for (uint32_t k = 0; k < item.count; ++k)
-            m.advanceCompute(units);
+            self->machine_.charge(item.kind * NOL_COST_SLOTS + item.cost);
     }
     self->sync();
 }
@@ -199,10 +174,9 @@ NativeExec::storeThunk(NolCtx *ctx, uint64_t addr, uint32_t size,
     self->sync();
 }
 
-RtVal
-NativeExec::externalCall(const ir::Instruction *site,
-                         const ir::Function *callee, NolVal *args,
-                         uint32_t n)
+NolVal
+NativeExec::externalCall(uint32_t site, const ir::Function *callee,
+                         NolVal *args, uint32_t n)
 {
     chargeExternalCall(*callee);
     std::vector<RtVal> vec(n);
@@ -210,7 +184,10 @@ NativeExec::externalCall(const ir::Instruction *site,
         vec[i].i = args[i].i;
         vec[i].f = args[i].f;
     }
-    return env_.callExternal(*this, *callee, *site, vec);
+    RtVal r = env_.callExternal(*this, *callee,
+                                *prepared_->lowered.callSites[site], vec);
+    sync();
+    return NolVal{r.i, r.f};
 }
 
 NolVal
@@ -218,10 +195,8 @@ NativeExec::callExternalThunk(NolCtx *ctx, uint32_t site, NolVal *args,
                               uint32_t n)
 {
     auto *self = static_cast<NativeExec *>(ctx->host);
-    const ir::Instruction *inst = self->prepared_->lowered.callSites[site];
-    RtVal r = self->externalCall(inst, inst->callee(), args, n);
-    self->sync();
-    return NolVal{r.i, r.f};
+    return self->externalCall(
+        site, self->prepared_->lowered.callSites[site]->callee(), args, n);
 }
 
 NolVal
@@ -236,13 +211,8 @@ NativeExec::callIndirectThunk(NolCtx *ctx, uint64_t target, uint32_t site,
         fatal("indirect call through wild pointer 0x%llx",
               static_cast<unsigned long long>(target));
     }
-    if (callee->isExternal()) {
-        const ir::Instruction *inst =
-            self->prepared_->lowered.callSites[site];
-        RtVal r = self->externalCall(inst, callee, args, n);
-        self->sync();
-        return NolVal{r.i, r.f};
-    }
+    if (callee->isExternal())
+        return self->externalCall(site, callee, args, n);
     uint32_t idx = self->fn_index_.at(callee);
     NolFn fn_ptr = self->prepared_->artifact->fns()[idx];
     NOL_ASSERT(fn_ptr != nullptr, "indirect call of bodyless %s",

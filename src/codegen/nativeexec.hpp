@@ -11,7 +11,6 @@
 #ifndef NOL_CODEGEN_NATIVEEXEC_HPP
 #define NOL_CODEGEN_NATIVEEXEC_HPP
 
-#include <cmath>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -55,17 +54,16 @@ class NativeExec final : public interp::ExecBackend
     interp::RtVal invoke(NolFn fn_ptr, const ir::Function *fn,
                          const std::vector<interp::RtVal> &args);
     const char *fnName(uint32_t fn_id) const;
-    interp::RtVal externalCall(const ir::Instruction *site,
-                               const ir::Function *callee, NolVal *args,
-                               uint32_t n);
+    NolVal externalCall(uint32_t site, const ir::Function *callee,
+                        NolVal *args, uint32_t n);
 
     /**
      * Re-derive the NolCtx fields the generated fast paths read: the
-     * charge table (rebuilt only when the spec, compute state or its
-     * rate moved — runIdeal swaps them mid-run), the open-run
-     * condition and the direct-memory gate. Runs before generated code
-     * starts and on the way back from every thunk that can change the
-     * machine; SimMachine::advanceCompute stays untouched.
+     * open-run condition (SimMachine::openComputeRun) and the
+     * direct-memory gate. Runs before generated code starts and on the
+     * way back from every thunk that can change the machine. The
+     * charge table is the machine's own, which every pricing change
+     * rebuilds in place.
      */
     void sync();
 
@@ -87,11 +85,6 @@ class NativeExec final : public interp::ExecBackend
     std::vector<uint64_t> global_addrs_;
     std::vector<uint64_t> fn_addrs_;
     std::unordered_map<const ir::Function *, uint32_t> fn_index_;
-    /** What costs_ was built for: ns per unit, arith and mem scales,
-     *  compute-state rate. NaN never matches, so it forces a rebuild. */
-    double costs_key_[4] = {NAN, NAN, NAN, NAN};
-    bool costs_positive_ = false; ///< every entry's ns > 0
-    NolCost costs_[NOL_COST_KINDS * NOL_COST_SLOTS] = {};
     NolCtx ctx_{};
 };
 

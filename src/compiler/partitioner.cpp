@@ -17,7 +17,6 @@ OutlinedTargets
 outlineTargets(ir::Module &module, const SelectionResult &selection)
 {
     OutlinedTargets out;
-    int next_id = 1;
     for (const Candidate &target : selection.targets) {
         ir::Function *target_fn = nullptr;
         bool was_loop = target.isLoop;
@@ -40,7 +39,6 @@ outlineTargets(ir::Module &module, const SelectionResult &selection)
         }
         PartitionedTarget pt;
         pt.name = target_fn->name();
-        pt.id = next_id++;
         pt.wasLoop = was_loop;
         out.targets.push_back(pt);
         out.fns.push_back(target_fn);

@@ -37,7 +37,6 @@ extern const char *const kOffloadStubPrefix;
 /** One partitioned offload target. */
 struct PartitionedTarget {
     std::string name;       ///< target function name (post-outlining)
-    int id = 0;             ///< offload ID used on the wire
     bool wasLoop = false;   ///< originated as a loop candidate
 };
 

@@ -167,6 +167,13 @@ struct FieldDecl {
     int line = 0;
 };
 
+/** One enumerator; a null value is the previous one plus 1. */
+struct EnumeratorDecl {
+    std::string name;
+    std::unique_ptr<Expr> value;
+    int line = 0;
+};
+
 /** One function parameter. */
 struct ParamDecl {
     std::string name;
@@ -196,8 +203,8 @@ struct Decl {
     // Typedef
     std::unique_ptr<TypeExpr> aliased;
 
-    // Enum: values are folded by codegen; null is the previous one plus 1
-    std::vector<std::pair<std::string, std::unique_ptr<Expr>>> enumerators;
+    // Enum: values are folded by codegen
+    std::vector<EnumeratorDecl> enumerators;
 
     // GlobalVar
     std::unique_ptr<TypeExpr> type;

@@ -193,11 +193,13 @@ class CodeGen
     declareEnum(const Decl &decl)
     {
         int64_t next = 0;
-        for (const auto &[name, value] : decl.enumerators) {
-            if (value != nullptr)
-                next = foldConstant(*value, "enumerator value");
-            enum_consts_[name] = next;
-            next = nol_add(next, 1, 64);
+        for (const EnumeratorDecl &e : decl.enumerators) {
+            if (e.value != nullptr)
+                next = foldConstant(*e.value, "enumerator value");
+            if (next != static_cast<int32_t>(next)) // C 6.7.2.2
+                err(e.line, "enumerator '" + e.name +
+                                "' is outside the range of int");
+            enum_consts_[e.name] = next++;
         }
     }
 

@@ -422,11 +422,11 @@ class Parser
         auto decl = std::make_unique<Decl>(DeclKind::Enum);
         decl->line = peek().line;
         while (!check(Tok::RBrace)) {
-            std::string name = expect(Tok::Identifier, "enumerator").text;
-            std::unique_ptr<Expr> value;
+            const Token &name = expect(Tok::Identifier, "enumerator");
+            EnumeratorDecl e{name.text, nullptr, name.line};
             if (match(Tok::Assign))
-                value = parseConditional();
-            decl->enumerators.emplace_back(std::move(name), std::move(value));
+                e.value = parseConditional();
+            decl->enumerators.push_back(std::move(e));
             if (!match(Tok::Comma))
                 break;
         }

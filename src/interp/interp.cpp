@@ -22,8 +22,7 @@ enum class Access : uint8_t { Int, F32, F64, Ptr };
  */
 struct Op {
     Opcode op = Opcode::Unreachable;
-    uint8_t cost = 0;     ///< base cost units, scaled when charged
-    uint8_t costKind = 0; ///< sim::CostKind of the charge
+    uint8_t charge = 0;   ///< sim::chargeSlot of the op's charge
     /** Load/Store: Access. FP result: 1 if f32. Call: 1 if it has a
      *  result. Ret: 1 if it returns a value. */
     uint8_t aux = 0;
@@ -182,8 +181,7 @@ Interp::decode(ir::Function &fn) const
             const ir::Instruction &inst = *inst_ptr;
             Op op;
             op.op = inst.op();
-            op.cost = static_cast<uint8_t>(sim::opcodeCost(inst.op()));
-            op.costKind = static_cast<uint8_t>(sim::costKind(inst.op()));
+            op.charge = static_cast<uint8_t>(sim::chargeSlot(inst.op()));
             op.inst = &inst;
             const ir::Type *ty = inst.type();
             if (!ty->isVoid())
@@ -391,9 +389,7 @@ Interp::execFunction(ir::Function *fn, const RtVal *args,
         const Op &op = ops[pc];
         if (++steps_ > kStepLimit)
             panic("step limit exceeded in %s", fn->name().c_str());
-        machine_.advanceCompute(sim::scaledCost(
-            op.cost, static_cast<sim::CostKind>(op.costKind),
-            machine_.spec()));
+        machine_.charge(op.charge);
 
         switch (op.op) {
           // ---- Memory ------------------------------------------------

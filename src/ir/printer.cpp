@@ -76,6 +76,9 @@ printInstWith(const Instruction &inst, NameMap &names)
             os << operandStr(inst.operand(i), names);
         }
         os << ")";
+        // The type sizeof sizes; a load's or store's shows in its operands.
+        if (inst.accessType() != nullptr)
+            os << ", type " << inst.accessType()->str();
     } else if (inst.op() == Opcode::CallIndirect) {
         os << " " << operandStr(inst.operand(0), names) << "(";
         for (size_t i = 1; i < inst.numOperands(); ++i) {

@@ -28,7 +28,6 @@ constexpr uint64_t kFnPtrTranslateCost = 60;
 /** One offload-enabled target, resolved in both modules. */
 struct TargetEntry {
     std::string name;
-    int id = 0;
     ir::Function *mobileFn = nullptr;
     ir::Function *serverFn = nullptr;
 };
@@ -87,10 +86,10 @@ struct Session::Impl {
             // off the engine never touches the server's base.
             dyn.attachFleetPriors(&fleet.server->fleetPriors());
         }
-        mobile.power().setRate(sim::PowerState::Receive,
-                               config.network.receiveMw);
-        mobile.power().setRate(sim::PowerState::Transmit,
-                               config.network.transmitMw);
+        mobile.setPowerRate(sim::PowerState::Receive,
+                            config.network.receiveMw);
+        mobile.setPowerRate(sim::PowerState::Transmit,
+                            config.network.transmitMw);
     }
 
     /**
@@ -543,19 +542,12 @@ class MobileEnv : public interp::DefaultEnv
         // Zero-overhead offloading: the target runs at server speed
         // while the device waits; no communication, no translation.
         ++ctx_.report.offloads;
-        double old_ns = ctx_.mobile.setNsPerCostUnit(
-            ctx_.prog.serverSpec.nsPerCostUnit);
-        double old_scale = ctx_.mobile.setArithCostScale(
-            ctx_.prog.serverSpec.arithCostScale);
-        double old_mem = ctx_.mobile.setMemCostScale(
-            ctx_.prog.serverSpec.memCostScale);
-        sim::PowerState old_state =
-            ctx_.mobile.setComputeState(sim::PowerState::Waiting);
+        const arch::ArchSpec &server = ctx_.prog.serverSpec;
+        sim::ComputePricing saved = ctx_.mobile.swapPricing(
+            {server.nsPerCostUnit, server.arithCostScale,
+             server.memCostScale, sim::PowerState::Waiting});
         RtVal ret = interp.call(target.mobileFn, args);
-        ctx_.mobile.setNsPerCostUnit(old_ns);
-        ctx_.mobile.setArithCostScale(old_scale);
-        ctx_.mobile.setMemCostScale(old_mem);
-        ctx_.mobile.setComputeState(old_state);
+        ctx_.mobile.swapPricing(saved);
 
         OffloadEvent event;
         event.target = target.name;
@@ -901,7 +893,6 @@ Session::Impl::run(const RunInput &input)
          prog.partition.targets) {
         TargetEntry entry;
         entry.name = target.name;
-        entry.id = target.id;
         entry.mobileFn = mobile_module.functionByName(target.name);
         entry.serverFn = server_module.functionByName(target.name);
         NOL_ASSERT(entry.mobileFn != nullptr && entry.serverFn != nullptr,

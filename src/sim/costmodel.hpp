@@ -7,10 +7,10 @@
  * calls take their base costs from the builtin table
  * (frontend/builtins.hpp) and are charged through the same rule.
  *
- * The charge rule (scaledCost) is defined here once: the interpreter,
- * the native-C backend's charge replay and the C emitter's charge
- * tables all take it from this header, which is what keeps the two
- * backends' simulated time bit-identical.
+ * The charge rule (scaledCost) is defined here once. Each SimMachine
+ * prices it into one table, by chargeSlot(), that the interpreter, the
+ * native-C charge replay and the generated C all read, which is what
+ * keeps the two backends' simulated time bit-identical.
  */
 #ifndef NOL_SIM_COSTMODEL_HPP
 #define NOL_SIM_COSTMODEL_HPP
@@ -48,8 +48,6 @@ opcodeCost(ir::Opcode op)
       case Opcode::Call:
       case Opcode::CallIndirect:
         return 6;
-      case Opcode::Alloca:
-        return 1;
       default:
         return 1;
     }
@@ -89,11 +87,23 @@ costKind(ir::Opcode op)
     }
 }
 
+/** The charge table's shape: slot kind * kCostSlots + cost, for each
+ *  CostKind and the base costs 1 .. kCostSlots - 1. */
+constexpr uint32_t kCostKinds = 3;
+constexpr uint32_t kCostSlots = 17;
+
+/** The charge-table slot of one execution of @p op. */
+constexpr uint32_t
+chargeSlot(ir::Opcode op)
+{
+    return static_cast<uint32_t>(costKind(op)) * kCostSlots +
+           static_cast<uint32_t>(opcodeCost(op));
+}
+
 /**
  * The charge rule: cost units of one occurrence of an instruction of
  * base @p cost and @p kind on @p spec. A scaled cost rounds down but
- * never below one unit. Both execution backends charge through here,
- * the interpreter once per instruction, so it stays inline.
+ * never below one unit. SimMachine prices its charge table with it.
  */
 inline uint64_t
 scaledCost(uint64_t cost, CostKind kind, const arch::ArchSpec &spec)

@@ -66,10 +66,19 @@ class PowerModel
     void
     accumulate(double start_ns, double duration_ns, PowerState state)
     {
+        accumulate(start_ns, duration_ns, state,
+                   rate(state) * duration_ns * 1e-9);
+    }
+
+    /** accumulate() with its energy delta precomputed (SimMachine). */
+    void
+    accumulate(double start_ns, double duration_ns, PowerState state,
+               double energy_mj)
+    {
         if (duration_ns <= 0)
             return;
         double mw = rate(state);
-        energy_mj_ += mw * duration_ns * 1e-9;
+        energy_mj_ += energy_mj;
 
         if (!timeline_.empty()) {
             PowerSegment &last = timeline_.back();
@@ -91,8 +100,8 @@ class PowerModel
      * accumulate(now_ns, d, state) with d > 0 only adds to the energy
      * and moves this segment's end to now_ns + d, and the run stays
      * open at the new time — which is what lets the native-C backend
-     * replay compute charges inline (see energySlot()). nullptr
-     * otherwise. The pointer is invalidated by the next push.
+     * replay compute charges inline (SimMachine::openComputeRun).
+     * nullptr otherwise. The pointer is invalidated by the next push.
      */
     PowerSegment *
     openRun(double now_ns, PowerState state)

@@ -11,6 +11,22 @@ SimMachine::SimMachine(MachineRole role, arch::ArchSpec spec)
                        : kServer64HeapBase,
                    kNativeHeapSize)
 {
+    priceCharges();
+}
+
+void
+SimMachine::priceCharges()
+{
+    double mw = power_.rate(compute_state_);
+    for (uint32_t kind = 0; kind < kCostKinds; ++kind) {
+        for (uint64_t cost = 1; cost < kCostSlots; ++cost) {
+            // advanceCompute's operands, computed as it does.
+            Charge &c = charges_[kind * kCostSlots + cost];
+            c.units = scaledCost(cost, static_cast<CostKind>(kind), spec_);
+            c.ns = static_cast<double>(c.units) * spec_.nsPerCostUnit;
+            c.energy = mw * c.ns * 1e-9;
+        }
+    }
 }
 
 void

@@ -15,8 +15,10 @@
 #define NOL_SIM_SIMMACHINE_HPP
 
 #include <string>
+#include <utility>
 
 #include "arch/archspec.hpp"
+#include "sim/costmodel.hpp"
 #include "sim/filesystem.hpp"
 #include "sim/heapalloc.hpp"
 #include "sim/pagedmemory.hpp"
@@ -62,6 +64,22 @@ enum class MachineRole {
     Server,
 };
 
+/** What one occurrence of a charge-table slot adds, as advanceCompute()
+ *  of its scaled cost would; the generated C's view is NolCost. */
+struct Charge {
+    uint64_t units;
+    double ns;
+    double energy;
+};
+
+/** The spec's cost scales and the state compute time is billed in. */
+struct ComputePricing {
+    double nsPerCostUnit;
+    double arithCostScale;
+    double memCostScale;
+    PowerState state;
+};
+
 /** One simulated machine. */
 class SimMachine
 {
@@ -93,53 +111,45 @@ class SimMachine
     // --- Clock and power -----------------------------------------------
     double nowNs() const { return now_ns_; }
 
-    /**
-     * Override the ns-per-cost-unit conversion (used by the "ideal
-     * offloading" mode that executes targets at server speed with zero
-     * overhead). Returns the previous value.
-     */
-    double
-    setNsPerCostUnit(double ns)
+    /** Price compute by @p pricing; returns the pricing it replaces.
+     *  Ideal offloading runs a target at server speed, billed as
+     *  Waiting, then swaps the old pricing back. */
+    ComputePricing
+    swapPricing(ComputePricing pricing)
     {
-        double old = spec_.nsPerCostUnit;
-        spec_.nsPerCostUnit = ns;
-        return old;
+        std::swap(spec_.nsPerCostUnit, pricing.nsPerCostUnit);
+        std::swap(spec_.arithCostScale, pricing.arithCostScale);
+        std::swap(spec_.memCostScale, pricing.memCostScale);
+        std::swap(compute_state_, pricing.state);
+        priceCharges();
+        return pricing;
     }
 
-    /** Override arithCostScale (ideal-offload mode); returns old. */
-    double
-    setArithCostScale(double scale)
+    /** Set the power draw of @p state in milliwatts. */
+    void
+    setPowerRate(PowerState state, double milliwatts)
     {
-        double old = spec_.arithCostScale;
-        spec_.arithCostScale = scale;
-        return old;
+        power_.setRate(state, milliwatts);
+        priceCharges();
     }
 
-    /** Override memCostScale (ideal-offload mode); returns old. */
-    double
-    setMemCostScale(double scale)
+    /** The charge table at the current pricing and compute rate, by
+     *  chargeSlot(). Every change of those rebuilds it in place. */
+    const Charge *charges() const { return charges_; }
+
+    /** advanceCompute(scaledCost(cost, kind, spec())) for table slot
+     *  @p slot. Inline: the interpreter's per-instruction charge, the
+     *  single hottest call in the simulator. */
+    void
+    charge(uint32_t slot)
     {
-        double old = spec_.memCostScale;
-        spec_.memCostScale = scale;
-        return old;
+        const Charge &c = charges_[slot];
+        compute_units_ += c.units;
+        power_.accumulate(now_ns_, c.ns, compute_state_, c.energy);
+        now_ns_ += c.ns;
     }
 
-    /**
-     * Set the power state charged for compute time (normally Compute;
-     * the ideal-offload mode bills target execution as Waiting) and
-     * return the previous one.
-     */
-    PowerState
-    setComputeState(PowerState state)
-    {
-        PowerState old = compute_state_;
-        compute_state_ = state;
-        return old;
-    }
-
-    /** Advance the clock by @p cost_units of computation. Inline: this
-     *  is the per-instruction cost-charging path of both execution
-     *  backends, the single hottest call in the simulator. */
+    /** Advance the clock by @p cost_units of computation. */
     void
     advanceCompute(uint64_t cost_units)
     {
@@ -167,22 +177,24 @@ class SimMachine
             advanceTime(ns - now_ns_, state);
     }
 
-    PowerModel &power() { return power_; }
     const PowerModel &power() const { return power_; }
 
     /** Accumulated compute cost units (the machine's "work counter"). */
     uint64_t computeUnits() const { return compute_units_; }
 
-    /** The power state compute time is charged in. */
-    PowerState computeState() const { return compute_state_; }
-
-    /**
-     * The clock and the work counter themselves, for code that replays
-     * advanceCompute() inline on an open run (PowerModel::openRun):
-     * the native-C backend's generated charge path.
-     */
+    /** The clock, the work counter and the energy total, for the
+     *  generated C that replays charge() on the open run of compute time
+     *  (PowerModel::openRun). None is open while charges do not move the
+     *  clock (each is a unit or more), as accumulate() skips them. */
     double *clockSlot() { return &now_ns_; }
     uint64_t *computeUnitsSlot() { return &compute_units_; }
+    double *energySlot() { return power_.energySlot(); }
+    PowerSegment *
+    openComputeRun()
+    {
+        return spec_.nsPerCostUnit > 0 ? power_.openRun(now_ns_, compute_state_)
+                                       : nullptr;
+    }
 
     // --- Console / input / files ------------------------------------------
     std::string &console() { return console_; }
@@ -203,6 +215,9 @@ class SimMachine
     void reset();
 
   private:
+    /** Rebuild charges_ from the pricing and the compute rate. */
+    void priceCharges();
+
     MachineRole role_;
     arch::ArchSpec spec_;
     PagedMemory mem_;
@@ -211,6 +226,7 @@ class SimMachine
     uint64_t compute_units_ = 0;
     PowerState compute_state_ = PowerState::Compute;
     PowerModel power_;
+    Charge charges_[kCostKinds * kCostSlots] = {};
     std::string console_;
     std::string input_;
     size_t input_pos_ = 0;

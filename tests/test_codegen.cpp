@@ -495,42 +495,42 @@ namespace {
  * digests the failing test prints, and says why.
  */
 const std::map<std::string, std::string> kGeneratedCGolden = {
-    {"164.gzip mobile", "cc96e1fe27ab7609"},
-    {"164.gzip server", "1b78b38fc2c61a2c"},
-    {"175.vpr mobile", "29d243316a01c539"},
-    {"175.vpr server", "e3b9052bca7debfc"},
-    {"177.mesa mobile", "57dbb56af276e9ca"},
-    {"177.mesa server", "4a9da3c22f8dd5cf"},
-    {"179.art mobile", "631ea1e35ec78602"},
-    {"179.art server", "efd8b4f08afc9ffa"},
-    {"183.equake mobile", "34ca53c5e6482f13"},
-    {"183.equake server", "6a01b2d62c65ba54"},
-    {"188.ammp mobile", "6ab79f82ea030eb7"},
-    {"188.ammp server", "fee1422535fc21ad"},
-    {"300.twolf mobile", "823591b7bda7eb65"},
-    {"300.twolf server", "1fe98e1de890f74f"},
-    {"401.bzip2 mobile", "d891a70f6c1df5d6"},
-    {"401.bzip2 server", "9a1cd7352862ed6a"},
-    {"429.mcf mobile", "dbf66189bfe6109b"},
-    {"429.mcf server", "f87d050361c57067"},
-    {"433.milc mobile", "5422c96230a6d47a"},
-    {"433.milc server", "7827f8829bf25800"},
-    {"445.gobmk mobile", "48d32277d5911c1b"},
-    {"445.gobmk server", "3c03e60603c9bac0"},
-    {"456.hmmer mobile", "bccdce85538b389e"},
-    {"456.hmmer server", "fdcc0cd9420562c5"},
-    {"458.sjeng mobile", "ae42860e6cc65092"},
-    {"458.sjeng server", "4fc3473e16602561"},
-    {"462.libquantum mobile", "a47e28536d55592f"},
-    {"462.libquantum server", "cf14ee20f1afdc91"},
-    {"464.h264ref mobile", "621756d6417d9c7a"},
-    {"464.h264ref server", "03dcab282ecae73b"},
-    {"470.lbm mobile", "92c7ffcfca622098"},
-    {"470.lbm server", "a2a2e7c7c26f6e19"},
-    {"482.sphinx3 mobile", "d91385015e6561c3"},
-    {"482.sphinx3 server", "f7f7447841095089"},
-    {"chess mobile", "0a21853a902cc133"},
-    {"chess server", "d7159eee00ffcb7a"},
+    {"164.gzip mobile", "c7c36935897d71c4"},
+    {"164.gzip server", "53dd2000416d17d0"},
+    {"175.vpr mobile", "82ed2f66769bf65c"},
+    {"175.vpr server", "870d9ba328961823"},
+    {"177.mesa mobile", "a9a007b4f0068797"},
+    {"177.mesa server", "f99cce44206081d0"},
+    {"179.art mobile", "214636be62e0109c"},
+    {"179.art server", "43ea53286119074a"},
+    {"183.equake mobile", "d14b3d484896ced4"},
+    {"183.equake server", "685d258b801d4ad7"},
+    {"188.ammp mobile", "a52f97b33be783dc"},
+    {"188.ammp server", "616c77d3f2beb59c"},
+    {"300.twolf mobile", "752fdc37c6492fac"},
+    {"300.twolf server", "21e5844adfd9ad16"},
+    {"401.bzip2 mobile", "4f861e38893a51c4"},
+    {"401.bzip2 server", "55044b8ad65534a1"},
+    {"429.mcf mobile", "e6633dbb48490375"},
+    {"429.mcf server", "38a2692cff083ef6"},
+    {"433.milc mobile", "5ca4417b7239e94b"},
+    {"433.milc server", "8317833ad2da7890"},
+    {"445.gobmk mobile", "c67b99dcfd4f719a"},
+    {"445.gobmk server", "fc3725834d01d24e"},
+    {"456.hmmer mobile", "7537e67df8e359fb"},
+    {"456.hmmer server", "b98b6211221197eb"},
+    {"458.sjeng mobile", "d4c0f955ea3b6fd3"},
+    {"458.sjeng server", "23ed9bc0feacf804"},
+    {"462.libquantum mobile", "4819058533f00e8a"},
+    {"462.libquantum server", "1f38d757737fd09b"},
+    {"464.h264ref mobile", "a7c700a83b568a28"},
+    {"464.h264ref server", "a671d4d7b7e6955e"},
+    {"470.lbm mobile", "d8eceba3b6e53868"},
+    {"470.lbm server", "c8d624dec03d2871"},
+    {"482.sphinx3 mobile", "fab5bfd34421100b"},
+    {"482.sphinx3 server", "85e2dbc30cabbb8c"},
+    {"chess mobile", "85184299ce213cdc"},
+    {"chess server", "8c9ecf87945f5a37"},
 };
 
 } // namespace
