@@ -19,7 +19,6 @@ outlineTargets(ir::Module &module, const SelectionResult &selection)
     OutlinedTargets out;
     for (const Candidate &target : selection.targets) {
         ir::Function *target_fn = nullptr;
-        bool was_loop = target.isLoop;
         if (target.isLoop) {
             const ir::LoopMeta *loop =
                 target.fn->loopByName(target.loopName);
@@ -37,10 +36,7 @@ outlineTargets(ir::Module &module, const SelectionResult &selection)
         } else {
             target_fn = target.fn;
         }
-        PartitionedTarget pt;
-        pt.name = target_fn->name();
-        pt.wasLoop = was_loop;
-        out.targets.push_back(pt);
+        out.targets.push_back({target_fn->name()});
         out.fns.push_back(target_fn);
     }
     ir::verifyModuleOrDie(module);

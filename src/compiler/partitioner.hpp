@@ -36,8 +36,7 @@ extern const char *const kOffloadStubPrefix;
 
 /** One partitioned offload target. */
 struct PartitionedTarget {
-    std::string name;       ///< target function name (post-outlining)
-    bool wasLoop = false;   ///< originated as a loop candidate
+    std::string name; ///< target function name (post-outlining)
 };
 
 /** Result of partitioning. */

@@ -323,7 +323,7 @@ TEST(Pipeline, LoopTargetOutlined)
     CompiledProgram prog = compileForOffload(std::move(mod), options);
     ASSERT_FALSE(prog.partition.targets.empty());
     EXPECT_EQ(prog.partition.targets[0].name, "main_for.cond");
-    EXPECT_TRUE(prog.partition.targets[0].wasLoop);
+    EXPECT_TRUE(prog.selection.targets[0].isLoop);
     EXPECT_NE(prog.partition.serverModule->functionByName("main_for.cond"),
               nullptr);
 }
