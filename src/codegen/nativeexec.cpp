@@ -22,7 +22,57 @@ PreparedModule::prepare(LoweredModule lowered)
     NOL_ASSERT(prepared->artifact->count() ==
                    prepared->lowered.functions.size(),
                "artifact function table size mismatch");
+    std::string().swap(prepared->lowered.source);
     return prepared;
+}
+
+std::shared_ptr<const PreparedModule>
+ModuleCache::get(const ir::Module &module, const ir::DataLayout &dl,
+                 const ir::Module *sibling, const ir::DataLayout *sibling_dl)
+{
+    Slot *slot;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        slot = &slots_[&module];
+    }
+    std::call_once(slot->once, [&] {
+        LoweredModule lowered = take(module, dl);
+        if (startCompile(lowered) && sibling != nullptr) {
+            std::lock_guard<std::mutex> lock(mutex_);
+            Slot &other = slots_[sibling];
+            if (!other.taken && !other.started.has_value()) {
+                other.started = emitModule(*sibling, *sibling_dl);
+                ++lowered_;
+                startCompile(*other.started);
+            }
+        }
+        slot->prepared = PreparedModule::prepare(std::move(lowered));
+    });
+    return slot->prepared;
+}
+
+LoweredModule
+ModuleCache::take(const ir::Module &module, const ir::DataLayout &dl)
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        Slot &slot = slots_[&module];
+        slot.taken = true;
+        if (slot.started.has_value()) {
+            LoweredModule lowered = std::move(*slot.started);
+            slot.started.reset();
+            return lowered;
+        }
+        ++lowered_;
+    }
+    return emitModule(module, dl);
+}
+
+size_t
+ModuleCache::lowered() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return lowered_;
 }
 
 NativeExec::NativeExec(std::shared_ptr<const PreparedModule> prepared,

@@ -11,7 +11,10 @@
 #ifndef NOL_CODEGEN_NATIVEEXEC_HPP
 #define NOL_CODEGEN_NATIVEEXEC_HPP
 
+#include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -24,11 +27,12 @@ namespace nol::codegen {
 
 /**
  * A module lowered and compiled, ready to attach to any (machine,
- * image, env). Sessions cache one per module so per-offload backend
+ * image, env). A program keeps one per module (ModuleCache) so backend
  * construction (the server backend is rebuilt every offload) costs a
- * few maps, not a compile.
+ * few maps, not a lowering or a compile.
  */
 struct PreparedModule {
+    /** The side tables; the C source is dropped once loaded. */
     LoweredModule lowered;
     std::shared_ptr<const NativeArtifact> artifact;
 
@@ -37,6 +41,47 @@ struct PreparedModule {
      *  back to the interpreter). */
     static std::shared_ptr<const PreparedModule>
     prepare(LoweredModule lowered);
+};
+
+/**
+ * The prepared modules of one compiled program: each is lowered and
+ * compiled on its first request and shared by every later run of the
+ * program, on any thread.
+ */
+class ModuleCache
+{
+  public:
+    /**
+     * The prepared @p module under layout @p dl; nullptr without a host
+     * toolchain. A program runs each module under one layout, so only
+     * the first request's @p dl is read. If that request starts a cold
+     * compile and a @p sibling (laid out by @p sibling_dl) is given,
+     * the sibling is lowered and starts compiling beside it, and the
+     * sibling's own first request takes that lowering.
+     */
+    std::shared_ptr<const PreparedModule>
+    get(const ir::Module &module, const ir::DataLayout &dl,
+        const ir::Module *sibling = nullptr,
+        const ir::DataLayout *sibling_dl = nullptr);
+
+    /** Modules lowered so far; each is lowered at most once. */
+    size_t lowered() const;
+
+  private:
+    struct Slot {
+        std::once_flag once;
+        std::shared_ptr<const PreparedModule> prepared;
+        bool taken = false; ///< its first request has begun
+        std::optional<LoweredModule> started; ///< a sibling's lowering
+    };
+
+    /** The lowering @p module's first request compiles. */
+    LoweredModule take(const ir::Module &module, const ir::DataLayout &dl);
+
+    /** Guards slots_ and each slot's taken and started. */
+    mutable std::mutex mutex_;
+    std::map<const ir::Module *, Slot> slots_;
+    size_t lowered_ = 0;
 };
 
 /** Executes compiled functions on one simulated machine. */

@@ -103,6 +103,9 @@ repairOffloadSafety(CompiledProgram &prog)
                                      return kept.count(t.name) == 0;
                                  }),
                   targets.end());
+    // The modules changed in place: what the native-C backend made of
+    // them is stale.
+    prog.nativeModules = std::make_unique<codegen::ModuleCache>();
     return report;
 }
 

@@ -12,6 +12,7 @@
 #include <memory>
 
 #include "analysis/repair.hpp"
+#include "codegen/nativeexec.hpp"
 #include "compiler/memunifier.hpp"
 #include "compiler/partitioner.hpp"
 #include "compiler/targetselector.hpp"
@@ -48,6 +49,10 @@ struct CompiledProgram {
     EstimatorParams estimatorParams; ///< R and BW of the static estimate
     arch::ArchSpec mobileSpec;
     arch::ArchSpec serverSpec;
+    /** The partition's modules as the native-C backend runs them, made
+     *  on the first native-C run and shared by every later one. */
+    std::unique_ptr<codegen::ModuleCache> nativeModules =
+        std::make_unique<codegen::ModuleCache>();
 
     /** Convenience: names of the selected targets. */
     std::vector<std::string> targetNames() const;

@@ -59,13 +59,6 @@ struct Session::Impl {
     double admissionWaitNs = 0;
 
     bool slotHeld = false;
-
-    // Native-C backend state: one prepared (lowered + compiled)
-    // artifact per module, reused across the per-offload server
-    // backend rebuilds. Compilation itself is digest-cached process-
-    // wide, so fleet sessions sharing a partition compile once.
-    std::shared_ptr<const codegen::PreparedModule> mobilePrepared;
-    std::shared_ptr<const codegen::PreparedModule> serverPrepared;
     bool nativeUnavailable = false;
 
     Impl(const compiler::CompiledProgram &program,
@@ -147,21 +140,20 @@ struct Session::Impl {
     }
 
     /**
-     * Construct the execution backend for (machine, module). @p
-     * prepared caches the lowered+compiled artifact per module — the
+     * Construct the execution backend for (machine, module). The
      * server backend is rebuilt for every offload (fresh process
-     * semantics) and must not recompile. Falls back to the interpreter
-     * with a warning when no host toolchain is available.
+     * semantics); on native-C each reuses the module the program
+     * prepared once. Falls back to the interpreter with a warning when
+     * no host toolchain is available.
      */
     std::unique_ptr<interp::ExecBackend>
     makeBackend(sim::SimMachine &machine, const ir::Module &module,
-                const interp::ProgramImage &image, interp::ExecEnv &env,
-                std::shared_ptr<const codegen::PreparedModule> &prepared)
+                const interp::ProgramImage &image, interp::ExecEnv &env)
     {
         if (cfg.backend == interp::BackendKind::NativeC &&
             !nativeUnavailable) {
-            if (prepared == nullptr)
-                prepared = prepareModule(machine, module);
+            std::shared_ptr<const codegen::PreparedModule> prepared =
+                prepareModule(machine, module);
             if (prepared != nullptr) {
                 return std::make_unique<codegen::NativeExec>(
                     prepared, machine, module, image, env);
@@ -175,28 +167,24 @@ struct Session::Impl {
     }
 
     /**
-     * Lower and compile @p module for @p machine. The mobile and the
-     * server module do not depend on each other, so when this starts a
-     * cold compile, the program's other module starts compiling
-     * alongside it (if the program offloads at all), and the session
-     * waits only for the one it needs.
+     * The program's prepared @p module for @p machine. The mobile and
+     * the server module do not depend on each other, so when this
+     * starts a cold compile, the program's other module starts
+     * compiling alongside it (if the program offloads at all), and the
+     * session waits only for the one it needs.
      */
     std::shared_ptr<const codegen::PreparedModule>
     prepareModule(sim::SimMachine &machine, const ir::Module &module)
     {
-        codegen::LoweredModule lowered = codegen::emitModule(
-            module, interp::effectiveLayout(module, machine));
-        if (codegen::startCompile(lowered) &&
-            !prog.partition.targets.empty()) {
-            bool on_mobile = &machine == &mobile;
-            sim::SimMachine &other_machine = on_mobile ? server : mobile;
-            const ir::Module &other = on_mobile
-                                          ? *prog.partition.serverModule
-                                          : *prog.partition.mobileModule;
-            codegen::startCompile(codegen::emitModule(
-                other, interp::effectiveLayout(other, other_machine)));
-        }
-        return codegen::PreparedModule::prepare(std::move(lowered));
+        ir::DataLayout dl = interp::effectiveLayout(module, machine);
+        if (prog.partition.targets.empty())
+            return prog.nativeModules->get(module, dl);
+        bool on_mobile = &machine == &mobile;
+        const ir::Module &other = on_mobile ? *prog.partition.serverModule
+                                            : *prog.partition.mobileModule;
+        ir::DataLayout other_dl =
+            interp::effectiveLayout(other, on_mobile ? server : mobile);
+        return prog.nativeModules->get(module, dl, &other, &other_dl);
     }
 
     RunReport run(const RunInput &input);
@@ -736,8 +724,7 @@ class MobileEnv : public interp::DefaultEnv
         ServerEnv server_env(ctx_);
         std::unique_ptr<interp::ExecBackend> server_backend =
             ctx_.makeBackend(ctx_.server, *ctx_.prog.partition.serverModule,
-                             ctx_.serverImage, server_env,
-                             ctx_.serverPrepared);
+                             ctx_.serverImage, server_env);
         interp::ExecBackend &server_interp = *server_backend;
         server_interp.setIndirectCallExtraCost(kFnPtrTranslateCost);
 
@@ -919,8 +906,7 @@ Session::Impl::run(const RunInput &input)
 
     MobileEnv env(*this);
     std::unique_ptr<interp::ExecBackend> backend =
-        makeBackend(mobile, mobile_module, mobileImage, env,
-                    mobilePrepared);
+        makeBackend(mobile, mobile_module, mobileImage, env);
     interp::ExecBackend &interp = *backend;
 
     ir::Function *entry_fn = mobile_module.functionByName("main");

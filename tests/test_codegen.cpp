@@ -466,6 +466,58 @@ TEST(CodegenArtifacts, ColdLocalRunStartsTheServerModule)
     EXPECT_EQ(cache.count(".so"), 2u);
 }
 
+TEST(CodegenArtifacts, TwoThreadsRunningOneProgramLowerEachModuleOnce)
+{
+    ScopedCacheDir cache;
+    ASSERT_TRUE(codegen::toolchainAvailable());
+    core::CompileRequest req;
+    req.name = "shared";
+    req.source = R"(
+        double acc;
+        int main() {
+            scanf("%d", 0);
+            acc = 0.0;
+            for (int i = 0; i < 2000; i++) {
+                for (int j = 0; j < 400; j++) {
+                    acc += (double)((i ^ j) & 3) * 0.25;
+                }
+            }
+            printf("acc=%.1f\n", acc);
+            return 0;
+        }
+    )";
+    req.profilingInput.stdinText = "1";
+    core::Program prog = core::Program::compile(req);
+    ASSERT_TRUE(prog.hasTargets());
+    RunInput input;
+    input.stdinText = "1";
+    SystemConfig cfg = backendConfig(interp::BackendKind::NativeC, false);
+
+    RunReport first, second;
+    std::thread ta([&] { first = prog.run(cfg, input); });
+    std::thread tb([&] { second = prog.run(cfg, input); });
+    ta.join();
+    tb.join();
+    EXPECT_GT(first.offloads, 0u);
+    expectIdentical(first, second);
+
+    // Whichever run came second lowered nothing: the program lowered
+    // its mobile and its server module once each.
+    const compiler::CompiledProgram &compiled = prog.compiled();
+    codegen::ModuleCache &modules = *compiled.nativeModules;
+    EXPECT_EQ(modules.lowered(), 2u);
+    EXPECT_EQ(cache.count(".so"), 2u);
+    sim::SimMachine mobile(sim::MachineRole::Mobile, compiled.mobileSpec);
+    const ir::Module &module = *compiled.partition.mobileModule;
+    auto prepared =
+        modules.get(module, interp::effectiveLayout(module, mobile));
+    ASSERT_NE(prepared, nullptr);
+    EXPECT_TRUE(prepared->lowered.source.empty());
+    EXPECT_EQ(modules.get(module, interp::effectiveLayout(module, mobile)),
+              prepared);
+    EXPECT_EQ(modules.lowered(), 2u);
+}
+
 TEST(CodegenLowering, BackendKindParsesAndNames)
 {
     // Every run defaults to the interpreter.
