@@ -25,16 +25,6 @@ typedef struct NolVal {
     double f;
 } NolVal;
 
-/* One run-length-encoded charge: count consecutive executions of an
- * instruction costing cost units. kind is the sim::CostKind selecting
- * the ArchSpec scale (0 none, 1 arith, 2 mem); the charge table entry
- * kind * NOL_COST_SLOTS + cost holds what one execution adds. */
-typedef struct NolChargeItem {
-    uint32_t cost;
-    uint32_t kind;
-    uint32_t count;
-} NolChargeItem;
-
 /* One entry of the machine's charge table (sim::Charge): what one
  * occurrence of a (cost, kind) charge adds at the machine's current
  * pricing and compute rate, the scaled cost units, the ns they take and
@@ -46,7 +36,10 @@ typedef struct NolCost {
 } NolCost;
 
 /* The charge table's shape: entry kind * NOL_COST_SLOTS + cost, for
- * the cost kinds and the base costs 1 .. NOL_COST_SLOTS - 1. */
+ * the cost kinds and the base costs 1 .. NOL_COST_SLOTS - 1. kind is
+ * the sim::CostKind selecting the ArchSpec scale (0 none, 1 arith,
+ * 2 mem). A module's charge segments list one such slot, a byte, per
+ * instruction occurrence, in execution order. */
 enum { NOL_COST_KINDS = 3, NOL_COST_SLOTS = 17 };
 
 struct NolCtx;
@@ -59,9 +52,13 @@ typedef NolVal (*NolFn)(struct NolCtx *, NolVal *);
  * frames save and restore it exactly like the interpreter's FrameGuard.
  *
  * The generated code charges time and serves memory hits itself, and
- * calls a host thunk only on a slow path. The host re-derives the
- * fields marked "derived" before generated code runs and on the way
- * back from every thunk; nothing else changes the machine meanwhile. */
+ * calls a host thunk only on a slow path. It charges a charge segment
+ * (a block's instructions from its start or a call's return up to the
+ * next call, asm or terminator) in one replay before that instruction;
+ * an access that leaves the module first replays the segment through
+ * itself. The host re-derives the fields marked "derived" before
+ * generated code runs and on the way back from every thunk; nothing
+ * else changes the machine meanwhile. */
 typedef struct NolCtx {
     void *host; /* the owning codegen::NativeExec */
     const uint64_t *globals;
@@ -78,17 +75,20 @@ typedef struct NolCtx {
     double *seg_end;      /* derived: end of the open run's segment */
     const NolCost *costs; /* the charge table, kinds x slots */
     uint32_t open;        /* derived: PowerModel::openRun holds */
+    uint32_t replayed;    /* entries of the current charge segment
+                             already replayed; 0 at its start */
     /* Memory: PagedMemory's translation cache */
     uint32_t mem_direct;  /* derived: little-endian, no touch observer */
     const uint64_t *mem_tags;
     uint8_t *const *mem_data;
     bool *const *mem_dirty;
 
-    /* Host thunks. Slow charge path: replays with SimMachine::charge. */
-    void (*charge)(struct NolCtx *, const NolChargeItem *, uint32_t n,
+    /* Host thunks. Slow charge path: SimMachine::charge of each of the
+     * n slots in order. */
+    void (*charge)(struct NolCtx *, const uint8_t *slots, uint32_t n,
                    uint32_t fn_id);
-    /* Slow access paths: miss, page crossing, odd size, observer,
-     * big-endian layout. The access's charge is already made. */
+    /* Slow access paths: miss, page crossing, observer, big-endian
+     * layout. The segment is already replayed through the access. */
     uint64_t (*load_scalar)(struct NolCtx *, uint64_t addr, uint32_t size);
     void (*store_scalar)(struct NolCtx *, uint64_t addr, uint32_t size,
                          uint64_t v);
@@ -103,7 +103,8 @@ typedef struct NolCtx {
 
 #ifdef __cplusplus
 static_assert(sizeof(NolVal) == 16, "NolVal must match RtVal layout");
-static_assert(sizeof(NolChargeItem) == 12, "NolChargeItem must pack");
+static_assert(NOL_COST_KINDS * NOL_COST_SLOTS <= 256,
+              "a charge slot must fit a segment's byte");
 static_assert(sizeof(NolCost) == 24, "NolCost must pack");
 } /* namespace nol::codegen */
 #endif

@@ -37,100 +37,87 @@ const char *kGuestOps =
 /**
  * The preamble's charge and access helpers, after the layout checks
  * and constants the emitter prints from the host's NolCtx and
- * PagedMemory.
+ * PagedMemory. They stay out of line: inlined, they multiply host cc
+ * time for a few percent of run time.
  *
- * nol_charge replays what the host's charge thunk would: per
- * occurrence, SimMachine::charge's additions in its order, with the
- * operands of the machine's charge table (ctx->costs). That is exact only
- * on an open run (PowerModel::openRun) with room under the step limit,
- * where accumulate() merely extends the last segment to the new clock;
- * anything else goes to the host. nol_load and nol_store charge the
- * access first, then serve a translation-cache hit as PagedMemory's
- * read()/write() would; misses, page crossings, odd sizes, a touch
- * observer and big-endian layouts go to the host.
+ * nol_flush replays the current charge segment's entries not yet
+ * replayed (from ctx->replayed up to n) as the host's charge thunk
+ * would: per occurrence, SimMachine::charge's additions in its order,
+ * with the operands of the machine's charge table (ctx->costs).
+ * That is exact only on an open run (PowerModel::openRun) with room
+ * under the step limit, where accumulate() merely extends the last
+ * segment to the new clock; anything else goes to the host. The emitter
+ * calls it before each call, asm and terminator, the points where the
+ * host can see the clock.
+ *
+ * nol_loadN and nol_storeN access N bytes. They serve a translation-
+ * cache hit as PagedMemory's read()/write() would, without charging:
+ * a hit observes nothing. Any other access (a miss, a page crossing,
+ * a touch observer, a big-endian layout) leaves the module, so they
+ * first replay the segment through the access, mark that much of it
+ * replayed, then call the host.
  */
 const char *kPreambleHelpers = R"(
-static void nol_charge(NolCtx *ctx, const NolChargeItem *nc, uint32_t n,
-                       uint32_t total, uint32_t fn_id) {
+static void nol_flush(NolCtx *ctx, const uint8_t *seg, uint32_t n,
+                      uint32_t fn_id) {
     double now, energy;
     uint64_t units = 0;
-    uint32_t i, k;
-    if (!ctx->open || total > ctx->step_limit - *ctx->steps) {
-        ctx->charge(ctx, nc, n, fn_id);
+    uint32_t i = ctx->replayed;
+    ctx->replayed = 0;
+    if (!ctx->open || n - i > ctx->step_limit - *ctx->steps) {
+        ctx->charge(ctx, seg + i, n - i, fn_id);
         return;
     }
+    *ctx->steps += n - i;
     now = *ctx->now;
     energy = *ctx->energy;
-    for (i = 0; i < n; ++i) {
-        const NolCost *c = &ctx->costs[nc[i].kind * NOL_COST_SLOTS +
-                                       nc[i].cost];
-        units += c->units * nc[i].count;
-        for (k = 0; k < nc[i].count; ++k) {
-            energy += c->energy;
-            now += c->ns;
-        }
+    for (; i < n; ++i) {
+        const NolCost *c = &ctx->costs[seg[i]];
+        units += c->units;
+        energy += c->energy;
+        now += c->ns;
     }
     *ctx->now = now;
     *ctx->seg_end = now;
     *ctx->energy = energy;
     *ctx->units += units;
-    *ctx->steps += total;
 }
-static inline void nol_charge1(NolCtx *ctx, uint32_t ck, uint32_t fn_id) {
-    const NolCost *c;
-    double now;
-    if (!ctx->open || 1 > ctx->step_limit - *ctx->steps) {
-        NolChargeItem one;
-        one.cost = ck >> 2; one.kind = ck & 3; one.count = 1;
-        ctx->charge(ctx, &one, 1, fn_id);
-        return;
-    }
-    c = &ctx->costs[(ck & 3) * NOL_COST_SLOTS + (ck >> 2)];
-    *ctx->energy += c->energy;
-    now = *ctx->now + c->ns;
-    *ctx->now = now;
-    *ctx->seg_end = now;
-    *ctx->units += c->units;
-    *ctx->steps += 1;
+#define NOL_ACCESS(N, T)                                                   \
+static uint64_t nol_load##N(NolCtx *ctx, uint64_t addr,                    \
+                            const uint8_t *seg, uint32_t upto,             \
+                            uint32_t fn_id) {                              \
+    uint64_t page = addr / NOL_PAGE_SIZE, off = addr % NOL_PAGE_SIZE;      \
+    uint32_t way = (uint32_t)(page % NOL_CACHE_WAYS);                      \
+    T x;                                                                   \
+    if (ctx->mem_direct && off <= NOL_PAGE_SIZE - N &&                     \
+        ctx->mem_tags[way] == page) {                                      \
+        memcpy(&x, ctx->mem_data[way] + off, N);                           \
+        return x;                                                          \
+    }                                                                      \
+    nol_flush(ctx, seg, upto, fn_id);                                      \
+    ctx->replayed = upto;                                                  \
+    return ctx->load_scalar(ctx, addr, N);                                 \
+}                                                                          \
+static void nol_store##N(NolCtx *ctx, uint64_t addr, uint64_t v,           \
+                         const uint8_t *seg, uint32_t upto,                \
+                         uint32_t fn_id) {                                 \
+    uint64_t page = addr / NOL_PAGE_SIZE, off = addr % NOL_PAGE_SIZE;      \
+    uint32_t way = (uint32_t)(page % NOL_CACHE_WAYS);                      \
+    T x = (T)v;                                                            \
+    if (ctx->mem_direct && off <= NOL_PAGE_SIZE - N &&                     \
+        ctx->mem_tags[way] == page) {                                      \
+        *ctx->mem_dirty[way] = 1;                                          \
+        memcpy(ctx->mem_data[way] + off, &x, N);                           \
+        return;                                                            \
+    }                                                                      \
+    nol_flush(ctx, seg, upto, fn_id);                                      \
+    ctx->replayed = upto;                                                  \
+    ctx->store_scalar(ctx, addr, N, v);                                    \
 }
-static inline uint8_t *nol_hit(NolCtx *ctx, uint64_t addr,
-                               uint32_t size) {
-    uint64_t page = addr / NOL_PAGE_SIZE, off = addr % NOL_PAGE_SIZE;
-    uint32_t way = (uint32_t)(page % NOL_CACHE_WAYS);
-    if (!ctx->mem_direct || off + size > NOL_PAGE_SIZE || size > 8 ||
-        (size & (size - 1)) != 0 || ctx->mem_tags[way] != page)
-        return 0;
-    return ctx->mem_data[way] + off;
-}
-static uint64_t nol_load(NolCtx *ctx, uint64_t addr, uint32_t size,
-                         uint32_t ck, uint32_t fn_id) {
-    const uint8_t *p;
-    uint16_t h; uint32_t w; uint64_t d;
-    nol_charge1(ctx, ck, fn_id);
-    p = nol_hit(ctx, addr, size);
-    if (p == 0) return ctx->load_scalar(ctx, addr, size);
-    switch (size) {
-      case 1: return *p;
-      case 2: memcpy(&h, p, 2); return h;
-      case 4: memcpy(&w, p, 4); return w;
-      default: memcpy(&d, p, 8); return d;
-    }
-}
-static void nol_store(NolCtx *ctx, uint64_t addr, uint32_t size,
-                      uint64_t v, uint32_t ck, uint32_t fn_id) {
-    uint8_t *p;
-    uint16_t h = (uint16_t)v; uint32_t w = (uint32_t)v;
-    nol_charge1(ctx, ck, fn_id);
-    p = nol_hit(ctx, addr, size);
-    if (p == 0) { ctx->store_scalar(ctx, addr, size, v); return; }
-    *ctx->mem_dirty[(addr / NOL_PAGE_SIZE) % NOL_CACHE_WAYS] = 1;
-    switch (size) {
-      case 1: *p = (uint8_t)v; return;
-      case 2: memcpy(p, &h, 2); return;
-      case 4: memcpy(p, &w, 4); return;
-      default: memcpy(p, &v, 8); return;
-    }
-}
+NOL_ACCESS(1, uint8_t)
+NOL_ACCESS(2, uint16_t)
+NOL_ACCESS(4, uint32_t)
+NOL_ACCESS(8, uint64_t)
 )";
 
 /** The NolCtx fields whose offsets every module checks. */
@@ -151,6 +138,7 @@ const struct {
     {"seg_end", offsetof(NolCtx, seg_end)},
     {"costs", offsetof(NolCtx, costs)},
     {"open", offsetof(NolCtx, open)},
+    {"replayed", offsetof(NolCtx, replayed)},
     {"mem_direct", offsetof(NolCtx, mem_direct)},
     {"mem_tags", offsetof(NolCtx, mem_tags)},
     {"mem_data", offsetof(NolCtx, mem_data)},
@@ -197,6 +185,21 @@ f64Lit(double d)
     return buf;
 }
 
+/** Does @p inst end a charge segment: a call, asm or terminator, a
+ *  point where the host can see the clock? */
+bool
+endsSegment(const ir::Instruction *inst)
+{
+    switch (inst->op()) {
+      case Opcode::Call:
+      case Opcode::CallIndirect:
+      case Opcode::MachineAsm:
+        return true;
+      default:
+        return inst->isTerminator();
+    }
+}
+
 class Emitter
 {
   public:
@@ -211,66 +214,28 @@ class Emitter
     void emitFunction(const ir::Function *fn, size_t fn_id);
     void emitInst(const ir::Instruction *inst, size_t fn_id);
 
-    /** Queue the cost-model charge for one execution of @p inst,
-     *  run-length encoded. */
-    void pushCharge(const ir::Instruction *inst)
+    /**
+     * Open the charge segment that starts at instruction @p first of
+     * @p bb: declare its table, the charge-table slot of each of its
+     * instructions in order, up to the first one that endsSegment().
+     */
+    void openSegment(const ir::BasicBlock &bb, size_t first);
+
+    /** The current segment's table and how many of its entries the
+     *  instruction being emitted ends: `cK, n`. */
+    std::string segmentThrough() const
     {
-        uint32_t cost = static_cast<uint32_t>(sim::opcodeCost(inst->op()));
-        uint32_t kind = static_cast<uint32_t>(sim::costKind(inst->op()));
-        NOL_ASSERT(cost >= 1 && cost < NOL_COST_SLOTS && kind < NOL_COST_KINDS,
-                   "charge (%u, %u) is outside the charge table", cost, kind);
-        if (!pending_.empty() && pending_.back().cost == cost &&
-            pending_.back().kind == kind)
-            ++pending_.back().count;
-        else
-            pending_.push_back({cost, kind, 1});
+        return "c" + std::to_string(segment_) + ", " +
+               std::to_string(segPos_);
     }
 
-    /**
-     * Remove the charge pushCharge() just queued for the current
-     * instruction and return it packed for nol_load/nol_store
-     * (cost << 2 | kind), which charge it before the access.
-     */
-    uint32_t popSelfCharge()
+    /** Replay the rest of the current segment, which the instruction
+     *  being emitted ends. */
+    void flushSegment(size_t fn_id)
     {
-        NOL_ASSERT(!pending_.empty(), "no self charge queued");
-        NolChargeItem &self = pending_.back();
-        uint32_t packed = self.cost << 2 | self.kind;
-        if (--self.count == 0)
-            pending_.pop_back();
-        return packed;
-    }
-
-    /**
-     * Emit the queued charges as one nol_charge() call. Required
-     * before every operation the host observes (memory, calls, asm,
-     * control transfers) so the simulated clock is exact at each
-     * interaction point; charges replay per-occurrence to keep double
-     * accumulation order identical to the interpreter.
-     */
-    void flushCharges(size_t fn_id)
-    {
-        if (pending_.empty())
-            return;
-        size_t total = 0;
-        line("  { static const NolChargeItem nc[] = {");
-        std::string row = "      ";
-        for (const NolChargeItem &it : pending_) {
-            total += it.count;
-            row += "{" + std::to_string(it.cost) + "," +
-                   std::to_string(it.kind) + "," +
-                   std::to_string(it.count) + "},";
-            if (row.size() > 68) {
-                line("%s", row.c_str());
-                row = "      ";
-            }
-        }
-        if (row != "      ")
-            line("%s", row.c_str());
-        line("    };");
-        line("    nol_charge(ctx, nc, %zu, %zu, %zu); }", pending_.size(),
-             total, fn_id);
-        pending_.clear();
+        NOL_ASSERT(segPos_ == segLen_, "segment c%zu flushed at %zu of %zu",
+                   segment_, segPos_, segLen_);
+        line("  nol_flush(ctx, %s, %zu);", segmentThrough().c_str(), fn_id);
     }
 
     // --- Operand rendering ---------------------------------------------
@@ -308,7 +273,9 @@ class Emitter
     std::unordered_map<const ir::Value *, size_t> instIdx_;
     std::unordered_map<const ir::Instruction *, size_t> allocaIdx_;
     std::unordered_map<const ir::BasicBlock *, size_t> blockIdx_;
-    std::vector<NolChargeItem> pending_;
+    size_t segment_ = 0; ///< the current segment's table is cK
+    size_t segLen_ = 0;  ///< its instructions
+    size_t segPos_ = 0;  ///< of which emitted, with the current one
 };
 
 void
@@ -450,6 +417,33 @@ Emitter::run()
 }
 
 void
+Emitter::openSegment(const ir::BasicBlock &bb, size_t first)
+{
+    ++segment_;
+    segLen_ = 0;
+    segPos_ = 0;
+    std::string row = "  static const uint8_t c" + std::to_string(segment_) +
+                      "[] = {";
+    for (size_t i = first; i < bb.size(); ++i) {
+        ir::Opcode op = bb.inst(i)->op();
+        uint32_t cost = static_cast<uint32_t>(sim::opcodeCost(op));
+        uint32_t kind = static_cast<uint32_t>(sim::costKind(op));
+        NOL_ASSERT(cost >= 1 && cost < NOL_COST_SLOTS && kind < NOL_COST_KINDS,
+                   "charge (%u, %u) is outside the charge table", cost, kind);
+        if (row.size() > 68) {
+            out_ += row + '\n';
+            row = "      ";
+        }
+        row += std::to_string(sim::chargeSlot(op)) + ",";
+        ++segLen_;
+        if (endsSegment(bb.inst(i)))
+            break;
+    }
+    row.back() = '}';
+    out_ += row + ";\n";
+}
+
+void
 Emitter::emitFunction(const ir::Function *fn, size_t fn_id)
 {
     // The C below reads a value only where its definition has run.
@@ -457,7 +451,6 @@ Emitter::emitFunction(const ir::Function *fn, size_t fn_id)
     instIdx_.clear();
     allocaIdx_.clear();
     blockIdx_.clear();
-    pending_.clear();
 
     for (size_t i = 0; i < fn->numArgs(); ++i)
         instIdx_[fn->arg(i)] = i;
@@ -490,11 +483,12 @@ Emitter::emitFunction(const ir::Function *fn, size_t fn_id)
 
     for (const auto &bb : fn->blocks()) {
         line("L%zu:;", blockIdx_.at(bb.get()));
-        for (size_t i = 0; i < bb->size(); ++i)
+        for (size_t i = 0; i < bb->size(); ++i) {
+            if (i == 0 || endsSegment(bb->inst(i - 1)))
+                openSegment(*bb, i);
+            ++segPos_;
             emitInst(bb->inst(i), fn_id);
-        NOL_ASSERT(pending_.empty(), "block %s in %s did not end in a "
-                   "flushing terminator", bb->name().c_str(),
-                   fn->name().c_str());
+        }
     }
     line("}");
     out_ += '\n';
@@ -503,7 +497,6 @@ Emitter::emitFunction(const ir::Function *fn, size_t fn_id)
 void
 Emitter::emitInst(const ir::Instruction *inst, size_t fn_id)
 {
-    pushCharge(inst);
     const uint32_t ptr_bits = dl_.spec().pointerSize * 8;
 
     switch (inst->op()) {
@@ -525,57 +518,45 @@ Emitter::emitInst(const ir::Instruction *inst, size_t fn_id)
         break;
       }
       case Opcode::Load: {
-        // nol_load charges the access's own cost first, exactly like
-        // the interpreter; only the *preceding* instructions' charges
-        // need flushing here.
-        uint32_t ck = popSelfCharge();
-        flushCharges(fn_id);
         std::string v = var(inst);
-        std::string addr =
-            "(uint64_t)(" + exprI(inst->operand(0)) + ")";
+        std::string args = "(uint64_t)(" + exprI(inst->operand(0)) + "), " +
+                           segmentThrough() + ", " + std::to_string(fn_id);
         const ir::Type *ty = inst->accessType();
         if (ty->isFloat()) {
             if (isF32(ty))
-                line("  %s.f = nol_f32_from((uint32_t)nol_load(ctx, %s, 4, "
-                     "%u, %zu));",
-                     v.c_str(), addr.c_str(), ck, fn_id);
+                line("  %s.f = nol_f32_from((uint32_t)nol_load4(ctx, %s));",
+                     v.c_str(), args.c_str());
             else
-                line("  %s.f = nol_f64_from(nol_load(ctx, %s, 8, %u, "
-                     "%zu));",
-                     v.c_str(), addr.c_str(), ck, fn_id);
+                line("  %s.f = nol_f64_from(nol_load8(ctx, %s));", v.c_str(),
+                     args.c_str());
         } else if (ty->isPointer() || ty->isFunction()) {
-            line("  %s.i = (int64_t)nol_load(ctx, %s, %u, %u, %zu);",
-                 v.c_str(), addr.c_str(), dl_.spec().pointerSize, ck,
-                 fn_id);
+            line("  %s.i = (int64_t)nol_load%u(ctx, %s);", v.c_str(),
+                 dl_.spec().pointerSize, args.c_str());
         } else {
             uint32_t width = intWidth(ty);
-            uint32_t bytes = width == 1 ? 1 : width / 8;
-            line("  %s.i = nol_sext(nol_load(ctx, %s, %u, %u, %zu), %u);",
-                 v.c_str(), addr.c_str(), bytes, ck, fn_id, width);
+            line("  %s.i = nol_sext(nol_load%u(ctx, %s), %u);", v.c_str(),
+                 width == 1 ? 1 : width / 8, args.c_str(), width);
         }
         break;
       }
       case Opcode::Store: {
-        uint32_t ck = popSelfCharge();
-        flushCharges(fn_id);
-        std::string addr =
-            "(uint64_t)(" + exprI(inst->operand(1)) + ")";
+        std::string addr = "(uint64_t)(" + exprI(inst->operand(1)) + ")";
+        std::string seg = segmentThrough() + ", " + std::to_string(fn_id);
         const ir::Type *ty = inst->accessType();
         if (ty->isFloat()) {
             uint32_t bytes = isF32(ty) ? 4 : 8;
-            line("  nol_store(ctx, %s, %u, nol_f%u_bits(%s), %u, %zu);",
-                 addr.c_str(), bytes, bytes * 8,
-                 exprF(inst->operand(0)).c_str(), ck, fn_id);
+            line("  nol_store%u(ctx, %s, nol_f%u_bits(%s), %s);", bytes,
+                 addr.c_str(), bytes * 8, exprF(inst->operand(0)).c_str(),
+                 seg.c_str());
         } else if (ty->isPointer() || ty->isFunction()) {
-            line("  nol_store(ctx, %s, %u, nol_low(%s, %u), %u, %zu);",
-                 addr.c_str(), dl_.spec().pointerSize,
-                 exprI(inst->operand(0)).c_str(), ptr_bits, ck, fn_id);
+            line("  nol_store%u(ctx, %s, nol_low(%s, %u), %s);",
+                 dl_.spec().pointerSize, addr.c_str(),
+                 exprI(inst->operand(0)).c_str(), ptr_bits, seg.c_str());
         } else {
             uint32_t width = intWidth(ty);
-            uint32_t bytes = width == 1 ? 1 : width / 8;
-            line("  nol_store(ctx, %s, %u, (uint64_t)(%s), %u, %zu);",
-                 addr.c_str(), bytes, exprI(inst->operand(0)).c_str(), ck,
-                 fn_id);
+            line("  nol_store%u(ctx, %s, (uint64_t)(%s), %s);",
+                 width == 1 ? 1 : width / 8, addr.c_str(),
+                 exprI(inst->operand(0)).c_str(), seg.c_str());
         }
         break;
       }
@@ -665,7 +646,7 @@ Emitter::emitInst(const ir::Instruction *inst, size_t fn_id)
         break;
       }
       case Opcode::Call: {
-        flushCharges(fn_id);
+        flushSegment(fn_id);
         const ir::Function *callee = inst->callee();
         size_t n = inst->numOperands();
         line("  { NolVal ca[%zu];", n > 0 ? n : 1);
@@ -692,7 +673,7 @@ Emitter::emitInst(const ir::Instruction *inst, size_t fn_id)
         break;
       }
       case Opcode::CallIndirect: {
-        flushCharges(fn_id);
+        flushSegment(fn_id);
         size_t site = lowered_.callSites.size();
         lowered_.callSites.push_back(inst);
         size_t n = inst->numOperands() - 1;
@@ -711,25 +692,25 @@ Emitter::emitInst(const ir::Instruction *inst, size_t fn_id)
         break;
       }
       case Opcode::MachineAsm: {
-        flushCharges(fn_id);
+        flushSegment(fn_id);
         size_t site = lowered_.asmSites.size();
         lowered_.asmSites.push_back(inst);
         line("  ctx->machine_asm(ctx, %zu);", site);
         break;
       }
       case Opcode::Br:
-        flushCharges(fn_id);
+        flushSegment(fn_id);
         line("  goto L%zu;", blockIdx_.at(inst->successor(0)));
         break;
       case Opcode::CondBr:
-        flushCharges(fn_id);
+        flushSegment(fn_id);
         line("  if ((%s) != 0) goto L%zu; else goto L%zu;",
              exprI(inst->operand(0)).c_str(),
              blockIdx_.at(inst->successor(0)),
              blockIdx_.at(inst->successor(1)));
         break;
       case Opcode::Switch: {
-        flushCharges(fn_id);
+        flushSegment(fn_id);
         line("  { int64_t sw = %s;", exprI(inst->operand(0)).c_str());
         const auto &cases = inst->caseValues();
         for (size_t c = 0; c < cases.size(); ++c)
@@ -739,7 +720,7 @@ Emitter::emitInst(const ir::Instruction *inst, size_t fn_id)
         break;
       }
       case Opcode::Ret:
-        flushCharges(fn_id);
+        flushSegment(fn_id);
         line("  ctx->sp = saved_sp;");
         if (inst->numOperands() == 1)
             line("  return %s;", exprWhole(inst->operand(0)).c_str());
@@ -747,7 +728,7 @@ Emitter::emitInst(const ir::Instruction *inst, size_t fn_id)
             line("  return (NolVal){0, 0.0};");
         break;
       case Opcode::Unreachable:
-        flushCharges(fn_id);
+        flushSegment(fn_id);
         line("  ctx->trap(ctx, %d, %zu);", NOL_TRAP_UNREACHABLE, fn_id);
         line("  return (NolVal){0, 0.0};");
         break;

@@ -3,9 +3,10 @@
  * Lowers a typed IR module to a single C translation unit whose
  * execution is observationally identical to the interpreter: same
  * outputs, same guest memory traffic, and the same sequence of
- * SimMachine::charge calls (cost accounting is replayed
- * per-instruction-occurrence, in original order, through run-length-
- * encoded charge tables flushed at every host interaction point).
+ * SimMachine::charge calls wherever the host can look (cost accounting
+ * is replayed per instruction occurrence, in original order, from one
+ * static table per charge segment, before each call, asm, terminator
+ * and access that leaves the module).
  */
 #ifndef NOL_CODEGEN_CEMITTER_HPP
 #define NOL_CODEGEN_CEMITTER_HPP

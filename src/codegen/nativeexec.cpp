@@ -141,6 +141,9 @@ NativeExec::call(ir::Function *fn, const std::vector<RtVal> &args)
                "NativeExec", fn->name().c_str());
 
     if (depth_ == 0) {
+        // A trap unwinds generated code without replaying the rest of
+        // its segment.
+        ctx_.replayed = 0;
         try {
             return invoke(fn_ptr, fn, args);
         } catch (const interp::GuestExit &exit_req) {
@@ -190,18 +193,15 @@ NativeExec::sync()
 }
 
 void
-NativeExec::chargeThunk(NolCtx *ctx, const NolChargeItem *items, uint32_t n,
+NativeExec::chargeThunk(NolCtx *ctx, const uint8_t *slots, uint32_t n,
                         uint32_t fn_id)
 {
     auto *self = static_cast<NativeExec *>(ctx->host);
-    for (uint32_t i = 0; i < n; ++i) {
-        const NolChargeItem &item = items[i];
-        if (item.count > kStepLimit - self->steps_)
-            panic("step limit exceeded in %s", self->fnName(fn_id));
-        self->steps_ += item.count;
-        for (uint32_t k = 0; k < item.count; ++k)
-            self->machine_.charge(item.kind * NOL_COST_SLOTS + item.cost);
-    }
+    if (n > kStepLimit - self->steps_)
+        panic("step limit exceeded in %s", self->fnName(fn_id));
+    self->steps_ += n;
+    for (uint32_t i = 0; i < n; ++i)
+        self->machine_.charge(slots[i]);
     self->sync();
 }
 

@@ -112,8 +112,8 @@ class NativeExec final : public interp::ExecBackend
      */
     void sync();
 
-    static void chargeThunk(NolCtx *ctx, const NolChargeItem *items,
-                            uint32_t n, uint32_t fn_id);
+    static void chargeThunk(NolCtx *ctx, const uint8_t *slots, uint32_t n,
+                            uint32_t fn_id);
     static uint64_t loadThunk(NolCtx *ctx, uint64_t addr, uint32_t size);
     static void storeThunk(NolCtx *ctx, uint64_t addr, uint32_t size,
                            uint64_t value);
